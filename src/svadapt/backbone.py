@@ -9,7 +9,6 @@ adapter objects (see adapters.py).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,28 +121,18 @@ class TransformerLayer:
 
 def mhsa(x: Tensor, layer: TransformerLayer, num_heads: int, return_attn: bool = False):
     """Scaled dot-product multi-head self-attention, fully bidirectional,
-    with per-head scale 1/sqrt(head_dim)."""
+    with per-head scale 1/sqrt(head_dim). With return_attn, also returns
+    the per-head [T, T] attention weights (untaped)."""
     d = x.shape[1]
     if layer.wq.shape[0] != d:
         raise ValueError(f"mhsa: input width {d} does not match layer {layer.wq.shape}")
-    head_dim = d // num_heads
     q = tt.linear(x, layer.wq, layer.bq)
     k = tt.linear(x, layer.wk, layer.bk)
     v = tt.linear(x, layer.wv, layer.bv)
-    outs = []
-    attns = []
-    for h in range(num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = tt.slice_cols(q, lo, hi)
-        kh = tt.slice_cols(k, lo, hi)
-        vh = tt.slice_cols(v, lo, hi)
-        logits = tt.scale(tt.matmul(qh, tt.transpose(kh)), 1.0 / math.sqrt(head_dim))
-        att = tt.softmax(logits)
-        attns.append(att)
-        outs.append(tt.matmul(att, vh))
-    out = tt.linear(tt.concat_cols(outs), layer.wo, layer.bo)
+    heads, att = tt.attention(q, k, v, num_heads)
+    out = tt.linear(heads, layer.wo, layer.bo)
     if return_attn:
-        return out, attns
+        return out, [Tensor(a) for a in att]
     return out
 
 

@@ -23,13 +23,14 @@ from .harness import (
     config_from_file,
     config_to_text,
     count_params_table,
-    evaluate,
+    embed_trial_utterances,
     format_count_table,
     format_sweep_table,
     load_checkpoint,
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
+    score_trials,
     sweep_scale,
 )
 from .metrics import write_scores
@@ -216,14 +217,13 @@ def cmd_eval(args) -> int:
     trials = _load_trials(args.trials)
     checkpoint = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(checkpoint)
-    result, scores = evaluate(model, corpus, trials, p_target=args.p_target)
+    embs = embed_trial_utterances(model, corpus, trials)
+    result, scores = score_trials(embs, trials, p_target=args.p_target)
     if args.scores_out:
         write_scores(args.scores_out, trials, scores)
     if args.embeddings_out:
         from .backend import SpeakerEmbedding, write_embeddings
-        from .harness import embed_trial_utterances
 
-        embs = embed_trial_utterances(model, corpus, trials)
         write_embeddings(
             args.embeddings_out,
             [SpeakerEmbedding(utt, vec) for utt, vec in sorted(embs.items())],

@@ -22,6 +22,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -266,46 +267,65 @@ def load_checkpoint(path) -> Checkpoint:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        return _parse_checkpoint(blob, path)
-    except struct.error as exc:
-        raise DataError(f"truncated checkpoint {path}: {exc}") from exc
+    return _parse_checkpoint(blob, path)
+
+
+class _CheckpointReader:
+    """Cursor over a checkpoint blob. Every read is bounds-checked first, so
+    a truncated or garbled file raises DataError and never slices short."""
+
+    def __init__(self, blob: bytes, path):
+        self.view = memoryview(blob)
+        self.path = path
+        self.off = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        end = self.off + n
+        if end > len(self.view):
+            raise DataError(
+                f"truncated checkpoint {self.path}: {what} needs {n} bytes at "
+                f"offset {self.off}, but the file has {len(self.view)}"
+            )
+        chunk = self.view[self.off : end]
+        self.off = end
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return bytes(self.take(n, what)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: {what} is not valid UTF-8 ({exc})") from exc
 
 
 def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     if blob[:8] != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
-    off = 8
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    r = _CheckpointReader(blob, path)
+    r.take(8, "magic")
+    (version,) = r.unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {version}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    (conf_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    config_text = blob[off : off + conf_len].decode("utf-8")
-    off += conf_len
-    (step,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    (nparams,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (conf_len,) = r.unpack("<I", "config length")
+    config_text = r.text(conf_len, "config block")
+    (step,) = r.unpack("<Q", "step")
+    (nparams,) = r.unpack("<I", "param count")
     params = []
-    for _ in range(nparams):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        trainable, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
+    for i in range(nparams):
+        (name_len,) = r.unpack("<H", f"param {i} name length")
+        name = r.text(name_len, f"param {i} name")
+        trainable, rank = r.unpack("<BB", f"param {name!r} flags")
+        shape = r.unpack(f"<{rank}I", f"param {name!r} shape")
+        count = math.prod(shape)
+        raw = r.take(8 * count, f"param {name!r} values")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
         params.append((name, bool(trainable), arr.copy()))
-    (stored_hash,) = struct.unpack_from("<Q", blob, off)
+    (stored_hash,) = r.unpack("<Q", "backbone hash")
     actual = backbone_hash_of(params)
     if stored_hash != actual:
         raise DataError(
@@ -451,12 +471,18 @@ def embed_trial_utterances(model: SVModel, corpus: Corpus, trials) -> dict:
     return embeddings
 
 
-def evaluate(model: SVModel, corpus: Corpus, trials, p_target: float = 0.05):
-    """Cosine-score every trial and compute EER / minDCF."""
-    embeddings = embed_trial_utterances(model, corpus, trials)
+def score_trials(embeddings: dict, trials, p_target: float = 0.05):
+    """Cosine-score every trial from precomputed embeddings (utterance id ->
+    vector) and compute EER / minDCF."""
     scores = [cosine_score(embeddings[t.enroll], embeddings[t.test]) for t in trials]
     labels = [int(t.target) for t in trials]
     return evaluate_scores(ScoreSet(scores, labels), p_target), scores
+
+
+def evaluate(model: SVModel, corpus: Corpus, trials, p_target: float = 0.05):
+    """Embed every trial utterance once, cosine-score every trial and
+    compute EER / minDCF."""
+    return score_trials(embed_trial_utterances(model, corpus, trials), trials, p_target)
 
 
 @dataclass

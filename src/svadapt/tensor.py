@@ -9,12 +9,26 @@ recorded at all, and gradient products aimed at frozen parameters are
 skipped, so a mostly-frozen model back-propagates only through the live
 subgraph. With no active tape, ops are pure evaluation.
 
+Primitive ops (each records one tape node): `matmul` and `vecmat`, both
+with an optional fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`,
+`softmax`, `softmax_cross_entropy`, `mean_rows`, `sum_all`, `lincomb`,
+`stack_rows`; and `attention`, which runs every head of scaled dot-product
+attention as one op. `linear` and `linear_vec` are one-line composites.
+
+Gradient accumulation: the first gradient a non-`Param` tensor receives is
+assigned as is, without a copy, so its `grad` array may be shared with
+another tensor's gradient or be a read-only broadcast view. Later
+contributions therefore rebind it (`t.grad = t.grad + g`) and never write
+into it. A `Param` owns its gradient buffer and accumulates into it in
+place, so `Param.grad` stays the same array across steps.
+
 Only the ranks this package needs are supported: vectors, matrices, and
 row-vector-onto-matrix bias broadcasting. No other broadcasting.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -132,49 +146,79 @@ def _record(out: Tensor, bwd, inputs) -> None:
     """Mark out as gradient-bearing and push the closure, but only when a
     tape is active and some input can reach a trainable parameter."""
     tape = _active()
-    if tape is not None and any(_wants(t) for t in inputs):
-        out.needs_grad = True
-        tape._ops.append((out, bwd))
+    if tape is None:
+        return
+    for t in inputs:
+        if _wants(t):
+            out.needs_grad = True
+            tape._ops.append((out, bwd))
+            return
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add g to t's gradient. A Param accumulates into its own buffer; any
+    other tensor takes its first g without a copy and rebinds afterwards,
+    because g may be shared with another tensor's gradient."""
+    if isinstance(t, Param):
+        t.grad += g
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
+
+
+def _check_bias(op: str, bias, out_shape) -> None:
+    if bias is not None and (bias.ndim != 1 or bias.shape[0] != out_shape[-1]):
+        raise ValueError(f"{op}: bias shape {bias.shape} does not fit output {out_shape}")
 
 
 # ---------------------------------------------------------------------------
 # primitive ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product [m, k] @ [k, n] -> [m, n], plus an optional length-n
+    bias row added to every row (its gradient sums over rows)."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    y = a.data @ b.data
+    _check_bias("matmul", bias, y.shape)
+    if bias is not None:
+        y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
+        if bias is not None and _wants(bias):
+            _accum(bias, g.sum(axis=0))
         if _wants(a):
             _accum(a, g @ b.data.T)
         if _wants(b):
             _accum(b, a.data.T @ g)
 
-    _record(out, bwd, (a, b))
+    _record(out, bwd, (a, b) if bias is None else (a, b, bias))
     return out
 
 
-def vecmat(v: Tensor, w: Tensor) -> Tensor:
-    """Vector-matrix product [k] @ [k, n] -> [n]."""
+def vecmat(v: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Vector-matrix product [k] @ [k, n] -> [n], plus an optional length-n
+    bias."""
     if v.ndim != 1 or w.ndim != 2 or v.shape[0] != w.shape[0]:
         raise ValueError(f"vecmat: incompatible shapes {v.shape} x {w.shape}")
-    out = Tensor(v.data @ w.data)
+    y = v.data @ w.data
+    _check_bias("vecmat", bias, y.shape)
+    if bias is not None:
+        y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
+        if bias is not None and _wants(bias):
+            _accum(bias, g)
         if _wants(v):
             _accum(v, w.data @ g)
         if _wants(w):
             _accum(w, np.outer(v.data, g))
 
-    _record(out, bwd, (v, w))
+    _record(out, bwd, (v, w) if bias is None else (v, w, bias))
     return out
 
 
@@ -191,21 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g)
         if _wants(b):
             _accum(b, g.sum(axis=0) if bias_case else g)
-
-    _record(out, bwd, (a, b))
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub: incompatible shapes {a.shape} - {b.shape}")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        if _wants(a):
-            _accum(a, g)
-        if _wants(b):
-            _accum(b, -g)
 
     _record(out, bwd, (a, b))
     return out
@@ -276,9 +305,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} do not match "
             f"feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is bitwise what ndarray.mean computes, minus its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
@@ -293,8 +323,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dxhat = g * gamma.data
             dx = inv * (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - dxhat.sum(axis=-1, keepdims=True) / d
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
             )
             _accum(x, dx)
 
@@ -345,41 +375,51 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T)
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
+    """Scaled dot-product self-attention over all heads as one op.
+
+    q, k and v are [T, d] with head h owning columns h*dh:(h+1)*dh, where
+    dh = d / num_heads. Each head computes softmax(q_h k_h^T / sqrt(dh)) v_h
+    (softmax max-subtracted, along each row) and the head outputs are laid
+    side by side into [T, d]. Returns that output tensor and the [H, T, T]
+    attention weights as a plain array (not on the tape).
+    """
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ValueError(f"attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape} differ")
+    t, d = q.shape
+    if num_heads < 1 or d % num_heads != 0:
+        raise ValueError(f"attention: width {d} does not split into {num_heads} heads")
+    dh = d // num_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a):  # [T, d] -> [H, T, dh] view
+        return a.reshape(t, num_heads, dh).transpose(1, 0, 2)
+
+    def merge(a):  # [H, T, dh] -> [T, d]; always C order, because a later
+        # row sum (a bias gradient) adds in an order that follows the layout
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    z = (qh @ kh.transpose(0, 2, 1)) * c
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(att @ vh))
 
     def bwd(g):
-        _accum(x, g.T)
+        gh = split(g)
+        if _wants(v):
+            _accum(v, merge(att.transpose(0, 2, 1) @ gh))
+        if _wants(q) or _wants(k):
+            ga = gh @ vh.transpose(0, 2, 1)
+            gz = (att * (ga - (ga * att).sum(axis=-1, keepdims=True))) * c
+            if _wants(q):
+                _accum(q, merge(gz @ kh))
+            if _wants(k):
+                _accum(k, merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
 
-    _record(out, bwd, (x,))
-    return out
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[:, start:stop])
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accum(x, full)
-
-    _record(out, bwd, (x,))
-    return out
-
-
-def concat_cols(parts: list) -> Tensor:
-    widths = [p.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-
-    def bwd(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if _wants(p):
-                _accum(p, g[:, offset : offset + w])
-            offset += w
-
-    _record(out, bwd, parts)
-    return out
+    _record(out, bwd, (q, k, v))
+    return out, att
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -446,12 +486,12 @@ def stack_rows(vectors: list) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b, the everywhere-used affine map."""
-    return add(matmul(x, w), b)
+    return matmul(x, w, b)
 
 
 def linear_vec(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """v @ w + b for a single vector."""
-    return add(vecmat(v, w), b)
+    return vecmat(v, w, b)
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,75 @@ class TestEmbeddingExport:
         first = emb_path.read_text().splitlines()[0].split()
         assert first[0].startswith("spk")
         assert len(first) == 1 + 32  # utterance id + embed_dim values
+
+    def test_eval_embeds_each_utterance_once_with_unchanged_outputs(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        from svadapt.backend import SpeakerEmbedding, write_embeddings
+        from svadapt.harness import (
+            embed_trial_utterances, evaluate, load_checkpoint, model_from_checkpoint,
+        )
+        from svadapt.metrics import write_scores
+        from svadapt.model import SVModel
+        from svadapt.synthdata import read_corpus, read_trials
+
+        run = tmp_path / "once.ckpt"
+        corpus_path, trials_path = workdir / "corpus.txt", workdir / "trials.txt"
+        rc = main(
+            [
+                "train", "--corpus", str(corpus_path), "--out", str(run),
+                "--mode", "inner-inter", "--bottleneck-dim", "4",
+                "--total-steps", "3", "--warmup-steps", "1", "--batch-size", "4",
+                *ENCODER_FLAGS,
+            ]
+        )
+        assert rc == 0
+        # the outputs as evaluate plus a separate embedding pass produce them
+        corpus, trials = read_corpus(corpus_path), read_trials(trials_path)
+        model = model_from_checkpoint(load_checkpoint(run))
+        _, scores = evaluate(model, corpus, trials)
+        write_scores(tmp_path / "want_scores.txt", trials, scores)
+        embs = embed_trial_utterances(model, corpus, trials)
+        write_embeddings(
+            tmp_path / "want_embs.txt",
+            [SpeakerEmbedding(utt, vec) for utt, vec in sorted(embs.items())],
+        )
+
+        seen = []
+        original = SVModel.embed_np
+
+        def counting_embed_np(self, frames):
+            seen.append(id(frames))
+            return original(self, frames)
+
+        monkeypatch.setattr(SVModel, "embed_np", counting_embed_np)
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval", "--checkpoint", str(run), "--corpus", str(corpus_path),
+                "--trials", str(trials_path),
+                "--scores-out", str(tmp_path / "scores.txt"),
+                "--embeddings-out", str(tmp_path / "embs.txt"),
+            ]
+        )
+        assert rc == 0
+        distinct = {u for t in trials for u in (t.enroll, t.test)}
+        assert len(seen) == len(set(seen)) == len(distinct)
+        assert (tmp_path / "scores.txt").read_bytes() == (tmp_path / "want_scores.txt").read_bytes()
+        assert (tmp_path / "embs.txt").read_bytes() == (tmp_path / "want_embs.txt").read_bytes()
+
+
+class TestCorruptCheckpoint:
+    def test_truncated_checkpoint_exits_3(self, workdir, tmp_path, capsys):
+        blob = (workdir / "backbone.ckpt").read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(blob[: len(blob) // 2])
+        rc = main(
+            [
+                "eval", "--checkpoint", str(cut),
+                "--corpus", str(workdir / "corpus.txt"),
+                "--trials", str(workdir / "trials.txt"),
+            ]
+        )
+        assert rc == 3
+        assert "truncated checkpoint" in capsys.readouterr().err

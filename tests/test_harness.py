@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from svadapt import tensor as tt
 from svadapt.adapters import AdapterConfig
 from svadapt.backbone import EncoderConfig, PRESETS
+from svadapt.backend import train_loss
 from svadapt.errors import ConfigError, DataError
 from svadapt.harness import (
     DEFAULT_SWEEP_SCALES,
@@ -185,6 +187,72 @@ class TestCheckpoints:
         res_direct, _ = evaluate(run.model, corpus, trials)
         res_loaded, _ = evaluate(model_from_checkpoint(load_checkpoint(path)), corpus, trials)
         assert res_direct == res_loaded
+
+
+class TestCheckpointCorruption:
+    """Any truncation or undecodable text block is a DataError, never a
+    bare ValueError or UnicodeDecodeError."""
+
+    @pytest.fixture()
+    def tiny_ckpt(self, tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        params = [
+            ("encoder.w", True, np.arange(6.0).reshape(2, 3)),
+            ("head.b", False, np.array([1.5, -2.0])),
+            ("adapters.scale", True, np.array(0.5)),
+        ]
+        save_checkpoint(path, "[run]\nmode = inner\n", params, 3)
+        return path
+
+    def test_every_truncation_is_a_data_error(self, tiny_ckpt, tmp_path):
+        blob = tiny_ckpt.read_bytes()
+        assert load_checkpoint(tiny_ckpt).step == 3
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                load_checkpoint(cut)
+
+    def test_half_length_message_names_truncation(self, tiny_ckpt, tmp_path):
+        blob = tiny_ckpt.read_bytes()
+        cut = tmp_path / "half.ckpt"
+        cut.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            load_checkpoint(cut)
+
+    @pytest.mark.parametrize("field", ["config block", "param 0 name"])
+    def test_non_utf8_text_is_a_data_error(self, tiny_ckpt, tmp_path, field):
+        blob = bytearray(tiny_ckpt.read_bytes())
+        # the config block starts after magic, version and its length; the
+        # first name after the config, the step, the count and its length
+        conf_len = int.from_bytes(blob[12:16], "little")
+        at = 16 if field == "config block" else 16 + conf_len + 8 + 4 + 2
+        blob[at] = 0xFF
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"{field} is not valid UTF-8"):
+            load_checkpoint(bad)
+
+
+class TestTapeSize:
+    """Tape ops recorded by one desk-config training step (batch 8). The
+    counts pin the fused bias, the single attention op and the pruning of
+    frozen subgraphs; a change to any of them shows here first."""
+
+    @pytest.mark.parametrize(
+        "mode, ops", [("inner-inter", 571), ("full-finetune", 451), ("inter", 75)]
+    )
+    def test_desk_step_tape_length(self, mode, ops):
+        cfg = RunConfig(mode=mode)
+        model = build_model(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
+        model.add_classifier(4)
+        rng = np.random.default_rng(0)
+        frames = [rng.normal(size=(12, cfg.encoder.input_dim)) for _ in range(cfg.batch_size)]
+        labels = [i % 4 for i in range(cfg.batch_size)]
+        with tt.Tape() as tape:
+            loss = train_loss([model.embed(f) for f in frames], labels, model.classifier)
+            tape.backward(loss)
+        assert len(tape) == ops
 
 
 class TestPretrain:

@@ -5,6 +5,7 @@ triple-loop matrix product, direct formula evaluations, and central finite
 differences. None of them reuse the library's backward path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -263,15 +264,17 @@ class TestOpGradientsAgainstFiniteDifferences:
         assert err < 1e-4
 
     def test_attention_style_ops(self):
+        # q, k and v all derived from one param, so every attention input
+        # path carries gradient back into x
         rng = np.random.default_rng(10)
         x = Param(rng.normal(size=(4, 6)), name="x")
+        w = Tensor(rng.normal(size=(6, 6)))
 
         def f():
-            q = T.slice_cols(x, 0, 3)
-            k = T.slice_cols(x, 3, 6)
-            att = T.softmax(T.scale(T.matmul(q, T.transpose(k)), 1 / math.sqrt(3)))
-            out = T.concat_cols([T.matmul(att, q), T.matmul(att, k)])
-            labels = [1, 0, 2, 1]
+            q = T.matmul(x, w)
+            k = T.scale(x, 0.5)
+            out, _ = T.attention(q, k, T.relu(x), num_heads=2)
+            labels = [1, 0, 5, 3]
             return T.softmax_cross_entropy(out, labels)
 
         assert T.grad_check(f, [x], n_probes=24, seed=1) < 1e-4
@@ -284,9 +287,223 @@ class TestOpGradientsAgainstFiniteDifferences:
 
         def f():
             h = T.linear_vec(v, w, b)
-            return T.sum_all(T.mul(T.sub(h, b), h))
+            return T.sum_all(T.mul(T.add(h, T.scale(b, -1.0)), h))
 
         assert T.grad_check(f, [v, w, b], n_probes=30, seed=2) < 1e-4
+
+
+# every mix of trainable (True) and frozen (False) inputs, all-frozen aside
+MIXES2 = [m for m in itertools.product([True, False], repeat=2) if any(m)]
+MIXES3 = [m for m in itertools.product([True, False], repeat=3) if any(m)]
+
+
+def _mixed_params(arrays, trainable):
+    return [
+        Param(a, name=f"p{i}", trainable=t)
+        for i, (a, t) in enumerate(zip(arrays, trainable))
+    ]
+
+
+def _assert_mix_gradients(f, params):
+    """Trainable inputs pass the finite-difference check; frozen ones get
+    exactly zero gradient."""
+    live = [p for p in params if p.trainable]
+    assert T.grad_check(f, live, n_probes=40, seed=0) < 1e-6
+    for p in params:
+        if not p.trainable:
+            assert np.all(p.grad == 0.0), p.name
+
+
+class TestFusedBias:
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_matmul_with_bias_gradients(self, mix):
+        rng = np.random.default_rng(20)
+        x, w, b = _mixed_params(
+            [rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)], mix
+        )
+
+        def f():
+            y = T.matmul(x, w, b)
+            return T.sum_all(T.mul(y, y))
+
+        _assert_mix_gradients(f, [x, w, b])
+
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_vecmat_with_bias_gradients(self, mix):
+        rng = np.random.default_rng(21)
+        v, w, b = _mixed_params(
+            [rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=4)], mix
+        )
+
+        def f():
+            y = T.vecmat(v, w, b)
+            return T.sum_all(T.mul(y, y))
+
+        _assert_mix_gradients(f, [v, w, b])
+
+    @pytest.mark.parametrize("mix", MIXES2)
+    def test_matmul_without_bias_gradients(self, mix):
+        rng = np.random.default_rng(22)
+        x, w = _mixed_params([rng.normal(size=(4, 3)), rng.normal(size=(3, 5))], mix)
+
+        def f():
+            y = T.matmul(x, w)
+            return T.sum_all(T.mul(y, y))
+
+        _assert_mix_gradients(f, [x, w])
+
+    def test_forward_is_product_plus_bias(self):
+        rng = np.random.default_rng(23)
+        x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+        out = T.matmul(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, matmul_oracle(x, w) + b, atol=1e-12)
+        vec = T.vecmat(Tensor(x[0]), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(vec.data, matmul_oracle(x[:1], w)[0] + b, atol=1e-12)
+
+    def test_linear_records_one_tape_op(self):
+        w = Param(np.ones((3, 2)), name="w")
+        with Tape() as tape:
+            T.linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+            T.linear_vec(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
+        assert len(tape) == 2
+
+    def test_matmul_bias_length_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 4\)"):
+            T.matmul(Tensor(np.zeros((2, 5))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)))
+
+    def test_vecmat_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4, 2\)"):
+            T.vecmat(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))))
+
+    def test_vecmat_bias_length_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(5,\).*\(2,\)"):
+            T.vecmat(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(5)))
+
+
+def attention_oracle(q, k, v, num_heads):
+    """Per-head loop over column blocks in plain numpy."""
+    dh = q.shape[1] // num_heads
+    heads, weights = [], []
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        logits = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+        weights.append(att)
+        heads.append(att @ v[:, cols])
+    return np.concatenate(heads, axis=1), weights
+
+
+class TestAttention:
+    @pytest.mark.parametrize("num_heads", [1, 2, 3])
+    def test_forward_matches_per_head_loop(self, num_heads):
+        rng = np.random.default_rng(30)
+        q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+        out, weights = T.attention(Tensor(q), Tensor(k), Tensor(v), num_heads)
+        ref_out, ref_weights = attention_oracle(q, k, v, num_heads)
+        np.testing.assert_allclose(out.data, ref_out, atol=1e-12)
+        assert weights.shape == (num_heads, 5, 5)
+        for got, want in zip(weights, ref_weights):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_gradients_under_every_trainable_mix(self, mix):
+        rng = np.random.default_rng(31)
+        q, k, v = _mixed_params([rng.normal(size=(4, 6)) for _ in range(3)], mix)
+        target = Tensor(rng.normal(size=(4, 6)))
+
+        def f():
+            out, _ = T.attention(q, k, v, num_heads=2)
+            return T.sum_all(T.mul(out, target))
+
+        _assert_mix_gradients(f, [q, k, v])
+
+    def test_all_frozen_inputs_record_nothing(self):
+        x = Tensor(np.ones((3, 4)))
+        with Tape() as tape:
+            out, _ = T.attention(x, x, x, num_heads=2)
+        assert len(tape) == 0 and not out.needs_grad
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(3, 4\).*\(2, 4\)"):
+            x = Tensor(np.zeros((3, 4)))
+            T.attention(x, x, Tensor(np.zeros((2, 4))), num_heads=2)
+
+    def test_heads_must_divide_width(self):
+        x = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="3 heads"):
+            T.attention(x, x, x, num_heads=3)
+
+
+class TestGradientAccumulation:
+    """First gradients are assigned without a copy, so later ones must not
+    write through into an array another tensor shares."""
+
+    def test_tensor_added_to_itself(self):
+        p = Param([1.0, -2.0, 3.0], name="p")
+        with Tape() as tape:
+            h = T.mul(p, p)
+            y = T.add(h, h)
+            tape.backward(T.sum_all(y))
+        np.testing.assert_array_equal(p.grad, 4.0 * p.data)
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+        np.testing.assert_array_equal(h.grad, np.full(3, 2.0))
+
+    def test_tensor_feeding_two_ops_leaves_shared_gradient_intact(self):
+        # add hands one writable gradient array to y's inputs h and k (and
+        # z shares it too); h then receives a second contribution from z,
+        # which must not change k's gradient before k back-propagates
+        p = Param([1.0, 2.0], name="p")
+        q = Param([3.0, -1.0], name="q")
+        c = Tensor([5.0, 7.0])
+        d = Tensor([2.0, 3.0])
+        with Tape() as tape:
+            h = T.mul(p, p)
+            k = T.mul(q, q)
+            z = T.mul(h, c)
+            y = T.add(h, k)
+            tape.backward(T.sum_all(T.mul(T.add(y, z), d)))
+        np.testing.assert_array_equal(k.grad, d.data)
+        np.testing.assert_array_equal(z.grad, d.data)
+        np.testing.assert_array_equal(h.grad, d.data * (1.0 + c.data))
+        np.testing.assert_array_equal(p.grad, 2.0 * p.data * d.data * (1.0 + c.data))
+        np.testing.assert_array_equal(q.grad, 2.0 * q.data * d.data)
+
+    @pytest.mark.parametrize("last", ["mean_rows", "sum_all"])
+    def test_broadcast_gradients_accumulated_into_later(self, last):
+        # mean_rows and sum_all hand back read-only broadcast views; the
+        # last consumer of x gives its first gradient, then two more arrive
+        rng = np.random.default_rng(40)
+        p = Param(rng.normal(size=(3, 4)), name="p")
+        w = Tensor(rng.normal(size=4))
+        with Tape() as tape:
+            x = T.mul(p, p)
+            scaled = T.sum_all(T.scale(x, 2.0))
+            if last == "mean_rows":
+                total = T.sum_all(x)
+                pooled = T.sum_all(T.mul(T.mean_rows(x), w))
+            else:
+                pooled = T.sum_all(T.mul(T.mean_rows(x), w))
+                total = T.sum_all(x)
+            tape.backward(T.add(T.add(scaled, total), pooled))
+        expected = 2.0 * p.data * (w.data / 3.0 + 3.0)
+        np.testing.assert_allclose(p.grad, expected, rtol=1e-14)
+
+    def test_param_grad_buffer_survives_backward_and_zero_grad(self):
+        from svadapt.optim import Adam, LrSchedule
+
+        p = Param([1.0, 2.0], name="p")
+        buffer = p.grad
+        opt = Adam([([p], LrSchedule(0.1, 0, 10))])
+        for _ in range(2):
+            with Tape() as tape:
+                tape.backward(T.sum_all(T.add(p, p)))
+            assert p.grad is buffer
+            np.testing.assert_array_equal(buffer, [2.0, 2.0])
+            opt.step()
+            opt.zero_grad()
+            assert p.grad is buffer
+            np.testing.assert_array_equal(buffer, [0.0, 0.0])
 
 
 class TestDeterminismAndFreezing:
