@@ -19,6 +19,7 @@ from . import adapters as ad
 from .backbone import EncoderConfig, PRESETS
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
+    DEFAULT_SWEEP_SCALES,
     RunConfig,
     config_from_file,
     config_to_text,
@@ -257,6 +258,10 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_sweep_scale(args) -> int:
+    try:
+        scales = tuple(map(float, args.scales.split(","))) if args.scales else DEFAULT_SWEEP_SCALES
+    except ValueError as exc:
+        raise ConfigError(f"--scales must be comma-separated numbers: {args.scales!r}") from exc
     cfg = _run_config_from_args(args)
     if cfg.mode not in ("inner", "inner-inter"):
         cfg = replace(cfg, mode="inner-inter", adapter=cfg.adapter or ad.AdapterConfig())
@@ -264,13 +269,12 @@ def cmd_sweep_scale(args) -> int:
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials = _load_trials(_path(args.trials, cfg.trials_path, "trial list"))
-    scales = tuple(float(s) for s in args.scales.split(",")) if args.scales else None
     rows = sweep_scale(
         cfg,
         backbone,
         corpus,
         trials,
-        scales=scales or (0.05, 0.1, 0.5, 1.0, 1.5, 2.0),
+        scales=scales,
         include_learnable=not args.no_learnable,
         include_sequential=not args.no_sequential,
     )

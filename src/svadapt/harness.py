@@ -12,7 +12,9 @@ Checkpoint format (version 1, little-endian throughout):
     per param: u16 name length + UTF-8 name, u8 trainable flag,
                u8 rank, u32 per dim, float64 values row-major
     hash    u64      FNV-1a over the raw bytes of the backbone params
-                     (featurizer + transformer stack) in serialized order
+                     (featurizer + transformer stack) in serialized order;
+                     `rng.fnv1a64` computes it in numpy, with the values of
+                     the plain byte loop
 
 Loading verifies the trailing hash and re-saving reproduces the bytes.
 """
@@ -412,10 +414,11 @@ def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
     model = build_model(cfg.encoder, cfg.embed_dim, "full-finetune", None, cfg.seed)
     model.add_classifier(len(speakers))
     losses = _run_steps(model, utterances, labels, cfg)
-    h = model_backbone_hash(model)
-    if out_path is not None:
+    if out_path is None:
+        h = model_backbone_hash(model)
+    else:
         params = [(p.name, p.trainable, p.data) for p in model.backbone_params()]
-        save_checkpoint(out_path, config_to_text(cfg), params, cfg.total_steps)
+        h = save_checkpoint(out_path, config_to_text(cfg), params, cfg.total_steps)
     return TrainedRun(model, cfg, losses, h)
 
 

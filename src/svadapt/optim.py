@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Param
-
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -69,9 +67,3 @@ class Adam:
         for params, _ in self.groups:
             for p in params:
                 p.zero_grad()
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        if isinstance(p, Param):
-            p.zero_grad()

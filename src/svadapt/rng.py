@@ -19,15 +19,62 @@ _MIX2 = 0x94D049BB133111EB
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_BLOCK = 1 << 16
+# _FNV_POWERS[i] = P^(_FNV_BLOCK - i) mod 2^64; a block of n bytes uses the last n
+_FNV_POWERS = np.multiply.accumulate(np.full(_FNV_BLOCK, _FNV_PRIME, np.uint64))[::-1].copy()
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string, exact: whole 64-byte words go
+    through `_fnv1a64_block` in numpy, the last < 64 bytes (so every short
+    string) through the byte loop."""
     h = _FNV_OFFSET
-    for b in data:
+    whole = len(data) - len(data) % 64
+    if whole:
+        arr = np.frombuffer(data, dtype=np.uint8, count=whole)
+        for start in range(0, whole, _FNV_BLOCK):
+            h = _fnv1a64_block(h, arr[start : start + _FNV_BLOCK])
+    for b in data[whole:]:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def _fnv1a64_block(h: int, b: np.ndarray) -> int:
+    """FNV-1a state after bytes `b` (a multiple of 64, at most _FNV_BLOCK)
+    from state `h`.
+
+    XOR with a byte changes only the low byte l_i of the state h_i, so
+    h_i ^ b_i = h_i + d_i with d_i = (l_i ^ b_i) - l_i, and the state after
+    n bytes is P^n h + sum_i d_i P^(n-i), a wrapping uint64 dot product.
+    The low bytes follow l_{i+1} = ((l_i ^ b_i) * 0xB3) & 0xFF. As 0xB3 is
+    odd, bit k of x * 0xB3 is x_k XOR a function of x's lower bits, so given
+    bits < k of every l_i, bit k of l is the exclusive prefix XOR of
+    c_i = bit k of ((l_i ^ b_i) * 0xB3), with bit k of l_i taken as 0. Each
+    of the 8 prefix XORs runs on bits packed into uint64 words.
+    """
+    n = b.size
+    low = np.zeros(n, dtype=np.uint8)
+    x = np.empty(n, dtype=np.uint8)
+    for k in range(8):
+        np.bitwise_xor(low, b, out=x)
+        np.multiply(x, np.uint8(0xB3), out=x)
+        np.bitwise_and(x, np.uint8(1 << k), out=x)
+        c = np.packbits(x, bitorder="little").view("<u8")
+        w = c.copy()
+        for s in (1, 2, 4, 8, 16, 32):
+            w ^= w << np.uint64(s)  # inclusive prefix XOR within each word
+        parity = w >> np.uint64(63)
+        # invert a word when the bits before it, and bit k of l_0, XOR to 1
+        flip = np.bitwise_xor.accumulate(parity) ^ parity ^ np.uint64((h >> k) & 1)
+        w ^= c ^ (flip * np.uint64(_MASK64))
+        bits = np.unpackbits(w.view(np.uint8), bitorder="little")
+        np.multiply(bits, np.uint8(1 << k), out=bits)
+        low |= bits
+    np.bitwise_xor(low, b, out=x)
+    d = np.subtract(x, low, dtype=np.int16).astype(np.int64).view(np.uint64)
+    powers = _FNV_POWERS[_FNV_BLOCK - n :]
+    return (h * int(powers[0]) + int(np.dot(d, powers))) & _MASK64
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -83,10 +130,6 @@ class Stream:
     def randint(self, n: int) -> int:
         """One integer uniform on [0, n). Modulo bias is ~2^-64 * n."""
         return int(self.words(1)[0] % np.uint64(n))
-
-    def randints(self, count: int, n: int) -> np.ndarray:
-        """count integers uniform on [0, n)."""
-        return (self.words(count) % np.uint64(n)).astype(np.int64)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

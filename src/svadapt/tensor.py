@@ -22,8 +22,9 @@ contributions therefore rebind it (`t.grad = t.grad + g`) and never write
 into it. A `Param` owns its gradient buffer and accumulates into it in
 place, so `Param.grad` stays the same array across steps.
 
-Only the ranks this package needs are supported: vectors, matrices, and
-row-vector-onto-matrix bias broadcasting. No other broadcasting.
+Only the ranks this package needs are supported: vectors and matrices.
+`add` and `mul` take operands of one shape; there is no general
+broadcasting.
 """
 
 from __future__ import annotations
@@ -223,10 +224,8 @@ def vecmat(v: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also allows adding a length-d bias row to a [T, d]
-    matrix (gradient to the bias sums over rows)."""
-    bias_case = a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]
-    if not bias_case and a.shape != b.shape:
+    """Elementwise sum of two tensors of the same shape."""
+    if a.shape != b.shape:
         raise ValueError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)
 
@@ -234,7 +233,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if _wants(a):
             _accum(a, g)
         if _wants(b):
-            _accum(b, g.sum(axis=0) if bias_case else g)
+            _accum(b, g)
 
     _record(out, bwd, (a, b))
     return out

@@ -151,7 +151,7 @@ class TestEncodeCollect:
     def test_frozen_backbone_gets_no_gradient(self):
         enc = small_encoder(seed=8)
         enc.set_trainable("frozen")
-        probe = Param(np.zeros(8), name="probe")
+        probe = Param(np.zeros((5, 8)), name="probe")
         frames = np.random.default_rng(8).normal(size=(5, 5))
         with Tape() as tape:
             outs = encode_collect(frames, enc)

@@ -186,6 +186,18 @@ class TestSweepScale:
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert [r["scale"] for r in rows] == ["sequential", "0.5"]
 
+    def test_bad_scales_exit_2_before_reading_inputs(self, tmp_path, capsys):
+        # the corpus does not exist: checked first, it would be exit 3
+        rc = main(
+            [
+                "sweep-scale", "--corpus", str(tmp_path / "missing.txt"),
+                "--trials", str(tmp_path / "missing_trials.txt"),
+                "--scales", "0.5,x",
+            ]
+        )
+        assert rc == 2
+        assert "--scales" in capsys.readouterr().err
+
 
 class TestGradCheck:
     def test_passes_at_default_tolerance(self, capsys):

@@ -1,0 +1,69 @@
+"""FNV-1a 64: published vectors, the byte loop as oracle, and the pinned
+backbone hash that checkpoint trailers carry."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from svadapt.backbone import EncoderConfig
+from svadapt.harness import model_backbone_hash
+from svadapt.model import build_model
+from svadapt.rng import fnv1a64
+
+BLOCK = 1 << 16
+
+
+def fnv1a64_loop(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def blob(n: int, seed: int, fill) -> bytes:
+    if fill is not None:
+        return bytes([fill]) * n
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "data, want",
+    [(b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C), (b"foobar", 0x85944171F73967E8)],
+)
+def test_published_vectors(data, want):
+    assert fnv1a64(data) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=600))
+def test_matches_byte_loop_on_short_strings(data):
+    assert fnv1a64(data) == fnv1a64_loop(data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(0, 3 * BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    fill=st.sampled_from([None, 0, 255]),
+)
+@example(n=0, seed=0, fill=None)
+@example(n=63, seed=1, fill=None)
+@example(n=64, seed=2, fill=None)
+@example(n=65, seed=3, fill=None)
+@example(n=BLOCK - 1, seed=4, fill=None)
+@example(n=BLOCK, seed=5, fill=None)
+@example(n=BLOCK + 1, seed=6, fill=None)
+@example(n=2 * BLOCK + 64 + 7, seed=7, fill=None)
+@example(n=2 * BLOCK + 64 + 7, seed=0, fill=255)
+def test_matches_byte_loop_across_blocks(n, seed, fill):
+    data = blob(n, seed, fill)
+    assert fnv1a64(data) == fnv1a64_loop(data)
+
+
+def test_desk_backbone_hash_is_pinned():
+    # computed by the byte loop over these 1,081,856 bytes; a checkpoint
+    # trailer written before the numpy hash must still verify
+    model = build_model(EncoderConfig(), 32, "inter", None, 0)
+    assert sum(p.data.nbytes for p in model.backbone_params()) == 1_081_856
+    assert model_backbone_hash(model) == 0xB0204ECD6A0993BB

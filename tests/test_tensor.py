@@ -379,6 +379,11 @@ class TestFusedBias:
         with pytest.raises(ValueError, match=r"\(5,\).*\(2,\)"):
             T.vecmat(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(5)))
 
+    def test_add_rejects_bias_row(self):
+        # a bias row goes through matmul's fused bias; add does not broadcast
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(4,\)"):
+            T.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+
 
 def attention_oracle(q, k, v, num_heads):
     """Per-head loop over column blocks in plain numpy."""
