@@ -135,6 +135,8 @@ def _load_corpus(path):
         return read_corpus(path)
     except FileNotFoundError as exc:
         raise DataError(f"corpus file {path} not found") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read corpus file {path}: {exc.strerror or exc}") from exc
 
 
 def _load_trials(path):

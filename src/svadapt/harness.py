@@ -17,6 +17,7 @@ Checkpoint format (version 1, little-endian throughout):
                      the plain byte loop
 
 Loading verifies the trailing hash and re-saving reproduces the bytes.
+Saving is atomic: a save that raises leaves any earlier file at the path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from . import tensor as tt
 from .backbone import EncoderConfig
 from .backend import cosine_score, train_loss
 from .errors import ConfigError, DataError, NumericError
+from .fileio import atomic_write
 from .metrics import ScoreSet, evaluate_scores
 from .model import SVModel, build_model, iter_param_specs
 from .optim import Adam, LrSchedule
@@ -161,12 +163,10 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
     adapter = None
     if parser.has_section("adapter"):
         asec = parser["adapter"]
-        scale_raw = asec.get("scale", "0.5")
-        scale = scale_raw if scale_raw == ad.LEARNABLE else float(scale_raw)
         adapter = ad.AdapterConfig(
             bottleneck_dim=_take(asec, "bottleneck_dim", int, 16),
             variant=asec.get("variant", "parallel"),
-            scale=scale,
+            scale=asec.get("scale", "0.5"),  # AdapterConfig coerces and checks it
             scale_init=_take(asec, "scale_init", float, 1.0),
         )
     data = parser["data"] if parser.has_section("data") else {}
@@ -235,7 +235,7 @@ def save_checkpoint(path, config_text: str, params, step: int) -> int:
     payload = [(name, trainable, np.ascontiguousarray(arr, dtype="<f8"))
                for name, trainable, arr in params]
     h = backbone_hash_of(payload)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         conf = config_text.encode("utf-8")

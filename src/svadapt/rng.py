@@ -88,6 +88,35 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _words(base, idx: np.ndarray) -> np.ndarray:
+    """Word idx (1-based, uint64) of the streams with these uint64 bases."""
+    with np.errstate(over="ignore"):
+        return _mix(base + idx * np.uint64(_GOLDEN))
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Doubles uniform on [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple:
+    """Standard normal pairs (r cos theta, r sin theta) from two word arrays
+    of one length; u1 is shifted into (0, 1] so log never sees zero."""
+    u1 = (_unit(w1) * (1.0 - 2.0**-53)) + 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * _unit(w2)
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _base(seed: int, label: str) -> int:
+    """A stream's base: the seed XOR the FNV-1a hash of its label."""
+    return (seed ^ fnv1a64(label.encode("utf-8"))) & _MASK64
+
+
+def _bases(seed: int, labels) -> np.ndarray:
+    return np.array([_base(seed, label) for label in labels], dtype=np.uint64)
+
+
 class Stream:
     """A seekable SplitMix64 stream identified by (seed, label).
 
@@ -99,37 +128,27 @@ class Stream:
     def __init__(self, seed: int, label: str):
         self.seed = seed
         self.label = label
-        self._base = (seed ^ fnv1a64(label.encode("utf-8"))) & _MASK64
+        self._base = _base(seed, label)
         self._count = 0
 
     def words(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._base) + idx * np.uint64(_GOLDEN)
-            return _mix(states)
+        return _words(np.uint64(self._base), idx)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), using the top 53 bits of each word."""
-        return (self.words(n) >> np.uint64(11)) * 2.0**-53
+        return _unit(self.words(n))
 
     def gaussian(self, shape) -> np.ndarray:
-        """Standard normal samples via Box-Muller on uniform pairs."""
+        """Standard normal samples via Box-Muller on uniform pairs: the
+        first half of the words give u1, the second half u2."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         half = (n + 1) // 2
-        # u1 shifted into (0, 1] so log never sees zero
-        u1 = (self.uniform(half) * (1.0 - 2.0**-53)) + 2.0**-53
-        u2 = self.uniform(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return out.reshape(shape)
-
-    def randint(self, n: int) -> int:
-        """One integer uniform on [0, n). Modulo bias is ~2^-64 * n."""
-        return int(self.words(1)[0] % np.uint64(n))
+        cos, sin = _box_muller(self.words(half), self.words(half))
+        return np.concatenate([cos, sin])[:n].reshape(shape)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
@@ -152,6 +171,30 @@ class Stream:
             j = i + int(draws[i] % np.uint64(m - i))
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+def gaussians(seed: int, labels, sizes) -> np.ndarray:
+    """`np.concatenate([Stream(seed, l).gaussian(n) for l, n in
+    zip(labels, sizes)])` bit for bit, from one SplitMix64 and one
+    Box-Muller pass over all the streams."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    halves = (sizes + 1) // 2
+    starts = np.cumsum(halves) - halves  # each stream's offset into the pairs
+    bases = np.repeat(_bases(seed, labels), halves)
+    idx = (np.arange(1, halves.sum() + 1) - np.repeat(starts, halves)).astype(np.uint64)
+    cos, sin = _box_muller(
+        _words(bases, idx), _words(bases, idx + np.repeat(halves, halves).astype(np.uint64))
+    )
+    # stream j gives its run of cosines, then its run of sines, cut to n_j
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    h, at = np.repeat(halves, sizes), np.repeat(starts, sizes) + k
+    return np.concatenate([cos, sin])[np.where(k < h, at, at + cos.size - h)]
+
+
+def randints(seed: int, labels, n: int) -> np.ndarray:
+    """One integer uniform on [0, n) per label, from the first word of
+    `Stream(seed, label)`. Modulo bias is ~2^-64 * n."""
+    return (_words(_bases(seed, labels), np.uint64(1)) % np.uint64(n)).astype(np.int64)
 
 
 def xavier_uniform(shape, fan_in: int, fan_out: int, seed: int, label: str) -> np.ndarray:

@@ -9,20 +9,25 @@ Gaussian latent, c_utterance a per-utterance channel offset and noise_t
 per-frame Gaussian noise, each scaled by its config knob. Every draw comes
 from a SplitMix64 stream keyed by (seed, purpose, speaker, utterance), so
 any utterance is reproducible in isolation and generation order is
-irrelevant.
+irrelevant. Generation reads all of one speaker's streams in one batched
+pass (`rng.gaussians`, `rng.randints`), which gives each stream's values
+bit for bit.
 
 Speakers split 50/50 into a pre-training half and an adaptation half.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .fileio import atomic_write
 from .metrics import Trial
-from .rng import Stream
+from .rng import Stream, gaussians, randints
 
 FORMAT_HEADER = "svcorpus-v1"
 
@@ -83,14 +88,30 @@ def _utt_id(spk: int, u: int) -> str:
     return f"spk{spk:03d}_utt{u:03d}"
 
 
-def generate_utterance(cfg: CorpusConfig, mixing: np.ndarray, spk: int, u: int) -> Utterance:
-    latent = Stream(cfg.seed, f"speaker/{spk}").gaussian(cfg.frame_dim) * cfg.speaker_scale
-    channel = Stream(cfg.seed, f"channel/{spk}/{u}").gaussian(cfg.frame_dim) * cfg.channel_scale
-    span = cfg.frames_max - cfg.frames_min + 1
-    t = cfg.frames_min + Stream(cfg.seed, f"length/{spk}/{u}").randint(span)
-    noise = Stream(cfg.seed, f"noise/{spk}/{u}").gaussian((t, cfg.frame_dim)) * cfg.noise_scale
-    frames = (mixing @ latent)[None, :] + channel[None, :] + noise
-    return Utterance(_utt_id(spk, u), _speaker_id(spk), frames)
+def _speaker_utterances(cfg: CorpusConfig, mixing: np.ndarray, spk: int) -> list:
+    """One speaker's utterances, from one batched draw of its streams; each
+    stream is the one a lone draw of that quantity reads."""
+    d, n = cfg.frame_dim, cfg.utts_per_speaker
+    us = range(n)
+    lengths = cfg.frames_min + randints(
+        cfg.seed, [f"length/{spk}/{u}" for u in us], cfg.frames_max - cfg.frames_min + 1
+    )
+    draws = gaussians(
+        cfg.seed,
+        [f"speaker/{spk}"] + [f"channel/{spk}/{u}" for u in us] + [f"noise/{spk}/{u}" for u in us],
+        [d] * (1 + n) + (lengths * d).tolist(),
+    )
+    latent = draws[:d] * cfg.speaker_scale
+    channel = draws[d : d + n * d].reshape(n, d) * cfg.channel_scale
+    noise = draws[d + n * d :].reshape(-1, d)
+    noise *= cfg.noise_scale
+    # frame_t = (M @ v + c) + noise_t, summed in that order
+    frames = ((mixing @ latent)[None, :] + channel)[np.repeat(us, lengths)]
+    frames += noise
+    return [
+        Utterance(_utt_id(spk, u), _speaker_id(spk), block)
+        for u, block in zip(us, np.split(frames, np.cumsum(lengths)[:-1]))
+    ]
 
 
 def generate_corpus(cfg: CorpusConfig) -> Corpus:
@@ -99,9 +120,7 @@ def generate_corpus(cfg: CorpusConfig) -> Corpus:
     mixing = Stream(cfg.seed, "mixing").gaussian((cfg.frame_dim, cfg.frame_dim))
     mixing /= np.sqrt(cfg.frame_dim)
     utterances = [
-        generate_utterance(cfg, mixing, spk, u)
-        for spk in range(cfg.num_speakers)
-        for u in range(cfg.utts_per_speaker)
+        utt for spk in range(cfg.num_speakers) for utt in _speaker_utterances(cfg, mixing, spk)
     ]
     n_pre = (cfg.num_speakers + 1) // 2
     split = {
@@ -165,8 +184,10 @@ def mean_frame_classifier_accuracy(corpus: Corpus) -> float:
 
 
 def write_corpus(path, corpus: Corpus) -> None:
+    """Write the corpus file atomically, one `write` per utterance record;
+    each value is "%.17e" formatted, which reads back bit for bit."""
     cfg = corpus.config
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(FORMAT_HEADER + "\n")
         fh.write("[config]\n")
         for f in fields(cfg):
@@ -177,9 +198,9 @@ def write_corpus(path, corpus: Corpus) -> None:
         fh.write("[utterances]\n")
         for u in corpus.utterances:
             t, f_dim = u.frames.shape
-            fh.write(f"utt {u.utt_id} {u.speaker} {t} {f_dim}\n")
-            for row in u.frames:
-                fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
+            template = (" ".join(["%.17e"] * f_dim) + "\n") * t
+            rows = template % tuple(u.frames.ravel().tolist())
+            fh.write(f"utt {u.utt_id} {u.speaker} {t} {f_dim}\n" + rows)
 
 
 def _parse_config(lines, path):
@@ -204,24 +225,45 @@ def _parse_config(lines, path):
 
 
 def read_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, line.rstrip("\n")) for i, line in enumerate(fh, start=1)]
-    it = iter(lines)
+    """Parse a corpus file. Any malformed or non-UTF-8 content raises
+    ParseError (or ConfigError for a bad config) naming the line."""
     try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise ParseError(f"{path}: empty corpus file") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_corpus(fh, path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from exc
+
+
+def _first_undecodable_line(path) -> int:
+    """Line of the first byte that is not UTF-8, counting line breaks as
+    text mode does: "\n", "\r\n" and a lone "\r"."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        end = exc.start
+    head = data[:end].decode("utf-8")
+    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+
+
+def _read_corpus(fh, path) -> Corpus:
+    lines = ((i, line.rstrip("\n")) for i, line in enumerate(fh, start=1))
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: empty corpus file")
     if header != FORMAT_HEADER:
         raise ParseError(
             f"{path}:1: unsupported corpus format {header!r}, expected {FORMAT_HEADER!r}"
         )
-    lineno, section = next(it, (0, ""))
+    lineno, section = next(lines, (0, ""))
     if section != "[config]":
         raise ParseError(f"{path}:{lineno}: expected [config] section")
-    cfg = _parse_config(it, path)
+    cfg = _parse_config(lines, path)
 
     split = {}
-    for lineno, line in it:
+    for lineno, line in lines:
         if line == "[utterances]":
             break
         parts = line.split()
@@ -231,11 +273,14 @@ def read_corpus(path) -> Corpus:
     else:
         raise ParseError(f"{path}: missing [utterances] section")
 
-    utterances = []
-    for lineno, line in it:
+    # from here on lines come straight from fh, each record's rows as a block
+    utterances, seen = [], set()
+    for line in fh:
+        lineno += 1
         parts = line.split()
         if len(parts) != 5 or parts[0] != "utt":
-            raise ParseError(f"{path}:{lineno}: expected utterance record, got {line!r}")
+            record = line.rstrip("\n")
+            raise ParseError(f"{path}:{lineno}: expected utterance record, got {record!r}")
         _, utt_id, speaker, t_str, f_str = parts
         try:
             t, f_dim = int(t_str), int(f_str)
@@ -243,22 +288,60 @@ def read_corpus(path) -> Corpus:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if speaker not in split:
             raise ParseError(f"{path}:{lineno}: utterance for unlisted speaker {speaker!r}")
-        rows = []
-        for _ in range(t):
-            rowno, row = next(it, (None, None))
-            if row is None:
-                raise ParseError(f"{path}: truncated utterance {utt_id!r}")
-            vals = row.split()
-            if len(vals) != f_dim:
-                raise ParseError(
-                    f"{path}:{rowno}: expected {f_dim} values, got {len(vals)}"
-                )
-            try:
-                rows.append([float(v) for v in vals])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{rowno}: {exc}") from exc
-        utterances.append(Utterance(utt_id, speaker, np.array(rows)))
+        if not 0 < t <= sys.maxsize:
+            raise ParseError(f"{path}:{lineno}: utterance {utt_id!r} has {t} frames")
+        if f_dim != cfg.frame_dim:
+            raise ParseError(
+                f"{path}:{lineno}: utterance {utt_id!r} has frame dim {f_dim}, "
+                f"the config says {cfg.frame_dim}"
+            )
+        if utt_id in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+        seen.add(utt_id)
+        rows = list(islice(fh, t))
+        if len(rows) < t:
+            raise ParseError(f"{path}:{lineno + len(rows) + 1}: truncated utterance {utt_id!r}")
+        utterances.append(Utterance(utt_id, speaker, _parse_frames(rows, lineno + 1, f_dim, path)))
+        lineno += t
     return Corpus(cfg, utterances, split)
+
+
+def _parse_frames(rows, first: int, f_dim: int, path) -> np.ndarray:
+    """One utterance's [t, f_dim] frames from its rows, the first on line
+    `first`: one `np.fromstring` over the block. A token holds no
+    whitespace, so `np.fromstring` reads it as one number or raises; with
+    every row's token count checked, the block holds t * f_dim values.
+    When it raises, or reads a NaN (whose sign and payload `float()`
+    decides), `_parse_row` reads the rows one by one instead, so the
+    result or the error is the row-wise one."""
+    if all(map(f_dim.__eq__, map(len, map(str.split, rows)))):
+        try:
+            frames = np.fromstring("".join(rows), sep=" ").reshape(len(rows), f_dim)
+            if not np.isnan(frames).any():
+                return frames
+        except ValueError:
+            pass
+    return np.array([_parse_row(row, first + i, f_dim, path) for i, row in enumerate(rows)])
+
+
+def _parse_row(row: str, lineno: int, f_dim: int, path) -> list:
+    """One row's values as `float()` reads them. A number must also be one
+    `np.fromstring` reads, so a file loads the same on either path: `1_0`,
+    which `float()` alone accepts, is an error (the writer never emits it)."""
+    vals = row.split()
+    if len(vals) != f_dim:
+        raise ParseError(f"{path}:{lineno}: expected {f_dim} values, got {len(vals)}")
+    try:
+        out = [float(v) for v in vals]
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        np.fromstring(row, sep=" ")
+    except ValueError:
+        raise ParseError(
+            f"{path}:{lineno}: unsupported number syntax in {row.strip()!r}"
+        ) from None
+    return out
 
 
 # trial-list files: "enroll test label" with label 1 (target) or 0

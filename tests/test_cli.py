@@ -125,6 +125,28 @@ class TestTrainEval:
         )
         assert rc == 3
 
+    def test_unreadable_corpus_is_data_error(self, workdir, tmp_path):
+        # a directory: open() raises IsADirectoryError, an OSError
+        rc = main(
+            [
+                "train", "--corpus", str(tmp_path), "--out", str(workdir / "y.ckpt"),
+                "--total-steps", "5", "--warmup-steps", "1",
+            ]
+        )
+        assert rc == 3
+
+    def test_non_numeric_adapter_scale_in_config_exits_2(self, workdir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\nmode = inner\n[adapter]\nscale = x\n")
+        rc = main(
+            [
+                "train", "--config", str(conf), "--corpus", str(workdir / "corpus.txt"),
+                "--out", str(workdir / "scale.ckpt"),
+            ]
+        )
+        assert rc == 2
+        assert "scale must be a number" in capsys.readouterr().err
+
     def test_config_file_drives_run(self, workdir, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(

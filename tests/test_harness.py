@@ -103,6 +103,26 @@ class TestRunConfig:
         assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.98, 1e-8)
         assert (cfg.warmup_steps, cfg.total_steps) == (200, 2000)
 
+    def test_non_numeric_adapter_scale_is_config_error(self):
+        with pytest.raises(ConfigError, match="scale must be a number"):
+            config_from_text("[run]\nmode = inner\n[adapter]\nscale = x\n")
+
+    def test_text_bytes_are_pinned(self):
+        # the serializer's exact output; parsing it and writing it again
+        # must give the same bytes
+        text = (
+            "[run]\nmode = inner-inter\nseed = 0\nbatch_size = 8\nwarmup_steps = 200\n"
+            "total_steps = 2000\n[encoder]\nnum_layers = 4\nhidden_dim = 64\n"
+            "num_heads = 4\nffn_dim = 128\ninput_dim = 20\nseed = 0\n[head]\n"
+            "embed_dim = 32\n[adapter]\nbottleneck_dim = 8\nvariant = parallel\n"
+            "scale = 0.25\nscale_init = 1.0\n[optim]\nlr_head = 0.0005\n"
+            "lr_other = 1e-05\nadam_beta1 = 0.9\nadam_beta2 = 0.98\nadam_eps = 1e-08\n"
+            "lr_floor_ratio = 0.05\n"
+        )
+        cfg = RunConfig(mode="inner-inter", adapter=AdapterConfig(bottleneck_dim=8, scale=0.25))
+        assert config_to_text(cfg) == text
+        assert config_to_text(config_from_text(text)) == text
+
     def test_data_paths_round_trip(self):
         cfg = tiny_cfg(
             corpus_path="data/corpus.txt",
@@ -173,6 +193,17 @@ class TestCheckpoints:
         bad.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="hash mismatch"):
             load_checkpoint(bad)
+
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        params = [("encoder.w", False, np.arange(4.0)), ("head.w", True, np.ones(3))]
+        save_checkpoint(path, "[run]\n", params, 1)
+        before = path.read_bytes()
+        # a name that cannot be encoded raises after the first param is written
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(path, "[run]\n", params + [("head.\ud800", True, np.ones(2))], 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

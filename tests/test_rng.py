@@ -1,5 +1,6 @@
 """FNV-1a 64: published vectors, the byte loop as oracle, and the pinned
-backbone hash that checkpoint trailers carry."""
+backbone hash that checkpoint trailers carry. The batched stream draws
+against one `Stream` per label."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from svadapt.backbone import EncoderConfig
 from svadapt.harness import model_backbone_hash
 from svadapt.model import build_model
-from svadapt.rng import fnv1a64
+from svadapt.rng import Stream, fnv1a64, gaussians, randints
 
 BLOCK = 1 << 16
 
@@ -67,3 +68,19 @@ def test_desk_backbone_hash_is_pinned():
     model = build_model(EncoderConfig(), 32, "inter", None, 0)
     assert sum(p.data.nbytes for p in model.backbone_params()) == 1_081_856
     assert model_backbone_hash(model) == 0xB0204ECD6A0993BB
+
+
+@pytest.mark.parametrize(
+    "sizes", [[1], [2], [3], [20], [21], [1200], [1, 2, 3, 0, 20, 21, 1200, 7]]
+)
+def test_batched_gaussians_equal_one_stream_per_label(sizes):
+    labels = [f"noise/{i}/{n}" for i, n in enumerate(sizes)]
+    want = np.concatenate([Stream(17, lab).gaussian(n) for lab, n in zip(labels, sizes)])
+    got = gaussians(17, labels, sizes)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batched_randints_equal_first_word_of_each_stream():
+    labels = [f"length/{i}" for i in range(40)]
+    want = [int(Stream(2**63 + 9, lab).words(1)[0] % np.uint64(31)) for lab in labels]
+    assert randints(2**63 + 9, labels, 31).tolist() == want

@@ -1,13 +1,18 @@
-"""Synthetic corpus and trial-list generation."""
+"""Synthetic corpus and trial-list generation, corpus and trial files."""
+
+import hashlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt.errors import ConfigError, ParseError
 from svadapt.synthdata import (
+    Corpus,
     CorpusConfig,
+    Utterance,
     generate_corpus,
     generate_trials,
     mean_frame_classifier_accuracy,
@@ -165,6 +170,187 @@ class TestCorpusFiles:
         bad.write_text("".join(lines))
         with pytest.raises(ParseError, match=f":{first_utt + 2}:"):
             read_corpus(bad)
+
+    def test_failed_write_leaves_existing_file(self, tmp_path):
+        corpus = generate_corpus(SMALL)
+        path = tmp_path / "corpus.txt"
+        write_corpus(path, corpus)
+        before = path.read_bytes()
+        # a 1-D frames array fails after the other records are written
+        broken = Corpus(
+            SMALL, corpus.utterances + [Utterance("x", "spk000", np.zeros(3))],
+            corpus.speaker_split,
+        )
+        with pytest.raises(ValueError):
+            write_corpus(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+    def test_write_into_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "corpus.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            write_corpus(path, generate_corpus(SMALL))
+        assert info.value.filename == str(path)
+
+
+# sha256 of write_corpus(generate_corpus(cfg)), taken from the generator that
+# drew every utterance on its own and the writer that formatted value by value
+CORPUS_DIGESTS = [
+    (SMALL, "e81b247acb46284a3715ca45ee72ff559a39d81600042df560d43d4ffe17d4ac"),
+    (CorpusConfig(), "9b1a018d8acdcad3dfc74c1f8ab38f5635401cfb57daab42de75fdcd5fcb02db"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", CORPUS_DIGESTS, ids=["small", "default"])
+def test_corpus_file_bytes_are_pinned(cfg, digest, tmp_path):
+    path = tmp_path / "corpus.txt"
+    write_corpus(path, generate_corpus(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCorpusRejects:
+    """Records the reader refuses, each with the line that holds the fault."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        write_corpus(path, generate_corpus(SMALL))
+        return path.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def records(lines):
+        return [i for i, line in enumerate(lines) if line.startswith("utt ")]
+
+    @staticmethod
+    def read(tmp_path, lines, data=None):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data if data is not None else "".join(lines).encode())
+        return read_corpus(path)
+
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_non_positive_frame_count(self, tmp_path, lines, t):
+        at = self.records(lines)[0]
+        lines[at] = "utt spk000_utt000 spk000 %s 6\n" % t
+        with pytest.raises(ParseError, match=f":{at + 1}: .* has {t} frames"):
+            self.read(tmp_path, lines)
+
+    def test_value_moved_to_the_next_row(self, tmp_path, lines):
+        # the utterance still holds t * f_dim values, but row one has 5
+        at = self.records(lines)[0] + 1
+        head, _, last = lines[at].rstrip("\n").rpartition(" ")
+        lines[at], lines[at + 1] = head + "\n", last + " " + lines[at + 1]
+        with pytest.raises(ParseError, match=f":{at + 1}: expected 6 values, got 5"):
+            self.read(tmp_path, lines)
+
+    def test_frame_dim_other_than_config(self, tmp_path, lines):
+        at = self.records(lines)[1]
+        lines[at] = lines[at].replace(" 6\n", " 5\n")
+        with pytest.raises(ParseError, match=f":{at + 1}: .*frame dim 5, the config says 6"):
+            self.read(tmp_path, lines)
+
+    def test_duplicate_utterance_id(self, tmp_path, lines):
+        second = self.records(lines)[1]
+        lines[second] = lines[second].replace("spk000_utt001", "spk000_utt000")
+        with pytest.raises(ParseError, match=f":{second + 1}: duplicate utterance id"):
+            self.read(tmp_path, lines)
+
+    @pytest.mark.parametrize("where", ["first row", "last line"])
+    def test_non_utf8_bytes(self, tmp_path, lines, where):
+        at = self.records(lines)[0] + 1 if where == "first row" else len(lines) - 1
+        data = bytearray("".join(lines[:at]).encode())
+        data += b"\xff" + "".join(lines[at:]).encode()
+        with pytest.raises(ParseError, match=f":{at + 1}: not UTF-8"):
+            self.read(tmp_path, lines, bytes(data))
+
+    def test_underscore_digits_are_rejected_though_float_reads_them(self, tmp_path, lines):
+        # The one known difference from a per-value float() reader:
+        # np.fromstring, which reads the rows, does not take "1_0", and the
+        # writer never emits it.
+        assert float("1_0") == 10.0
+        at = self.records(lines)[0] + 1
+        lines[at] = "1_0" + lines[at][lines[at].index(" "):]
+        with pytest.raises(ParseError, match=f":{at + 1}: unsupported number syntax"):
+            self.read(tmp_path, lines)
+
+    def test_nan_tokens_read_as_float_reads_them(self, tmp_path, lines):
+        # np.fromstring drops the sign of "-nan"; the reader keeps float()'s bits
+        at = self.records(lines)[0] + 1
+        lines[at] = "-nan nan inf -inf 1e999 -0\n"
+        frames = self.read(tmp_path, lines).utterances[0].frames
+        want = np.array([float(v) for v in lines[at].split()])
+        assert frames[0].tobytes() == want.tobytes()
+
+
+# -- fuzzing the corpus reader against a per-row float() oracle
+
+FUZZ_CFG = CorpusConfig(
+    seed=3, num_speakers=2, utts_per_speaker=2, frames_min=2, frames_max=3, frame_dim=2
+)
+ODD_TOKENS = [
+    "nan", "-nan", "NaN", "+inf", "-Infinity", "1e999", "2.5e-324", "-0", "1_0", "0x1p3",
+    "nan(1)", "\u0661", "+.5", "1.", ".", "e5", "1e", "1-2", "1.5.3", "", " ", "\t", "\n",
+    "1 2", "\x00", "\x0b", "\xa0", "utt", "[utterances]",
+]
+
+
+def oracle_utterances(path) -> list:
+    """(id, speaker, frames) of each record of a corpus file that
+    read_corpus loaded, with every value read by float()."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    i = lines.index("[utterances]") + 1
+    out = []
+    while i < len(lines) and lines[i]:
+        _, utt_id, speaker, t, _f = lines[i].split()
+        rows = lines[i + 1 : i + 1 + int(t)]
+        out.append((utt_id, speaker, np.array([[float(v) for v in r.split()] for r in rows])))
+        i += 1 + int(t)
+    return out
+
+
+@st.composite
+def mutated_corpus(draw, base: bytes):
+    kind = draw(st.sampled_from(["truncate", "flip", "token"]))
+    if kind == "truncate":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(base) - 1))
+        return base[:i] + bytes([base[i] ^ draw(st.integers(1, 255))]) + base[i + 1 :]
+    a, b = draw(st.sampled_from([m.span() for m in re.finditer(rb"\S+", base)]))
+    token = draw(
+        st.one_of(
+            st.sampled_from(ODD_TOKENS),
+            st.from_regex(r"\A[-+]?[0-9_.]{0,6}([eE][-+]?[0-9]{0,4})?\Z"),
+            st.text(max_size=10),
+        )
+    )
+    return base[:a] + token.encode("utf-8") + base[b:]
+
+
+class TestCorpusReaderFuzz:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "base.txt"
+        write_corpus(path, generate_corpus(FUZZ_CFG))
+        return path.read_bytes()
+
+    def test_loads_or_raises_parse_or_config_error(self, base, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.txt"
+
+        @settings(max_examples=400, deadline=None)
+        @given(mutated_corpus(base))
+        @example(base)
+        def check(data):
+            path.write_bytes(data)
+            try:
+                corpus = read_corpus(path)
+            except (ParseError, ConfigError):
+                return
+            got = [(u.utt_id, u.speaker, u.frames.tobytes()) for u in corpus.utterances]
+            want = [(i, s, f.tobytes()) for i, s, f in oracle_utterances(path)]
+            assert got == want
+
+        check()
 
 
 class TestTrialFiles:
