@@ -1,5 +1,5 @@
 """Bottleneck adapters over the FFN sub-block, the layer-weighted feature
-bridge, and tuning-mode attachment with parameter accounting.
+bridge, and the tuning-mode table with attachment and parameter counting.
 
 Two insertion styles exist for the per-layer bottleneck adapter:
 
@@ -17,45 +17,74 @@ The bridge (`InterLayerAdapter`) maps the learned convex combination of all
 layer outputs into the speaker-embedding width with an FC + ReLU + LN. The
 same bridge object exists in every tuning mode so that all modes share one
 embedding architecture; modes differ only in which parts may train.
+
+`MODE_SPECS` states, once, what each mode inserts and trains. `attach`
+applies a row to a model, and `count_params` counts the model's own params,
+so parameter reports and checkpoint layouts follow from the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .errors import ConfigError
-from .rng import xavier_uniform
 from .tensor import Param, Tensor
 
-MODES = (
-    "full-finetune",
-    "linear-probe",
-    "weighted-sum",
-    "houlsby",
-    "inner",
-    "inter",
-    "inner-inter",
-)
-INNER_MODES = ("inner", "inner-inter", "houlsby")
+VARIANTS = ("sequential", "parallel")
 LEARNABLE = "learnable"
 
 
 @dataclass(frozen=True)
+class ModeSpec:
+    """One tuning mode. `slots` names the per-layer adapter positions it
+    inserts ("ffn", "mhsa"); `variants` are the adapter variants it accepts;
+    the train_* flags say whether the transformer stack, the layer-weight
+    logits and the bridge train. The featurizer never trains and the SV
+    head always does."""
+
+    slots: tuple = ()
+    variants: tuple = ()
+    train_stack: bool = False
+    train_logits: bool = False
+    train_bridge: bool = False
+
+
+MODE_SPECS = {
+    "full-finetune": ModeSpec(train_stack=True),
+    "linear-probe": ModeSpec(),
+    "weighted-sum": ModeSpec(train_logits=True),
+    "houlsby": ModeSpec(slots=("ffn", "mhsa"), variants=("sequential",)),
+    "inner": ModeSpec(slots=("ffn",), variants=VARIANTS),
+    "inter": ModeSpec(train_logits=True, train_bridge=True),
+    "inner-inter": ModeSpec(
+        slots=("ffn",), variants=VARIANTS, train_logits=True, train_bridge=True
+    ),
+}
+MODES = tuple(MODE_SPECS)
+INNER_MODES = tuple(mode for mode, spec in MODE_SPECS.items() if spec.slots)
+
+
+@dataclass(frozen=True)
 class AdapterConfig:
-    """Hyperparameters of the per-layer bottleneck adapters."""
+    """Hyperparameters of the per-layer bottleneck adapters. Field metadata
+    gives the CLI flag where it differs from the field name."""
 
     bottleneck_dim: int = 16
-    variant: str = "parallel"  # or "sequential"
-    scale: object = 0.5  # a float, or the string "learnable"
-    scale_init: float = 1.0
+    variant: str = field(
+        default="parallel", metadata={"flag": "adapter-variant", "choices": VARIANTS}
+    )
+    scale: object = field(  # a float, or the string "learnable"
+        default=0.5, metadata={"flag": "adapter-scale", "help": "a number or 'learnable'"}
+    )
+    scale_init: float = field(
+        default=1.0, metadata={"help": "start value for a learnable scale"}
+    )
 
     def __post_init__(self):
         if self.bottleneck_dim < 1:
             raise ConfigError("bottleneck_dim must be positive")
-        if self.variant not in ("sequential", "parallel"):
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown adapter variant {self.variant!r}")
         if self.scale != LEARNABLE:
             try:
@@ -74,15 +103,12 @@ class BottleneckAdapter:
             raise ConfigError(f"bottleneck {bottleneck} must be smaller than width {d}")
         self.variant = variant
         self.scale = scale  # None (sequential), float, or shared scalar Param
-        self.w_down = Param(
-            xavier_uniform((d, bottleneck), d, bottleneck, seed, f"{name}.w_down"),
-            name=f"{name}.w_down",
-        )
-        self.b_down = Param(np.zeros(bottleneck), name=f"{name}.b_down")
-        self.w_up = Param(np.zeros((bottleneck, d)), name=f"{name}.w_up")
-        self.b_up = Param(np.zeros(d), name=f"{name}.b_up")
-        self.ln_g = Param(np.ones(d), name=f"{name}.ln.gamma")
-        self.ln_b = Param(np.zeros(d), name=f"{name}.ln.beta")
+        self.w_down = Param.xavier(f"{name}.w_down", (d, bottleneck), seed)
+        self.b_down = Param.zeros(f"{name}.b_down", bottleneck)
+        self.w_up = Param.zeros(f"{name}.w_up", (bottleneck, d))
+        self.b_up = Param.zeros(f"{name}.b_up", d)
+        self.ln_g = Param.ones(f"{name}.ln.gamma", d)
+        self.ln_b = Param.zeros(f"{name}.ln.beta", d)
 
     def branch(self, x: Tensor) -> Tensor:
         """LN(up(relu(down(x)))), the bare bottleneck branch."""
@@ -140,13 +166,10 @@ class InterLayerAdapter:
     applied to the weighted sum of all layer outputs."""
 
     def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge"):
-        self.w = Param(
-            xavier_uniform((d, embed_dim), d, embed_dim, seed, f"{name}.w"),
-            name=f"{name}.w",
-        )
-        self.b = Param(np.zeros(embed_dim), name=f"{name}.b")
-        self.ln_g = Param(np.ones(embed_dim), name=f"{name}.ln.gamma")
-        self.ln_b = Param(np.zeros(embed_dim), name=f"{name}.ln.beta")
+        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed)
+        self.b = Param.zeros(f"{name}.b", embed_dim)
+        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim)
+        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim)
 
     def params(self):
         return [self.w, self.b, self.ln_g, self.ln_b]
@@ -164,30 +187,27 @@ def inter_layer_forward(h_sum: Tensor, adapter: InterLayerAdapter) -> Tensor:
 
 
 def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
-    """Configure a fresh model for a tuning mode: insert bottleneck adapters
-    where the mode calls for them and set every trainability flag.
-
-    The backbone is frozen in every mode except full-finetune (where the
-    featurizer still stays frozen). The SV head always trains. Layer weights
-    train in weighted-sum and inter modes; the bridge trains in inter modes
-    only. Attaching twice is an error.
+    """Configure a fresh model for a tuning mode from its `MODE_SPECS` row:
+    insert the row's bottleneck adapters and set every trainability flag.
+    A mode with adapter slots takes an `AdapterConfig` (the default one when
+    none is given) of a variant it accepts; any other mode takes none.
+    Attaching twice is an error.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown tuning mode {mode!r}; expected one of {MODES}")
     if getattr(model, "mode", None) is not None:
         raise ConfigError(f"model already attached in mode {model.mode!r}")
-    if mode in INNER_MODES:
+    spec = MODE_SPECS[mode]
+    if spec.slots:
         adapter_cfg = adapter_cfg or AdapterConfig()
-        if mode == "houlsby" and adapter_cfg.variant != "sequential":
-            raise ConfigError("the houlsby baseline uses sequential adapters only")
+        if adapter_cfg.variant not in spec.variants:
+            raise ConfigError(f"mode {mode!r} uses {' or '.join(spec.variants)} adapters only")
     elif adapter_cfg is not None:
         raise ConfigError(f"mode {mode!r} takes no bottleneck adapter config")
 
     cfg = model.encoder.cfg
-    d, n, seed = cfg.hidden_dim, cfg.num_layers, model.seed
-
     scale = None
-    if mode in ("inner", "inner-inter") and adapter_cfg.variant == "parallel":
+    if spec.slots and adapter_cfg.variant == "parallel":
         if adapter_cfg.scale == LEARNABLE:
             model.scale_param = Param(
                 float(adapter_cfg.scale_init), name="adapters.scale"
@@ -195,38 +215,22 @@ def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
             scale = model.scale_param
         else:
             scale = float(adapter_cfg.scale)
+    for slot in spec.slots:
+        adapters = [
+            BottleneckAdapter(
+                cfg.hidden_dim, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
+                model.seed, adapter_cfg.variant, scale,
+            )
+            for i in range(cfg.num_layers)
+        ]
+        setattr(model, f"{slot}_adapters", adapters)
 
-    if mode in ("inner", "inner-inter"):
-        model.ffn_adapters = [
-            BottleneckAdapter(
-                d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.ffn",
-                seed, adapter_cfg.variant, scale,
-            )
-            for i in range(n)
-        ]
-    elif mode == "houlsby":
-        model.ffn_adapters = [
-            BottleneckAdapter(
-                d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.ffn",
-                seed, "sequential",
-            )
-            for i in range(n)
-        ]
-        model.mhsa_adapters = [
-            BottleneckAdapter(
-                d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.mhsa",
-                seed, "sequential",
-            )
-            for i in range(n)
-        ]
-
-    model.encoder.set_trainable("full-finetune" if mode == "full-finetune" else "frozen")
-    model.layer_logits.trainable = mode in ("weighted-sum", "inter", "inner-inter")
+    model.encoder.set_trainable(spec.train_stack)
+    model.layer_logits.trainable = spec.train_logits
     for p in model.bridge.params():
-        p.trainable = mode in ("inter", "inner-inter")
+        p.trainable = spec.train_bridge
     for p in model.head.params():
         p.trainable = True
-    model.adapter_cfg = adapter_cfg if mode in INNER_MODES else None
     model.mode = mode
     return model
 
@@ -241,6 +245,8 @@ _COMPONENT_PREFIXES = (
     ("head.", "sv_backend"),
     ("classifier.", "classifier"),
 )
+BACKBONE_COMPONENTS = ("featurizer", "backbone")
+HEAD_COMPONENTS = ("sv_backend", "classifier")
 
 
 def component_of(name: str) -> str:
@@ -250,23 +256,42 @@ def component_of(name: str) -> str:
     raise ValueError(f"parameter {name!r} belongs to no known component")
 
 
-def count_trainable(model) -> dict:
-    """Exact trainable-parameter count per component, plus the share of the
-    backbone total (featurizer + transformer stack, trainable or not)."""
-    counts = {}
+def kind_of(name: str) -> str:
+    """"ln" for a LayerNorm gain or shift, "bias" for a name whose last
+    segment starts with "b", "weight" for the rest."""
+    last = name.rsplit(".", 1)[-1]
+    if last in ("gamma", "beta"):
+        return "ln"
+    return "bias" if last.startswith("b") else "weight"
+
+
+def count_params(model) -> dict:
+    """Exact counts over the model's own params (a shape-only build counts
+    too): trainable elements per component and per kind within it, the
+    trainable count outside the SV head and classifier, and the backbone
+    total (featurizer + transformer stack, trainable or not)."""
+    components, breakdown, backbone_total = {}, {}, 0
     for p in model.named_params(include_classifier=True):
+        comp = component_of(p.name)
+        if comp in BACKBONE_COMPONENTS:
+            backbone_total += p.data.size
         if p.trainable:
-            comp = component_of(p.name)
-            counts[comp] = counts.get(comp, 0) + p.data.size
-    backbone_total = sum(
-        p.data.size for p in model.encoder.params()
-    )
-    pretrained_side = sum(
-        v for k, v in counts.items() if k not in ("sv_backend", "classifier")
-    )
+            components[comp] = components.get(comp, 0) + p.data.size
+            kinds = breakdown.setdefault(comp, {"weight": 0, "bias": 0, "ln": 0})
+            kinds[kind_of(p.name)] += p.data.size
+    pretrained_side = sum(v for k, v in components.items() if k not in HEAD_COMPONENTS)
     return {
-        "components": counts,
+        "components": components,
+        "breakdown": breakdown,
         "pretrained_side_trainable": pretrained_side,
         "backbone_total": backbone_total,
         "pct_of_backbone": 100.0 * pretrained_side / backbone_total,
     }
+
+
+def count_trainable(model) -> dict:
+    """Exact trainable-parameter count per component, plus the share of the
+    backbone total (featurizer + transformer stack, trainable or not)."""
+    counts = count_params(model)
+    del counts["breakdown"]
+    return counts

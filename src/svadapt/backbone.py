@@ -9,13 +9,10 @@ adapter objects (see adapters.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .errors import ConfigError
-from .rng import xavier_uniform
 from .tensor import Param, Tensor
 
 
@@ -26,21 +23,17 @@ class EncoderConfig:
     num_heads: int = 4
     ffn_dim: int = 128
     input_dim: int = 20
-    seed: int = 0
+    seed: int = field(default=0, metadata={"flag": "encoder-seed"})
 
     def __post_init__(self):
-        for field in ("num_layers", "hidden_dim", "num_heads", "ffn_dim", "input_dim"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"encoder {field} must be positive")
+        for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"encoder {name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by "
                 f"num_heads {self.num_heads}"
             )
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
 
 
 # Dimension presets. "wavlm-base-plus-dims" mirrors a 12-layer, 768-wide,
@@ -54,29 +47,14 @@ PRESETS = {
 }
 
 
-def _weight(name, shape, seed, trainable=True):
-    fan_in, fan_out = shape
-    return Param(
-        xavier_uniform(shape, fan_in, fan_out, seed, name), name=name, trainable=trainable
-    )
-
-
-def _zeros(name, shape, trainable=True):
-    return Param(np.zeros(shape), name=name, trainable=trainable)
-
-
-def _ones(name, shape, trainable=True):
-    return Param(np.ones(shape), name=name, trainable=trainable)
-
-
 class Featurizer:
     """Frozen affine projection from input frames to the hidden width."""
 
     def __init__(self, cfg: EncoderConfig):
-        self.proj = _weight(
+        self.proj = Param.xavier(
             "featurizer.proj", (cfg.input_dim, cfg.hidden_dim), cfg.seed, trainable=False
         )
-        self.bias = _zeros("featurizer.bias", cfg.hidden_dim, trainable=False)
+        self.bias = Param.zeros("featurizer.bias", cfg.hidden_dim, trainable=False)
 
     def __call__(self, frames: Tensor) -> Tensor:
         return tt.linear(frames, self.proj, self.bias)
@@ -91,22 +69,22 @@ class TransformerLayer:
     def __init__(self, cfg: EncoderConfig, index: int):
         d, f, s = cfg.hidden_dim, cfg.ffn_dim, cfg.seed
         p = f"encoder.layer{index:02d}"
-        self.wq = _weight(f"{p}.attn.wq", (d, d), s)
-        self.bq = _zeros(f"{p}.attn.bq", d)
-        self.wk = _weight(f"{p}.attn.wk", (d, d), s)
-        self.bk = _zeros(f"{p}.attn.bk", d)
-        self.wv = _weight(f"{p}.attn.wv", (d, d), s)
-        self.bv = _zeros(f"{p}.attn.bv", d)
-        self.wo = _weight(f"{p}.attn.wo", (d, d), s)
-        self.bo = _zeros(f"{p}.attn.bo", d)
-        self.ln_att_g = _ones(f"{p}.attn_ln.gamma", d)
-        self.ln_att_b = _zeros(f"{p}.attn_ln.beta", d)
-        self.w1 = _weight(f"{p}.ffn.w1", (d, f), s)
-        self.b1 = _zeros(f"{p}.ffn.b1", f)
-        self.w2 = _weight(f"{p}.ffn.w2", (f, d), s)
-        self.b2 = _zeros(f"{p}.ffn.b2", d)
-        self.ln_ffn_g = _ones(f"{p}.ffn_ln.gamma", d)
-        self.ln_ffn_b = _zeros(f"{p}.ffn_ln.beta", d)
+        self.wq = Param.xavier(f"{p}.attn.wq", (d, d), s)
+        self.bq = Param.zeros(f"{p}.attn.bq", d)
+        self.wk = Param.xavier(f"{p}.attn.wk", (d, d), s)
+        self.bk = Param.zeros(f"{p}.attn.bk", d)
+        self.wv = Param.xavier(f"{p}.attn.wv", (d, d), s)
+        self.bv = Param.zeros(f"{p}.attn.bv", d)
+        self.wo = Param.xavier(f"{p}.attn.wo", (d, d), s)
+        self.bo = Param.zeros(f"{p}.attn.bo", d)
+        self.ln_att_g = Param.ones(f"{p}.attn_ln.gamma", d)
+        self.ln_att_b = Param.zeros(f"{p}.attn_ln.beta", d)
+        self.w1 = Param.xavier(f"{p}.ffn.w1", (d, f), s)
+        self.b1 = Param.zeros(f"{p}.ffn.b1", f)
+        self.w2 = Param.xavier(f"{p}.ffn.w2", (f, d), s)
+        self.b2 = Param.zeros(f"{p}.ffn.b2", d)
+        self.ln_ffn_g = Param.ones(f"{p}.ffn_ln.gamma", d)
+        self.ln_ffn_b = Param.zeros(f"{p}.ffn_ln.beta", d)
 
     def params(self):
         return [
@@ -170,17 +148,12 @@ class Encoder:
             out.extend(layer.params())
         return out
 
-    def set_trainable(self, mode: str) -> None:
-        """'full-finetune' trains the transformer stack (featurizer stays
-        frozen); 'frozen' freezes everything."""
-        if mode not in ("full-finetune", "frozen"):
-            raise ConfigError(f"unknown backbone trainability mode {mode!r}")
-        train_layers = mode == "full-finetune"
-        for p in self.featurizer.params():
-            p.trainable = False
+    def set_trainable(self, train_stack: bool) -> None:
+        """Train the transformer stack or freeze it. The featurizer is made
+        frozen and stays so."""
         for layer in self.layers:
             for p in layer.params():
-                p.trainable = train_layers
+                p.trainable = train_stack
 
 
 def encode_collect(

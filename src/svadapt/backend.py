@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .rng import xavier_uniform
+from .fileio import atomic_write
 from .tensor import Param, Tensor
 
 
@@ -28,10 +28,10 @@ class SVHead:
 
     def __init__(self, embed_dim: int, seed: int):
         e = embed_dim
-        self.fc1_w = Param(xavier_uniform((e, e), e, e, seed, "head.fc1.w"), name="head.fc1.w")
-        self.fc1_b = Param(np.zeros(e), name="head.fc1.b")
-        self.fc2_w = Param(xavier_uniform((e, e), e, e, seed, "head.fc2.w"), name="head.fc2.w")
-        self.fc2_b = Param(np.zeros(e), name="head.fc2.b")
+        self.fc1_w = Param.xavier("head.fc1.w", (e, e), seed)
+        self.fc1_b = Param.zeros("head.fc1.b", e)
+        self.fc2_w = Param.xavier("head.fc2.w", (e, e), seed)
+        self.fc2_b = Param.zeros("head.fc2.b", e)
 
     def params(self):
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
@@ -43,12 +43,8 @@ class ClassifierHead:
 
     def __init__(self, embed_dim: int, num_speakers: int, seed: int):
         self.num_speakers = num_speakers
-        self.w = Param(
-            xavier_uniform((embed_dim, num_speakers), embed_dim, num_speakers,
-                           seed, "classifier.w"),
-            name="classifier.w",
-        )
-        self.b = Param(np.zeros(num_speakers), name="classifier.b")
+        self.w = Param.xavier("classifier.w", (embed_dim, num_speakers), seed)
+        self.b = Param.zeros("classifier.b", num_speakers)
 
     def params(self):
         return [self.w, self.b]
@@ -84,8 +80,9 @@ def cosine_score(a, b) -> float:
 
 
 def write_embeddings(path, embeddings) -> None:
-    """Text rows 'utterance_id v1 v2 ... ve' for debugging."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Text rows 'utterance_id v1 v2 ... ve' for debugging, written
+    atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for emb in embeddings:
             values = " ".join(f"{v:.17e}" for v in emb.vector)
             fh.write(f"{emb.utterance} {values}\n")

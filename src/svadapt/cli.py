@@ -1,9 +1,10 @@
 """Command-line harness.
 
 Subcommands: gen-data, pretrain, train, eval, count-params, sweep-scale,
-grad-check. Flags mirror RunConfig fields and override values taken from a
-`--config` key=value file with [section] grouping. Exit codes: 0 success,
-2 config error, 3 data error, 4 numeric failure (NaN detected).
+grad-check. The run flags derive from `harness.config_settings` and override
+values taken from a `--config` key=value file with [section] grouping. Exit
+codes: 0 success, 2 config error, 3 data error (a file that cannot be read,
+parsed or written), 4 numeric failure (NaN detected).
 """
 
 from __future__ import annotations
@@ -11,18 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import adapters as ad
 from .backbone import EncoderConfig, PRESETS
+from .backend import SpeakerEmbedding, write_embeddings
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
     DEFAULT_SWEEP_SCALES,
     RunConfig,
     config_from_file,
-    config_to_text,
+    config_settings,
     count_params_table,
     embed_trial_utterances,
     format_count_table,
@@ -33,6 +35,7 @@ from .harness import (
     run_and_report,
     score_trials,
     sweep_scale,
+    train as train_run,
 )
 from .metrics import write_scores
 from .synthdata import (
@@ -53,76 +56,45 @@ EXIT_NUMERIC = 4
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file with [section] headers")
-    p.add_argument("--mode", choices=ad.MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--total-steps", type=int)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--lr-head", type=float)
-    p.add_argument("--lr-other", type=float)
-    p.add_argument("--lr-floor-ratio", type=float)
-    p.add_argument("--adam-beta1", type=float)
-    p.add_argument("--adam-beta2", type=float)
-    p.add_argument("--adam-eps", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--bottleneck-dim", type=int)
-    p.add_argument("--adapter-variant", choices=("sequential", "parallel"))
-    p.add_argument("--adapter-scale", help="a number or 'learnable'")
-    p.add_argument("--scale-init", type=float, help="start value for a learnable scale")
     enc = p.add_argument_group("encoder")
     enc.add_argument("--encoder-preset", choices=sorted(PRESETS))
-    enc.add_argument("--num-layers", type=int)
-    enc.add_argument("--hidden-dim", type=int)
-    enc.add_argument("--num-heads", type=int)
-    enc.add_argument("--ffn-dim", type=int)
-    enc.add_argument("--input-dim", type=int)
-    enc.add_argument("--encoder-seed", type=int)
+    for s in config_settings():
+        if s.flag is not None:
+            (enc if s.part == "encoder" else p).add_argument(
+                f"--{s.flag}", type=s.cast, choices=s.field.metadata.get("choices"),
+                help=s.field.metadata.get("help"),
+            )
+
+
+def _flag_values(args, part) -> dict:
+    """{field name: value} for each run flag given on the command line
+    whose setting belongs to `part` (see `harness.Setting`)."""
+    values = {}
+    for s in config_settings():
+        if s.part == part and s.flag is not None:
+            value = getattr(args, s.flag.replace("-", "_"))
+            if value is not None:
+                values[s.field.name] = value
+    return values
 
 
 def _encoder_from_args(args, base: EncoderConfig) -> EncoderConfig:
     if args.encoder_preset:
         base = PRESETS[args.encoder_preset]
-    updates = {}
-    for flag, fieldname in (
-        ("num_layers", "num_layers"),
-        ("hidden_dim", "hidden_dim"),
-        ("num_heads", "num_heads"),
-        ("ffn_dim", "ffn_dim"),
-        ("input_dim", "input_dim"),
-        ("encoder_seed", "seed"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[fieldname] = value
+    updates = _flag_values(args, "encoder")
     return replace(base, **updates) if updates else base
 
 
 def _run_config_from_args(args) -> RunConfig:
     cfg = config_from_file(args.config) if args.config else RunConfig()
-    encoder = _encoder_from_args(args, cfg.encoder)
-    updates = {"encoder": encoder}
-    for flag in ("mode", "seed", "batch_size", "total_steps", "warmup_steps",
-                 "lr_head", "lr_other", "lr_floor_ratio",
-                 "adam_beta1", "adam_beta2", "adam_eps", "embed_dim"):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[flag] = value
-    mode = updates.get("mode", cfg.mode)
-    adapter_flags = {
-        k: v
-        for k, v in (
-            ("bottleneck_dim", args.bottleneck_dim),
-            ("variant", args.adapter_variant),
-            ("scale", args.adapter_scale),
-            ("scale_init", args.scale_init),
-        )
-        if v is not None
-    }
+    updates = _flag_values(args, None)
+    updates["encoder"] = _encoder_from_args(args, cfg.encoder)
     # AdapterConfig validates/coerces the scale value itself
+    adapter_flags = _flag_values(args, "adapter")
     adapter = cfg.adapter
     if adapter_flags:
         adapter = replace(adapter or ad.AdapterConfig(), **adapter_flags)
-    elif mode not in ad.INNER_MODES:
+    elif updates.get("mode", cfg.mode) not in ad.INNER_MODES:
         # switching to a mode without bottleneck adapters drops any config
         # inherited from the defaults of an adapter mode
         adapter = None
@@ -130,20 +102,13 @@ def _run_config_from_args(args) -> RunConfig:
     return replace(cfg, **updates)
 
 
-def _load_corpus(path):
+def _read(reader, path, what: str):
     try:
-        return read_corpus(path)
+        return reader(path)
     except FileNotFoundError as exc:
-        raise DataError(f"corpus file {path} not found") from exc
+        raise DataError(f"{what} {path} not found") from exc
     except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc.strerror or exc}") from exc
-
-
-def _load_trials(path):
-    try:
-        return read_trials(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"trial list {path} not found") from exc
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
 def _path(flag_value, cfg_value, what):
@@ -158,17 +123,7 @@ def _path(flag_value, cfg_value, what):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = CorpusConfig(
-        seed=args.seed,
-        num_speakers=args.speakers,
-        utts_per_speaker=args.utts_per_speaker,
-        frames_min=args.frames_min,
-        frames_max=args.frames_max,
-        frame_dim=args.frame_dim,
-        speaker_scale=args.speaker_scale,
-        channel_scale=args.channel_scale,
-        noise_scale=args.noise_scale,
-    )
+    cfg = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
     corpus = generate_corpus(cfg)
     write_corpus(args.out, corpus)
     print(f"wrote {len(corpus.utterances)} utterances to {args.out}")
@@ -184,7 +139,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _run_config_from_args(args)
-    corpus = _load_corpus(_path(args.corpus, cfg.corpus_path, "corpus"))
+    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     run = pretrain_backbone(cfg, corpus, out_path=args.out)
     print(
         f"pretrained backbone for {cfg.total_steps} steps: "
@@ -196,14 +151,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config_from_args(args)
-    corpus = _load_corpus(_path(args.corpus, cfg.corpus_path, "corpus"))
+    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials_path = args.trials or cfg.trials_path
-    trials = _load_trials(trials_path) if trials_path else None
+    trials = _read(read_trials, trials_path, "trial list") if trials_path else None
     if trials is None:
-        from .harness import train as train_run
-
         run = train_run(cfg, backbone, corpus, out_path=args.out)
         print(
             f"trained {cfg.mode} for {cfg.total_steps} steps: "
@@ -216,8 +169,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    trials = _load_trials(args.trials)
+    corpus = _read(read_corpus, args.corpus, "corpus file")
+    trials = _read(read_trials, args.trials, "trial list")
     checkpoint = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(checkpoint)
     embs = embed_trial_utterances(model, corpus, trials)
@@ -225,26 +178,16 @@ def cmd_eval(args) -> int:
     if args.scores_out:
         write_scores(args.scores_out, trials, scores)
     if args.embeddings_out:
-        from .backend import SpeakerEmbedding, write_embeddings
-
         write_embeddings(
             args.embeddings_out,
             [SpeakerEmbedding(utt, vec) for utt, vec in sorted(embs.items())],
         )
-    payload = {
-        "eer": result.eer,
-        "min_dcf": result.min_dcf,
-        "threshold_at_eer": result.threshold_at_eer,
-        "n_target": result.n_target,
-        "n_nontarget": result.n_nontarget,
-    }
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(asdict(result), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_count_params(args) -> int:
-    encoder = PRESETS[args.encoder_preset] if args.encoder_preset else EncoderConfig()
-    encoder = _encoder_from_args(args, encoder)
+    encoder = _encoder_from_args(args, EncoderConfig())
     big = encoder.hidden_dim >= 512
     rows = count_params_table(
         encoder,
@@ -265,12 +208,12 @@ def cmd_sweep_scale(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--scales must be comma-separated numbers: {args.scales!r}") from exc
     cfg = _run_config_from_args(args)
-    if cfg.mode not in ("inner", "inner-inter"):
-        cfg = replace(cfg, mode="inner-inter", adapter=cfg.adapter or ad.AdapterConfig())
-    corpus = _load_corpus(_path(args.corpus, cfg.corpus_path, "corpus"))
+    if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
+        cfg = replace(cfg, mode="inner-inter")
+    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
-    trials = _load_trials(_path(args.trials, cfg.trials_path, "trial list"))
+    trials = _read(read_trials, _path(args.trials, cfg.trials_path, "trial list"), "trial list")
     rows = sweep_scale(
         cfg,
         backbone,
@@ -315,15 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus (and trials)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--speakers", type=int, default=40)
-    p.add_argument("--utts-per-speaker", type=int, default=20)
-    p.add_argument("--frames-min", type=int, default=30)
-    p.add_argument("--frames-max", type=int, default=60)
-    p.add_argument("--frame-dim", type=int, default=20)
-    p.add_argument("--speaker-scale", type=float, default=1.0)
-    p.add_argument("--channel-scale", type=float, default=0.3)
-    p.add_argument("--noise-scale", type=float, default=0.5)
+    for f in fields(CorpusConfig):
+        flag = f.metadata.get("flag", f.name.replace("_", "-"))
+        p.add_argument(f"--{flag}", dest=f.name, type=type(f.default), default=f.default)
     p.add_argument("--trials-out")
     p.add_argument("--trial-part", choices=("pretrain", "adapt"), default="adapt")
     p.add_argument("--trial-seed", type=int, default=0)
@@ -389,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # from a write: each reader maps its own to DataError
+        print(f"data error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

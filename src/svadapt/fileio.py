@@ -12,20 +12,21 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a new temp file in `path`'s directory for writing (`mode` is
     "w" or "wb"). When the block ends normally the temp file replaces
     `path`; when it raises, the temp file is removed and `path` is left
-    as it was. The file gets the permissions a new file made by `open`
-    gets; it is not fsynced."""
+    as it was. An OSError names `path`, not the temp file. The file gets
+    the permissions a new file made by `open` gets; it is not fsynced."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     except OSError as exc:
-        # name the target, as a plain open(path) would, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .adapters import AdapterConfig
+from .adapters import LEARNABLE, MODE_SPECS, AdapterConfig
 from .backbone import EncoderConfig
 from .backend import train_loss
 from .model import SVModel, build_model
@@ -41,10 +41,10 @@ def build_check_model(mode: str = "inner-inter", seed: int = 0):
         num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=8, seed=seed
     )
     adapter_cfg = None
-    if mode in ("inner", "inner-inter", "houlsby"):
-        scale = "learnable" if mode != "houlsby" else 0.5
-        variant = "sequential" if mode == "houlsby" else "parallel"
-        adapter_cfg = AdapterConfig(bottleneck_dim=4, variant=variant, scale=scale)
+    if MODE_SPECS[mode].slots:
+        # parallel with a learnable scale wherever the mode accepts it
+        variant = "parallel" if "parallel" in MODE_SPECS[mode].variants else "sequential"
+        adapter_cfg = AdapterConfig(bottleneck_dim=4, variant=variant, scale=LEARNABLE)
     model = build_model(encoder_cfg, 8, mode, adapter_cfg, seed=seed + 1)
     model.add_classifier(3)
     _randomize_zero_init(model, seed)

@@ -23,12 +23,12 @@ Saving is atomic: a save that raises leaves any earlier file at the path.
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .backend import cosine_score, train_loss
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write
 from .metrics import ScoreSet, evaluate_scores
-from .model import SVModel, build_model, iter_param_specs
+from .model import SVModel, build_model
 from .optim import Adam, LrSchedule
 from .rng import Stream, fnv1a64
 from .synthdata import Corpus
@@ -48,30 +48,45 @@ MAGIC = b"SVADCKPT"
 CHECKPOINT_VERSION = 1
 
 
+RUN, OPTIM = {"section": "run"}, {"section": "optim"}
+DATA = {"section": "data", "flag": None}  # each subcommand has its own data-path flags
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "inner-inter"
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    embed_dim: int = 32
-    adapter: ad.AdapterConfig | None = None
-    lr_head: float = 5e-4
-    lr_other: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
-    warmup_steps: int = 200
-    total_steps: int = 2000
-    lr_floor_ratio: float = 0.05
-    batch_size: int = 8
-    seed: int = 0
-    corpus_path: str = ""
-    trials_path: str = ""
-    backbone_path: str = ""
+    """One run's settings, in the order of its config text. Each field's
+    metadata names its [section], and its config key and CLI flag where
+    they differ from the field name. `fields_of` marks a nested config
+    whose own fields fill the section; `flag: None` marks a setting with no
+    run flag (each subcommand that reads a data path has its own flag)."""
+
+    mode: str = field(default="inner-inter", metadata={**RUN, "choices": ad.MODES})
+    seed: int = field(default=0, metadata=RUN)
+    batch_size: int = field(default=8, metadata=RUN)
+    warmup_steps: int = field(default=200, metadata=RUN)
+    total_steps: int = field(default=2000, metadata=RUN)
+    encoder: EncoderConfig = field(
+        default_factory=EncoderConfig,
+        metadata={"section": "encoder", "fields_of": EncoderConfig},
+    )
+    embed_dim: int = field(default=32, metadata={"section": "head"})
+    adapter: ad.AdapterConfig | None = field(
+        default=None, metadata={"section": "adapter", "fields_of": ad.AdapterConfig}
+    )
+    lr_head: float = field(default=5e-4, metadata=OPTIM)
+    lr_other: float = field(default=1e-5, metadata=OPTIM)
+    adam_beta1: float = field(default=0.9, metadata=OPTIM)
+    adam_beta2: float = field(default=0.98, metadata=OPTIM)
+    adam_eps: float = field(default=1e-8, metadata=OPTIM)
+    lr_floor_ratio: float = field(default=0.05, metadata=OPTIM)
+    corpus_path: str = field(default="", metadata={**DATA, "key": "corpus"})
+    trials_path: str = field(default="", metadata={**DATA, "key": "trials"})
+    backbone_path: str = field(default="", metadata={**DATA, "key": "backbone"})
 
     def __post_init__(self):
         if self.mode not in ad.MODES:
             raise ConfigError(f"unknown tuning mode {self.mode!r}; expected one of {ad.MODES}")
-        if self.mode in ad.INNER_MODES:
+        if ad.MODE_SPECS[self.mode].slots:
             if self.adapter is None:
                 object.__setattr__(self, "adapter", ad.AdapterConfig())
         elif self.adapter is not None:
@@ -82,113 +97,103 @@ class RunConfig:
             raise ConfigError("warmup_steps must lie within [0, total_steps]")
 
 
+class Setting(NamedTuple):
+    """One config setting: a field of RunConfig or of a config nested in it
+    (`part` names the RunConfig field holding it, None for RunConfig's own).
+    `cast` is int or float for a field annotated so, else None: the raw
+    string is kept and the config class checks it. `flag` is None for a
+    setting with no run flag."""
+
+    section: str
+    key: str
+    flag: str | None
+    cast: object
+    part: str | None
+    field: Field
+
+
+def config_settings():
+    """Every config setting, in config-text order."""
+    for f in fields(RunConfig):
+        nested = f.metadata.get("fields_of")
+        for g in fields(nested) if nested else (f,):
+            yield Setting(
+                f.metadata["section"],
+                g.metadata.get("key", g.name),
+                g.metadata.get("flag", g.name.replace("_", "-")),
+                {"int": int, "float": float}.get(g.type),
+                f.name if nested else None,
+                g,
+            )
+
+
 def config_to_text(cfg: RunConfig) -> str:
-    """Canonical key=value serialization with [section] grouping."""
-    out = io.StringIO()
-    out.write("[run]\n")
-    for key in ("mode", "seed", "batch_size", "warmup_steps", "total_steps"):
-        out.write(f"{key} = {getattr(cfg, key)}\n")
-    out.write("[encoder]\n")
-    enc = cfg.encoder
-    for key in ("num_layers", "hidden_dim", "num_heads", "ffn_dim", "input_dim", "seed"):
-        out.write(f"{key} = {getattr(enc, key)}\n")
-    out.write("[head]\n")
-    out.write(f"embed_dim = {cfg.embed_dim}\n")
-    if cfg.adapter is not None:
-        out.write("[adapter]\n")
-        a = cfg.adapter
-        out.write(f"bottleneck_dim = {a.bottleneck_dim}\n")
-        out.write(f"variant = {a.variant}\n")
-        out.write(f"scale = {a.scale}\n")
-        out.write(f"scale_init = {a.scale_init!r}\n")
-    out.write("[optim]\n")
-    for key in (
-        "lr_head", "lr_other", "adam_beta1", "adam_beta2", "adam_eps", "lr_floor_ratio",
-    ):
-        out.write(f"{key} = {getattr(cfg, key)!r}\n")
-    paths = [(k, getattr(cfg, f"{k}_path")) for k in ("corpus", "trials", "backbone")]
-    if any(v for _k, v in paths):
-        out.write("[data]\n")
-        for key, value in paths:
-            if value:
-                out.write(f"{key} = {value}\n")
-    return out.getvalue()
+    """Canonical key = value text with [section] headers, in field order.
+    An absent adapter config and empty data paths are left out, and so is
+    a section left with nothing in it."""
+    lines, section = [], None
+    for s in config_settings():
+        owner = cfg if s.part is None else getattr(cfg, s.part)
+        value = None if owner is None else getattr(owner, s.field.name)
+        if value is None or value == "":
+            continue
+        if s.section != section:
+            section = s.section
+            lines.append(f"[{section}]\n")
+        lines.append(f"{s.key} = {value!r}\n" if s.cast is float else f"{s.key} = {value}\n")
+    return "".join(lines)
 
 
-def config_from_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+def config_from_text(text: str, source: str = "config") -> RunConfig:
+    """RunConfig from config text. Every section and key must be one that
+    `config_to_text` can write; one left out takes its default. A nested
+    config whose default is None (the adapter's) is set only when its
+    section is present. `%` has no special meaning."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    return config_from_parser(parser)
+        raise ConfigError(f"bad {source}: {exc}") from exc
+    settings = {(s.section, s.key): s for s in config_settings()}
+    sections = {section for section, _key in settings}
+    unknown = [f"[{parser.default_section}]"] if parser.defaults() else []
+    values = {None: {}}
+    for section in parser.sections():
+        if section not in sections:
+            unknown.append(f"[{section}]")
+            continue
+        for key, raw in parser[section].items():
+            s = settings.get((section, key))
+            if s is None:
+                unknown.append(f"[{section}] {key}")
+                continue
+            if "\n" in raw:
+                raise ConfigError(f"config key {key!r}: a value must fit on one line")
+            try:
+                value = raw if s.cast is None else s.cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+            values.setdefault(s.part, {})[s.field.name] = value
+    if unknown:
+        raise ConfigError(f"unknown config section or key: {', '.join(unknown)}")
+    for f in fields(RunConfig):
+        nested = f.metadata.get("fields_of")
+        if nested and (f.default is not None or parser.has_section(f.metadata["section"])):
+            values[None][f.name] = nested(**values.get(f.name, {}))
+    return RunConfig(**values[None])
 
 
 def config_from_file(path) -> RunConfig:
-    parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from exc
-    if not read:
-        raise DataError(f"config file {path} not found")
-    return config_from_parser(parser)
-
-
-def _take(section, key, cast, default):
-    if key in section:
-        raw = section[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
-    base = RunConfig()
-    run = parser["run"] if parser.has_section("run") else {}
-    enc_sec = parser["encoder"] if parser.has_section("encoder") else {}
-    head = parser["head"] if parser.has_section("head") else {}
-    optim = parser["optim"] if parser.has_section("optim") else {}
-    enc_base = EncoderConfig()
-    encoder = EncoderConfig(
-        num_layers=_take(enc_sec, "num_layers", int, enc_base.num_layers),
-        hidden_dim=_take(enc_sec, "hidden_dim", int, enc_base.hidden_dim),
-        num_heads=_take(enc_sec, "num_heads", int, enc_base.num_heads),
-        ffn_dim=_take(enc_sec, "ffn_dim", int, enc_base.ffn_dim),
-        input_dim=_take(enc_sec, "input_dim", int, enc_base.input_dim),
-        seed=_take(enc_sec, "seed", int, enc_base.seed),
-    )
-    adapter = None
-    if parser.has_section("adapter"):
-        asec = parser["adapter"]
-        adapter = ad.AdapterConfig(
-            bottleneck_dim=_take(asec, "bottleneck_dim", int, 16),
-            variant=asec.get("variant", "parallel"),
-            scale=asec.get("scale", "0.5"),  # AdapterConfig coerces and checks it
-            scale_init=_take(asec, "scale_init", float, 1.0),
-        )
-    data = parser["data"] if parser.has_section("data") else {}
-    return RunConfig(
-        mode=run.get("mode", base.mode),
-        encoder=encoder,
-        embed_dim=_take(head, "embed_dim", int, base.embed_dim),
-        adapter=adapter,
-        lr_head=_take(optim, "lr_head", float, base.lr_head),
-        lr_other=_take(optim, "lr_other", float, base.lr_other),
-        adam_beta1=_take(optim, "adam_beta1", float, base.adam_beta1),
-        adam_beta2=_take(optim, "adam_beta2", float, base.adam_beta2),
-        adam_eps=_take(optim, "adam_eps", float, base.adam_eps),
-        lr_floor_ratio=_take(optim, "lr_floor_ratio", float, base.lr_floor_ratio),
-        warmup_steps=_take(run, "warmup_steps", int, base.warmup_steps),
-        total_steps=_take(run, "total_steps", int, base.total_steps),
-        batch_size=_take(run, "batch_size", int, base.batch_size),
-        seed=_take(run, "seed", int, base.seed),
-        corpus_path=data.get("corpus", ""),
-        trials_path=data.get("trials", ""),
-        backbone_path=data.get("backbone", ""),
-    )
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        raise DataError(f"config file {path} not found") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    return config_from_text(text, f"config file {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +507,11 @@ class MetricsReport:
     wall_clock: float
 
     def to_json(self, include_timing: bool = True) -> str:
-        payload = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "steps": self.steps,
-            "trainable": self.counts,
-            "eer": self.eer,
-            "min_dcf": self.min_dcf,
-            "threshold_at_eer": self.threshold_at_eer,
-            "n_target": self.n_target,
-            "n_nontarget": self.n_nontarget,
-        }
+        payload = asdict(self)
+        payload["trainable"] = payload.pop("counts")
+        wall_clock = payload.pop("wall_clock")
         if include_timing:
-            payload["wall_clock_s"] = round(self.wall_clock, 3)
+            payload["wall_clock_s"] = round(wall_clock, 3)
         return json.dumps(payload, sort_keys=True)
 
 
@@ -528,62 +525,31 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         seed=cfg.seed,
         steps=cfg.total_steps,
         counts=ad.count_trainable(run.model),
-        eer=result.eer,
-        min_dcf=result.min_dcf,
-        threshold_at_eer=result.threshold_at_eer,
-        n_target=result.n_target,
-        n_nontarget=result.n_nontarget,
+        **asdict(result),
         wall_clock=time.perf_counter() - started,
     )
     return run, result, report
 
 
 # ---------------------------------------------------------------------------
-# parameter-count report (symbolic; no weights are allocated)
+# parameter-count report (shape-only builds; no weights are allocated)
 
 
-def count_params_table(
-    encoder_cfg: EncoderConfig,
-    embed_dim: int,
-    bottleneck_dim: int,
-    adapter_variant: str = "parallel",
-    adapter_scale=0.5,
-) -> list:
+def count_params_table(encoder_cfg: EncoderConfig, embed_dim: int, bottleneck_dim: int) -> list:
     """Per-mode trainable counts with a weights/biases/LN breakdown, shares
-    measured against the backbone total (featurizer + transformer stack)."""
+    measured against the backbone total (featurizer + transformer stack).
+    Each mode is built shape-only and counted by `adapters.count_params`.
+    Its adapters take the first variant the mode accepts, at the default
+    fixed scale, where the count is the same for either variant."""
     rows = []
-    for mode in ad.MODES:
+    for mode, spec in ad.MODE_SPECS.items():
         acfg = None
-        if mode in ad.INNER_MODES:
-            variant = "sequential" if mode == "houlsby" else adapter_variant
-            acfg = ad.AdapterConfig(
-                bottleneck_dim=bottleneck_dim, variant=variant, scale=adapter_scale
-            )
-        specs = list(iter_param_specs(encoder_cfg, embed_dim, mode, acfg))
-        backbone_total = sum(
-            s.size for s in specs if s.component in ("featurizer", "backbone")
-        )
-        components = {}
-        breakdown = {}
-        for s in specs:
-            if not s.trainable:
-                continue
-            components[s.component] = components.get(s.component, 0) + s.size
-            by_kind = breakdown.setdefault(s.component, {"weight": 0, "bias": 0, "ln": 0})
-            by_kind[s.kind] += s.size
-        pretrained_side = sum(
-            v for k, v in components.items() if k not in ("sv_backend", "classifier")
-        )
-        rows.append(
-            {
-                "mode": mode,
-                "trainable_pretrained_side": pretrained_side,
-                "pct_of_backbone": 100.0 * pretrained_side / backbone_total,
-                "backbone_total": backbone_total,
-                "components": components,
-                "breakdown": breakdown,
-            }
-        )
+        if spec.slots:
+            acfg = ad.AdapterConfig(bottleneck_dim=bottleneck_dim, variant=spec.variants[0])
+        with tt.shape_only():
+            counts = ad.count_params(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
+        side = counts.pop("pretrained_side_trainable")
+        rows.append({"mode": mode, "trainable_pretrained_side": side, **counts})
     return rows
 
 
@@ -616,9 +582,9 @@ def sweep_scale(
 ) -> list:
     """Train + evaluate one run per row: the sequential variant, the
     learnable scale, and each fixed scale; returns row dicts."""
-    if cfg.mode not in ("inner", "inner-inter"):
+    if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
-    base_adapter = cfg.adapter or ad.AdapterConfig()
+    base_adapter = cfg.adapter
     entries = []
     if include_sequential:
         entries.append(("sequential", replace(base_adapter, variant="sequential")))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def reference_min_dcf(scores, labels, p_target=0.05, c_miss=1.0, c_fa=1.0):
 
 
 def write_scores(path, trials, scores) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for trial, score in zip(trials, scores):
             fh.write(f"{trial.enroll} {trial.test} {score:.17e} {int(trial.target)}\n")
 

@@ -11,21 +11,19 @@ so at step 0 every non-finetune mode computes the identical function given
 the same backbone weights and run seed; modes differ in which parts are
 trainable and which adapter branches (exact no-ops at init) are inserted.
 
-`iter_param_specs` enumerates the same layout symbolically, which lets the
-harness report parameter counts for arbitrarily large presets without
+Built inside `tensor.shape_only()`, a model holds shape-only params, which
+lets the harness count the params of arbitrarily large presets without
 allocating a single weight.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import adapters as ad
 from . import backbone as bb
 from . import backend as be
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .tensor import Param, Tensor
 
 
@@ -36,15 +34,13 @@ class SVModel:
         self.seed = seed
         self.embed_dim = embed_dim
         self.encoder = bb.Encoder(encoder_cfg)
-        self.layer_logits = Param(
-            np.zeros(encoder_cfg.num_layers), name="layer_weights.logits",
-            trainable=False,
+        self.layer_logits = Param.zeros(
+            "layer_weights.logits", encoder_cfg.num_layers, trainable=False
         )
         self.bridge = ad.InterLayerAdapter(encoder_cfg.hidden_dim, embed_dim, seed)
         self.head = be.SVHead(embed_dim, seed)
         self.classifier = None
         self.mode = None
-        self.adapter_cfg = None
         self.ffn_adapters = None
         self.mhsa_adapters = None
         self.scale_param = None
@@ -116,87 +112,3 @@ def build_model(
     model = SVModel(encoder_cfg, embed_dim, seed)
     ad.attach(model, mode, adapter_cfg)
     return model
-
-
-# ---------------------------------------------------------------------------
-# symbolic layout (no allocation), used for parameter-count reports
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    shape: tuple
-    component: str
-    kind: str  # weight | bias | ln
-    trainable: bool
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-
-def iter_param_specs(
-    encoder_cfg: bb.EncoderConfig,
-    embed_dim: int,
-    mode: str,
-    adapter_cfg: ad.AdapterConfig | None = None,
-    num_speakers: int | None = None,
-):
-    """Yield the exact parameter layout of build_model for a mode, without
-    allocating anything."""
-    if mode not in ad.MODES:
-        raise ConfigError(f"unknown tuning mode {mode!r}")
-    if mode in ad.INNER_MODES:
-        adapter_cfg = adapter_cfg or ad.AdapterConfig()
-    d, f, n = encoder_cfg.hidden_dim, encoder_cfg.ffn_dim, encoder_cfg.num_layers
-    e = embed_dim
-    ft = mode == "full-finetune"
-
-    yield ParamSpec("featurizer.proj", (encoder_cfg.input_dim, d), "featurizer", "weight", False)
-    yield ParamSpec("featurizer.bias", (d,), "featurizer", "bias", False)
-    for i in range(n):
-        p = f"encoder.layer{i:02d}"
-        for nm in ("q", "k", "v", "o"):
-            yield ParamSpec(f"{p}.attn.w{nm}", (d, d), "backbone", "weight", ft)
-            yield ParamSpec(f"{p}.attn.b{nm}", (d,), "backbone", "bias", ft)
-        yield ParamSpec(f"{p}.attn_ln.gamma", (d,), "backbone", "ln", ft)
-        yield ParamSpec(f"{p}.attn_ln.beta", (d,), "backbone", "ln", ft)
-        yield ParamSpec(f"{p}.ffn.w1", (d, f), "backbone", "weight", ft)
-        yield ParamSpec(f"{p}.ffn.b1", (f,), "backbone", "bias", ft)
-        yield ParamSpec(f"{p}.ffn.w2", (f, d), "backbone", "weight", ft)
-        yield ParamSpec(f"{p}.ffn.b2", (d,), "backbone", "bias", ft)
-        yield ParamSpec(f"{p}.ffn_ln.gamma", (d,), "backbone", "ln", ft)
-        yield ParamSpec(f"{p}.ffn_ln.beta", (d,), "backbone", "ln", ft)
-
-    if mode in ad.INNER_MODES:
-        dh = adapter_cfg.bottleneck_dim
-        slots = ("ffn",) if mode != "houlsby" else ("ffn", "mhsa")
-        for slot in slots:
-            for i in range(n):
-                p = f"adapters.layer{i:02d}.{slot}"
-                yield ParamSpec(f"{p}.w_down", (d, dh), "inner_adapters", "weight", True)
-                yield ParamSpec(f"{p}.b_down", (dh,), "inner_adapters", "bias", True)
-                yield ParamSpec(f"{p}.w_up", (dh, d), "inner_adapters", "weight", True)
-                yield ParamSpec(f"{p}.b_up", (d,), "inner_adapters", "bias", True)
-                yield ParamSpec(f"{p}.ln.gamma", (d,), "inner_adapters", "ln", True)
-                yield ParamSpec(f"{p}.ln.beta", (d,), "inner_adapters", "ln", True)
-        if (
-            mode in ("inner", "inner-inter")
-            and adapter_cfg.variant == "parallel"
-            and adapter_cfg.scale == ad.LEARNABLE
-        ):
-            yield ParamSpec("adapters.scale", (), "scale", "weight", True)
-
-    logits_train = mode in ("weighted-sum", "inter", "inner-inter")
-    bridge_train = mode in ("inter", "inner-inter")
-    yield ParamSpec("layer_weights.logits", (n,), "layer_weights", "weight", logits_train)
-    yield ParamSpec("bridge.w", (d, e), "inter_adapter", "weight", bridge_train)
-    yield ParamSpec("bridge.b", (e,), "inter_adapter", "bias", bridge_train)
-    yield ParamSpec("bridge.ln.gamma", (e,), "inter_adapter", "ln", bridge_train)
-    yield ParamSpec("bridge.ln.beta", (e,), "inter_adapter", "ln", bridge_train)
-    for fc in ("fc1", "fc2"):
-        yield ParamSpec(f"head.{fc}.w", (e, e), "sv_backend", "weight", True)
-        yield ParamSpec(f"head.{fc}.b", (e,), "sv_backend", "bias", True)
-    if num_speakers is not None:
-        yield ParamSpec("classifier.w", (e, num_speakers), "classifier", "weight", True)
-        yield ParamSpec("classifier.b", (num_speakers,), "classifier", "bias", True)

@@ -19,12 +19,13 @@ Speakers split 50/50 into a pre-training half and an adaptation half.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .fileio import atomic_write
 from .metrics import Trial
 from .rng import Stream, gaussians, randints
@@ -35,7 +36,7 @@ FORMAT_HEADER = "svcorpus-v1"
 @dataclass(frozen=True)
 class CorpusConfig:
     seed: int = 0
-    num_speakers: int = 40
+    num_speakers: int = field(default=40, metadata={"flag": "speakers"})  # gen-data flag
     utts_per_speaker: int = 20
     frames_min: int = 30
     frames_max: int = 60
@@ -227,9 +228,17 @@ def _parse_config(lines, path):
 def read_corpus(path) -> Corpus:
     """Parse a corpus file. Any malformed or non-UTF-8 content raises
     ParseError (or ConfigError for a bad config) naming the line."""
+    with _utf8_text(path) as fh:
+        return _read_corpus(fh, path)
+
+
+@contextmanager
+def _utf8_text(path):
+    """The file opened as UTF-8 text; reading a byte that is not UTF-8
+    raises ParseError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read_corpus(fh, path)
+            yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from exc
 
@@ -348,17 +357,22 @@ def _parse_row(row: str, lineno: int, f_dim: int, path) -> list:
 
 
 def write_trials(path, trials) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write(f"{t.enroll} {t.test} {int(t.target)}\n")
 
 
 def read_trials(path) -> list:
+    """Parse a trial list; a malformed or non-UTF-8 line raises ParseError
+    naming it."""
     trials = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise ParseError(f"{path}:{lineno}: bad trial line {line.rstrip()!r}")
-            trials.append(Trial(parts[0], parts[1], parts[2] == "1"))
+            try:
+                trials.append(Trial(parts[0], parts[1], parts[2] == "1"))
+            except DataError as exc:  # an utterance paired with itself
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return trials

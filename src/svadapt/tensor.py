@@ -22,6 +22,9 @@ contributions therefore rebind it (`t.grad = t.grad + g`) and never write
 into it. A `Param` owns its gradient buffer and accumulates into it in
 place, so `Param.grad` stays the same array across steps.
 
+Params are made by three factories, `Param.xavier`, `Param.zeros` and
+`Param.ones`, which make shape-only params inside a `shape_only()` block.
+
 Only the ranks this package needs are supported: vectors and matrices.
 `add` and `mul` take operands of one shape; there is no general
 broadcasting.
@@ -31,8 +34,11 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 
 import numpy as np
+
+from .rng import xavier_uniform
 
 _tls = threading.local()
 
@@ -80,12 +86,48 @@ class Param(Tensor):
         self.name = name
         self.trainable = trainable
 
+    @classmethod
+    def xavier(cls, name: str, shape: tuple, seed: int, trainable: bool = True) -> "Param":
+        """Xavier-uniform [fan_in, fan_out] weight drawn from the stream
+        (seed, name)."""
+        return cls._make(name, shape, trainable, lambda: xavier_uniform(shape, *shape, seed, name))
+
+    @classmethod
+    def zeros(cls, name: str, shape, trainable: bool = True) -> "Param":
+        return cls._make(name, shape, trainable, lambda: np.zeros(shape))
+
+    @classmethod
+    def ones(cls, name: str, shape, trainable: bool = True) -> "Param":
+        return cls._make(name, shape, trainable, lambda: np.ones(shape))
+
+    @classmethod
+    def _make(cls, name, shape, trainable, init) -> "Param":
+        if not getattr(_tls, "shape_only", False):
+            return cls(init(), name=name, trainable=trainable)
+        p = cls.__new__(cls)
+        p.data = np.broadcast_to(np.float64(0.0), shape)
+        p.grad, p.needs_grad, p.name, p.trainable = None, False, name, trainable
+        return p
+
     def zero_grad(self):
         self.grad[...] = 0.0
 
     def __repr__(self):
         flag = "" if self.trainable else ", frozen"
         return f"Param({self.name!r}, shape={self.shape}{flag})"
+
+
+@contextmanager
+def shape_only():
+    """Within the block, the Param factories on this thread make shape-only
+    params: a read-only zero-stride view of one 0.0 with no gradient
+    buffer, so a model of any size can be built and counted, but not run."""
+    before = getattr(_tls, "shape_only", False)
+    _tls.shape_only = True
+    try:
+        yield
+    finally:
+        _tls.shape_only = before
 
 
 def _wants(t: Tensor) -> bool:
@@ -133,14 +175,6 @@ class Tape:
         for out, bwd in reversed(self._ops):
             if out.grad is not None:
                 bwd(out.grad)
-
-
-def backward(loss: Tensor) -> None:
-    """Run backward on the currently active tape."""
-    tape = _active()
-    if tape is None:
-        raise RuntimeError("backward() called with no active tape")
-    tape.backward(loss)
 
 
 def _record(out: Tensor, bwd, inputs) -> None:

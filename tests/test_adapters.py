@@ -17,7 +17,10 @@ from svadapt.adapters import (
     AdapterConfig,
     BottleneckAdapter,
     InterLayerAdapter,
+    MODE_SPECS,
+    MODES,
     attach,
+    count_params,
     count_trainable,
     fuse_parallel,
     inner_parallel,
@@ -232,48 +235,79 @@ class TestAttach:
             BottleneckAdapter(4, 8, "adapters.t", seed=0)
 
 
-def symbolic_counts(encoder_cfg, embed_dim, mode, acfg=None):
-    """Trainable counts per component from the allocation-free layout."""
-    from svadapt.model import iter_param_specs
+def shape_only_counts(encoder_cfg, embed_dim, mode, acfg=None):
+    """Trainable counts per component from a shape-only build."""
+    with T.shape_only():
+        counts = count_trainable(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
+    return counts["components"], counts["pretrained_side_trainable"]
 
-    comps = {}
-    for s in iter_param_specs(encoder_cfg, embed_dim, mode, acfg):
-        if s.trainable:
-            comps[s.component] = comps.get(s.component, 0) + s.size
-    pretrained = sum(v for k, v in comps.items() if k not in ("sv_backend", "classifier"))
-    return comps, pretrained
+
+def every_mode_and_variant():
+    for mode in MODES:
+        if not MODE_SPECS[mode].slots:
+            yield mode, None
+        for variant in MODE_SPECS[mode].variants:
+            yield mode, AdapterConfig(variant=variant)
+            if variant == "parallel":
+                yield mode, AdapterConfig(variant=variant, scale="learnable")
 
 
 class TestCountTrainable:
     PRESET = PRESETS["wavlm-base-plus-dims"]
 
     def test_symbolic_layout_matches_real_model_exactly(self):
-        # pins the allocation-free counting path to actual desk-scale models
-        for mode, acfg in (
-            ("inner", AdapterConfig()),
-            ("inter", None),
-            ("inner-inter", AdapterConfig(scale="learnable")),
-            ("houlsby", AdapterConfig(variant="sequential")),
-            ("linear-probe", None),
-            ("weighted-sum", None),
-            ("full-finetune", None),
-        ):
+        # a shape-only build has the materialized build's params, flags and
+        # counts, at desk scale in every mode and variant, classifier included
+        def build(mode, acfg):
             m = desk_model(mode, acfg)
-            comps, pretrained = symbolic_counts(EncoderConfig(), 32, mode, acfg)
-            real = count_trainable(m)
-            assert real["components"] == comps, mode
-            assert real["pretrained_side_trainable"] == pretrained, mode
+            m.add_classifier(5)
+            return m
+
+        def layout(m):
+            return [(p.name, p.shape, p.trainable) for p in m.named_params()]
+
+        for mode, acfg in every_mode_and_variant():
+            real = build(mode, acfg)
+            with T.shape_only():
+                shaped = build(mode, acfg)
+            assert layout(shaped) == layout(real), (mode, acfg)
+            assert count_params(shaped) == count_params(real), (mode, acfg)
+            assert all(p.grad is None and p.data.strides == (0,) * p.data.ndim
+                       for p in shaped.named_params() if p.name != "adapters.scale")
+
+    def test_breakdown_by_kind(self):
+        m = desk_model("houlsby", AdapterConfig(variant="sequential"))
+        breakdown = count_params(m)["breakdown"]
+        d, dh, n = 64, 16, 4
+        assert breakdown["inner_adapters"] == {
+            "weight": 2 * n * 2 * d * dh, "bias": 2 * n * (dh + d), "ln": 2 * n * 2 * d,
+        }
+        assert breakdown["sv_backend"] == {"weight": 2 * 32 * 32, "bias": 2 * 32, "ln": 0}
+
+    def test_shape_only_preset_build_allocates_no_weights(self):
+        import tracemalloc
+
+        from svadapt.harness import count_params_table
+
+        tracemalloc.start()
+        try:
+            count_params_table(self.PRESET, 512, 256)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one materialized copy of the stack is 85M float64s, 680 MB
+        assert peak < 10 * 2**20
 
     def test_inter_closed_form_at_preset(self):
         d, e, n = 768, 512, 12
-        comps, pretrained = symbolic_counts(self.PRESET, 512, "inter")
+        comps, pretrained = shape_only_counts(self.PRESET, 512, "inter")
         assert comps["inter_adapter"] == d * e + e + 2 * e
         assert comps["layer_weights"] == n
         assert pretrained == 394_764
 
     def test_inner_closed_form_at_preset(self):
         d, dh, n = 768, 256, 12
-        comps, _ = symbolic_counts(
+        comps, _ = shape_only_counts(
             self.PRESET, 512, "inner", AdapterConfig(bottleneck_dim=256)
         )
         per_layer = 2 * d * dh + dh + d + 2 * d
@@ -287,16 +321,16 @@ class TestCountTrainable:
 
     def test_inner_inter_is_additive(self):
         acfg = AdapterConfig(bottleneck_dim=256)
-        _, inner = symbolic_counts(self.PRESET, 512, "inner", acfg)
-        _, inter = symbolic_counts(self.PRESET, 512, "inter")
-        _, both = symbolic_counts(self.PRESET, 512, "inner-inter", acfg)
+        _, inner = shape_only_counts(self.PRESET, 512, "inner", acfg)
+        _, inter = shape_only_counts(self.PRESET, 512, "inter")
+        _, both = shape_only_counts(self.PRESET, 512, "inner-inter", acfg)
         assert both == inner + inter
 
     def test_houlsby_is_exactly_double_inner(self):
-        inner, _ = symbolic_counts(
+        inner, _ = shape_only_counts(
             self.PRESET, 512, "inner", AdapterConfig(bottleneck_dim=256)
         )
-        houlsby, _ = symbolic_counts(
+        houlsby, _ = shape_only_counts(
             self.PRESET, 512, "houlsby",
             AdapterConfig(bottleneck_dim=256, variant="sequential"),
         )

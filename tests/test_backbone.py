@@ -150,7 +150,7 @@ class TestEncodeCollect:
 
     def test_frozen_backbone_gets_no_gradient(self):
         enc = small_encoder(seed=8)
-        enc.set_trainable("frozen")
+        enc.set_trainable(False)
         probe = Param(np.zeros((5, 8)), name="probe")
         frames = np.random.default_rng(8).normal(size=(5, 5))
         with Tape() as tape:
@@ -164,12 +164,12 @@ class TestEncodeCollect:
 class TestSetTrainable:
     def test_frozen_mode_zeroes_trainable_count(self):
         enc = small_encoder()
-        enc.set_trainable("frozen")
+        enc.set_trainable(False)
         assert sum(p.data.size for p in enc.params() if p.trainable) == 0
 
     def test_full_finetune_counts_stack_not_featurizer(self):
         enc = small_encoder()
-        enc.set_trainable("full-finetune")
+        enc.set_trainable(True)
         trainable = sum(p.data.size for p in enc.params() if p.trainable)
         stack = sum(p.data.size for l in enc.layers for p in l.params())
         assert trainable == stack
@@ -178,15 +178,11 @@ class TestSetTrainable:
     def test_toggling_does_not_touch_values(self):
         enc = small_encoder(seed=9)
         before = [p.data.copy() for p in enc.params()]
-        enc.set_trainable("frozen")
-        enc.set_trainable("full-finetune")
-        enc.set_trainable("frozen")
+        enc.set_trainable(False)
+        enc.set_trainable(True)
+        enc.set_trainable(False)
         for p, b in zip(enc.params(), before):
             assert np.array_equal(p.data, b)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError, match="unknown backbone"):
-            small_encoder().set_trainable("half-frozen")
 
 
 class TestInitialization:

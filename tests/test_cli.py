@@ -345,3 +345,185 @@ class TestCorruptCheckpoint:
         )
         assert rc == 3
         assert "truncated checkpoint" in capsys.readouterr().err
+
+
+# sha256 of `svadapt count-params` stdout, taken before the count moved
+# from a hand-written layout onto shape-only builds of the real model
+COUNT_PARAMS_SHA256 = {
+    (): "58c30d6d8eaa3a8f37ad780ca79809ef8e1b90231e77583b06227970bec267a6",
+    ("--json",): "37d412104edb549c989ebd5884c08fb6b796d0e1494916b21907bf65f01ba62c",
+    ("--encoder-preset", "wavlm-base-plus-dims"):
+        "6546e31aacf603bb07152ea969a8143d5d61c7eb6fe938b078891c04d16dc2f8",
+    ("--encoder-preset", "wavlm-base-plus-dims", "--json"):
+        "2980926ba27908e2fbb2342810083966c1fb88f91716120fa33d81aa0fc66e7b",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(COUNT_PARAMS_SHA256))
+def test_count_params_stdout_is_pinned(flags, capsys):
+    import hashlib
+
+    assert main(["count-params", *flags]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == COUNT_PARAMS_SHA256[flags]
+
+
+class TestEveryRunSetting:
+    """Every field of RunConfig, and of the encoder and adapter configs in
+    it, can be set by a config key and by a CLI flag. A data path's flag
+    belongs to each subcommand that reads it (here `train`)."""
+
+    # (section, key, flag, field path, a value unlike the default)
+    SETTINGS = [
+        ("run", "mode", "--mode", "mode", "inner"),
+        ("run", "seed", "--seed", "seed", 7),
+        ("run", "batch_size", "--batch-size", "batch_size", 3),
+        ("run", "warmup_steps", "--warmup-steps", "warmup_steps", 5),
+        ("run", "total_steps", "--total-steps", "total_steps", 300),
+        ("encoder", "num_layers", "--num-layers", "encoder.num_layers", 3),
+        ("encoder", "hidden_dim", "--hidden-dim", "encoder.hidden_dim", 24),
+        ("encoder", "num_heads", "--num-heads", "encoder.num_heads", 2),
+        ("encoder", "ffn_dim", "--ffn-dim", "encoder.ffn_dim", 40),
+        ("encoder", "input_dim", "--input-dim", "encoder.input_dim", 6),
+        ("encoder", "seed", "--encoder-seed", "encoder.seed", 11),
+        ("head", "embed_dim", "--embed-dim", "embed_dim", 12),
+        ("adapter", "bottleneck_dim", "--bottleneck-dim", "adapter.bottleneck_dim", 5),
+        ("adapter", "variant", "--adapter-variant", "adapter.variant", "sequential"),
+        ("adapter", "scale", "--adapter-scale", "adapter.scale", 0.25),
+        ("adapter", "scale_init", "--scale-init", "adapter.scale_init", 2.0),
+        ("optim", "lr_head", "--lr-head", "lr_head", 0.25),
+        ("optim", "lr_other", "--lr-other", "lr_other", 0.125),
+        ("optim", "adam_beta1", "--adam-beta1", "adam_beta1", 0.5),
+        ("optim", "adam_beta2", "--adam-beta2", "adam_beta2", 0.75),
+        ("optim", "adam_eps", "--adam-eps", "adam_eps", 1e-3),
+        ("optim", "lr_floor_ratio", "--lr-floor-ratio", "lr_floor_ratio", 0.5),
+        ("data", "corpus", "--corpus", "corpus_path", "c.txt"),
+        ("data", "trials", "--trials", "trials_path", "t.txt"),
+        ("data", "backbone", "--backbone", "backbone_path", "b.ckpt"),
+    ]
+
+    @staticmethod
+    def get(cfg, path):
+        for name in path.split("."):
+            cfg = getattr(cfg, name)
+        return cfg
+
+    def test_table_covers_every_field(self):
+        from dataclasses import fields
+
+        from svadapt.adapters import AdapterConfig
+        from svadapt.backbone import EncoderConfig
+        from svadapt.harness import RunConfig
+
+        every = {f.name for f in fields(RunConfig)} - {"encoder", "adapter"}
+        every |= {f"encoder.{f.name}" for f in fields(EncoderConfig)}
+        every |= {f"adapter.{f.name}" for f in fields(AdapterConfig)}
+        assert sorted(path for *_, path, _v in self.SETTINGS) == sorted(every)
+
+    @pytest.mark.parametrize("section,key,flag,path,value", SETTINGS)
+    def test_set_by_config_key(self, section, key, flag, path, value):
+        from svadapt.harness import RunConfig, config_from_text
+
+        assert self.get(RunConfig(), path) != value
+        cfg = config_from_text(f"[{section}]\n{key} = {value}\n")
+        assert self.get(cfg, path) == value
+
+    @pytest.mark.parametrize("section,key,flag,path,value", SETTINGS)
+    def test_set_by_cli_flag(self, section, key, flag, path, value):
+        from svadapt.cli import _run_config_from_args, build_parser
+
+        args = build_parser().parse_args(["train", "--out", "x.ckpt", flag, str(value)])
+        if section == "data":
+            assert getattr(args, flag[2:]) == value
+        else:
+            assert self.get(_run_config_from_args(args), path) == value
+
+
+class TestConfigFileFaults:
+    def run_with_config(self, workdir, tmp_path, data: bytes):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(data)
+        return main(
+            [
+                "train", "--config", str(conf), "--corpus", str(workdir / "corpus.txt"),
+                "--out", str(tmp_path / "run.ckpt"),
+            ]
+        )
+
+    def test_non_utf8_config_exits_2(self, workdir, tmp_path, capsys):
+        assert self.run_with_config(workdir, tmp_path, b"[run]\nmode = inn\xffer\n") == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_unknown_key_exits_2_and_is_named(self, workdir, tmp_path, capsys):
+        assert self.run_with_config(workdir, tmp_path, b"[run]\nmod = inner\n") == 2
+        assert "[run] mod" in capsys.readouterr().err
+
+    def test_percent_in_value_is_read_as_is(self, tmp_path, capsys):
+        # the [data] corpus names a file that does not exist: exit 3 naming
+        # it, not an interpolation traceback
+        corpus = str(tmp_path / "c%20.txt")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"[data]\ncorpus = {corpus}\n")
+        rc = main(["train", "--config", str(conf), "--out", str(tmp_path / "r.ckpt")])
+        assert rc == 3
+        assert f"{corpus} not found" in capsys.readouterr().err
+
+
+class TestFileFaults:
+    def test_directory_as_trials_exits_3(self, workdir, tmp_path):
+        rc = main(
+            [
+                "eval", "--checkpoint", str(workdir / "backbone.ckpt"),
+                "--corpus", str(workdir / "corpus.txt"), "--trials", str(tmp_path),
+            ]
+        )
+        assert rc == 3
+
+    def test_non_utf8_trials_exits_3(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "trials.txt"
+        bad.write_bytes(b"a b 1\na b \xff\n")
+        rc = main(
+            [
+                "eval", "--checkpoint", str(workdir / "backbone.ckpt"),
+                "--corpus", str(workdir / "corpus.txt"), "--trials", str(bad),
+            ]
+        )
+        assert rc == 3
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,command",
+        [
+            ("--out", "gen-data"),
+            ("--trials-out", "gen-data"),
+            ("--out", "pretrain"),
+            ("--out", "train"),
+            ("--scores-out", "eval"),
+            ("--embeddings-out", "eval"),
+        ],
+    )
+    def test_write_into_missing_directory_exits_3(self, workdir, tmp_path, capsys, flag, command):
+        target = str(tmp_path / "missing" / "out.txt")
+        inputs = ["--corpus", str(workdir / "corpus.txt")]
+        steps = ["--total-steps", "2", "--warmup-steps", "1", "--batch-size", "4", *ENCODER_FLAGS]
+        argv = {
+            "gen-data": ["gen-data", "--speakers", "4", "--utts-per-speaker", "3",
+                         "--out", str(tmp_path / "c.txt")],
+            "pretrain": ["pretrain", *inputs, *steps],
+            "train": ["train", *inputs, "--mode", "linear-probe", *steps],
+            "eval": ["eval", "--checkpoint", str(workdir / "backbone.ckpt"), *inputs,
+                     "--trials", str(workdir / "trials.txt")],
+        }[command]
+        if flag == "--trials-out":
+            argv += ["--n-target", "2", "--n-nontarget", "2"]
+        assert main([*argv, flag, target]) == 3
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_write_over_a_directory_exits_3_naming_it(self, tmp_path, capsys):
+        # the temp file is written, and replacing the directory with it fails
+        target = tmp_path / "taken"
+        target.mkdir()
+        rc = main(["gen-data", "--speakers", "4", "--utts-per-speaker", "3", "--out", str(target)])
+        assert rc == 3
+        assert f"cannot write {target}: Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

@@ -1,7 +1,11 @@
 """Harness: configs, checkpoints, training procedures, reports."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svadapt import tensor as tt
 from svadapt.adapters import AdapterConfig
@@ -132,6 +136,94 @@ class TestRunConfig:
         text = config_to_text(cfg)
         assert "[data]" in text
         assert config_from_text(text) == cfg
+
+
+    def test_percent_signs_are_read_and_written_as_is(self, tmp_path):
+        assert config_from_text("[data]\ncorpus = c%20.txt\n").corpus_path == "c%20.txt"
+        cfg = tiny_cfg(corpus_path="a%%b", trials_path="100%")
+        text = config_to_text(cfg)
+        assert "corpus = a%%b\n" in text and "trials = 100%\n" in text
+        assert config_from_text(text) == cfg
+        # a checkpoint's embedded config reads back
+        model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+        save_model_checkpoint(tmp_path / "p.ckpt", model, text, 0)
+        assert config_from_text(load_checkpoint(tmp_path / "p.ckpt").config_text) == cfg
+
+    def test_value_continued_on_a_second_line_is_config_error(self):
+        # config_to_text could not write such a value back readably
+        with pytest.raises(ConfigError, match="one line"):
+            config_from_text("[data]\ncorpus = c.txt\n  more\n")
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"[run]\nmode = inn\xffer\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("[run]\nmod = inner\n", "[run] mod"),
+            ("[runn]\nmode = inner\n", "[runn]"),
+            ("[DEFAULT]\nmode = inner\n", "[DEFAULT]"),
+            ("[data]\ncorpus_path = c.txt\n", "[data] corpus_path"),
+            ("[head]\nembed_dim = 8\n[optim]\nlr = 1\n[extra]\n", "[optim] lr, [extra]"),
+        ],
+    )
+    def test_unknown_section_or_key_is_named(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            config_from_text(text)
+
+
+@st.composite
+def mutated_config(draw, base: str):
+    kind = draw(st.sampled_from(["truncate", "char", "value", "line", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=80))
+    if kind == "truncate":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if kind == "char":
+        i = draw(st.integers(0, len(base) - 1))
+        return base[:i] + draw(st.characters()) + base[i + 1 :]
+    lines = base.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    junk = draw(st.one_of(st.sampled_from(ODD_VALUES), st.text(max_size=12)))
+    if kind == "value" and " = " in lines[i]:
+        lines[i] = lines[i].split(" = ")[0] + " = " + junk + "\n"
+    else:
+        lines.insert(i, junk + "\n")
+    return "".join(lines)
+
+
+ODD_VALUES = [
+    "", "%", "%(x)s", "a%%b", "nan", "-inf", "1e999", "learnable", "sequential",
+    "1_0", "0x10", " 7 ", "[run]", "mode = inner", "\t", "99999999999999999999",
+]
+
+
+class TestConfigReaderFuzz:
+    BASE = config_to_text(
+        RunConfig(
+            mode="inner", adapter=AdapterConfig(scale="learnable"),
+            corpus_path="c.txt", trials_path="t.txt", backbone_path="b.ckpt",
+        )
+    )
+
+    def test_reads_or_raises_a_package_error(self):
+        @settings(max_examples=600, deadline=None)
+        @given(mutated_config(self.BASE))
+        @example(self.BASE)
+        @example(self.BASE.replace("corpus = c.txt\n", "corpus = c.txt\n more\n"))
+        def check(text):
+            try:
+                cfg = config_from_text(text)
+            except (ConfigError, DataError):  # ParseError is a DataError
+                return
+            # what was read writes out as text that reads back the same
+            again = config_to_text(cfg)
+            assert config_to_text(config_from_text(again)) == again
+
+        check()
 
 
 class TestLrSchedule:

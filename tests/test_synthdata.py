@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt.errors import ConfigError, ParseError
+from svadapt.metrics import Trial
 from svadapt.synthdata import (
     Corpus,
     CorpusConfig,
@@ -366,3 +367,83 @@ class TestTrialFiles:
         path.write_text("u1 u2 2\n")
         with pytest.raises(ParseError, match=":1:"):
             read_trials(path)
+
+    def test_non_utf8_byte_is_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"u1 u2 1\r\nu3 u4 0\ru5 \xff 1\n")
+        with pytest.raises(ParseError, match=":3: not UTF-8"):
+            read_trials(path)
+
+    def test_writes_atomically(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("old\n")
+        with pytest.raises(AttributeError):
+            write_trials(path, [Trial("a", "b", True), None])  # fails on the second
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.txt"]
+
+
+def oracle_trials(data: bytes):
+    """(trials, None) for a file that must load, else (None, line of the
+    first fault), reading lines the way text mode splits them."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), True
+    else:
+        bad = False
+    lines = re.split(r"\r\n|\r|\n", text)
+    if bad:
+        return None, len(lines)
+    trials = []
+    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in ("0", "1") or parts[0] == parts[1]:
+            return None, lineno
+        trials.append(Trial(parts[0], parts[1], parts[2] == "1"))
+    return trials, None
+
+
+@st.composite
+def mutated_trials(draw, base: bytes):
+    kind = draw(st.sampled_from(["truncate", "flip", "token", "insert"]))
+    if kind == "truncate":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(base) - 1))
+        return base[:i] + bytes([base[i] ^ draw(st.integers(1, 255))]) + base[i + 1 :]
+    if kind == "insert":
+        i = draw(st.integers(0, len(base)))
+        junk = draw(st.one_of(st.sampled_from([b"\r", b"\r\n", b"\n", b"\x85", b" 1"]),
+                              st.binary(max_size=6)))
+        return base[:i] + junk + base[i:]
+    a, b = draw(st.sampled_from([m.span() for m in re.finditer(rb"\S+", base)]))
+    token = draw(st.one_of(st.sampled_from(["0", "1", "2", "", "u 1", "\u2028"]), st.text(max_size=6)))
+    return base[:a] + token.encode("utf-8") + base[b:]
+
+
+class TestTrialReaderFuzz:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "trials.txt"
+        write_trials(path, generate_trials(generate_corpus(SMALL).part("adapt"), 6, 6, seed=3))
+        return path.read_bytes()
+
+    def test_loads_as_the_oracle_or_names_its_line(self, base, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.txt"
+
+        @settings(max_examples=400, deadline=None)
+        @given(mutated_trials(base))
+        @example(base)
+        @example(base + b"a b \xff\n")
+        @example(base + b"a a 1\n")
+        def check(data):
+            path.write_bytes(data)
+            want, bad_line = oracle_trials(data)
+            if want is None:
+                with pytest.raises(ParseError, match=f":{bad_line}: "):
+                    read_trials(path)
+            else:
+                assert read_trials(path) == want
+
+        check()
