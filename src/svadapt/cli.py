@@ -54,11 +54,15 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file with [section] headers")
+def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
+    """Register --encoder-preset and the flag of each of `settings`; when
+    they are not given, --config and the flag of every run setting."""
+    if settings is None:
+        p.add_argument("--config", help="key=value config file with [section] headers")
+        settings = config_settings()
     enc = p.add_argument_group("encoder")
     enc.add_argument("--encoder-preset", choices=sorted(PRESETS))
-    for s in config_settings():
+    for s in settings:
         if s.flag is not None:
             (enc if s.part == "encoder" else p).add_argument(
                 f"--{s.flag}", type=s.cast, choices=s.field.metadata.get("choices"),
@@ -293,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-params", help="trainable-parameter report for all modes")
     p.add_argument("--json", action="store_true")
-    _add_run_flags(p)
+    _add_run_flags(p, [s for s in config_settings()
+                       if s.part == "encoder" or s.field.name in ("embed_dim", "bottleneck_dim")])
     p.set_defaults(func=cmd_count_params)
 
     p = sub.add_parser("sweep-scale", help="train/evaluate over scaling factors")

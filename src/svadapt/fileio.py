@@ -1,10 +1,16 @@
-"""Atomic file writes: a writer fills a temp file beside the target, and
-only a write that completes replaces the target, in one `os.replace`."""
+"""File helpers shared by the readers and writers.
+
+Atomic writes: a writer fills a temp file beside the target, and only a
+write that completes replaces the target, in one `os.replace`. Line-record
+reads: a malformed or non-UTF-8 line raises ParseError naming it."""
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -30,3 +36,25 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
+
+
+def text_records(path, n_fields: int, what: str):
+    """(line number, fields) of each line of a UTF-8 text file, split on
+    whitespace, with line breaks as text mode reads them: "\n", "\r\n"
+    and a lone "\r". A byte that is not UTF-8, or a line without exactly
+    `n_fields` fields, raises ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        parts = line.split()
+        if len(parts) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: a {what} line has {n_fields} fields, got {line.rstrip()!r}"
+            )
+        yield lineno, parts

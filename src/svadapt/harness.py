@@ -236,9 +236,9 @@ def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
 
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
-    """Write the versioned binary checkpoint; returns the backbone hash."""
-    payload = [(name, trainable, np.ascontiguousarray(arr, dtype="<f8"))
-               for name, trainable, arr in params]
+    """Write the versioned binary checkpoint; returns the backbone hash. A
+    0-d param (the learnable adapter scale) is written with rank 0."""
+    payload = [(name, trainable, np.asarray(arr, "<f8", order="C")) for name, trainable, arr in params]
     h = backbone_hash_of(payload)
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
@@ -401,24 +401,35 @@ def _run_steps(model: SVModel, utterances, labels, cfg: RunConfig) -> list:
     return losses
 
 
-def _labeled_part(corpus: Corpus, part: str):
+def _check_frame_dim(corpus: Corpus, encoder_cfg: EncoderConfig) -> None:
+    if corpus.config.frame_dim != encoder_cfg.input_dim:
+        raise ConfigError(
+            f"corpus frame dim {corpus.config.frame_dim} does not match the "
+            f"encoder input_dim {encoder_cfg.input_dim}"
+        )
+
+
+def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
+    """(model, losses): the model for `cfg`, with the backbone loaded when
+    given, trained with a fresh classifier on the speakers of `part`."""
+    _check_frame_dim(corpus, cfg.encoder)
+    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+    if backbone_ckpt is not None:
+        load_backbone_into(model, backbone_ckpt)
     utterances = corpus.part(part)
     if not utterances:
         raise DataError(f"corpus has no utterances in the {part!r} part")
     speakers = corpus.speakers(part)
+    model.add_classifier(len(speakers))
     index = {s: i for i, s in enumerate(speakers)}
-    labels = [index[u.speaker] for u in utterances]
-    return utterances, labels, speakers
+    return model, _run_steps(model, utterances, [index[u.speaker] for u in utterances], cfg)
 
 
 def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
     """Train the backbone (featurizer frozen) plus a throwaway classifier on
     the pre-training speakers; checkpoint holds backbone params only."""
     cfg = replace(cfg, mode="full-finetune", adapter=None)
-    utterances, labels, speakers = _labeled_part(corpus, "pretrain")
-    model = build_model(cfg.encoder, cfg.embed_dim, "full-finetune", None, cfg.seed)
-    model.add_classifier(len(speakers))
-    losses = _run_steps(model, utterances, labels, cfg)
+    model, losses = _fit(cfg, corpus, "pretrain")
     if out_path is None:
         h = model_backbone_hash(model)
     else:
@@ -444,12 +455,7 @@ def load_backbone_into(model: SVModel, checkpoint: Checkpoint) -> None:
 def train(cfg: RunConfig, backbone_ckpt: Checkpoint | None, corpus: Corpus, out_path=None):
     """One tuning run on the adaptation speakers, starting from a pretrained
     backbone when given."""
-    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-    if backbone_ckpt is not None:
-        load_backbone_into(model, backbone_ckpt)
-    utterances, labels, speakers = _labeled_part(corpus, "adapt")
-    model.add_classifier(len(speakers))
-    losses = _run_steps(model, utterances, labels, cfg)
+    model, losses = _fit(cfg, corpus, "adapt", backbone_ckpt)
     if out_path is not None:
         save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
     return TrainedRun(model, cfg, losses, model_backbone_hash(model))
@@ -467,6 +473,7 @@ def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
 
 
 def embed_trial_utterances(model: SVModel, corpus: Corpus, trials) -> dict:
+    _check_frame_dim(corpus, model.encoder.cfg)
     by_id = corpus.by_id()
     embeddings = {}
     for t in trials:

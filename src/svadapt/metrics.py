@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, text_records
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,21 @@ def write_scores(path, trials, scores) -> None:
 
 
 def read_scores(path) -> ScoreSet:
+    """Parse a score file; a malformed or non-UTF-8 line, a score that is
+    not finite or a label other than 0 or 1 raises ParseError naming it,
+    and so does a file without both a target and a nontarget line."""
     scores, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                scores.append(float(parts[2]))
-                labels.append(int(parts[3]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return ScoreSet(scores, labels)
+    for lineno, (_enroll, _test, score, label) in text_records(path, 4, "score"):
+        try:
+            scores.append(float(score))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(scores[-1]):
+            raise ParseError(f"{path}:{lineno}: score {score!r} is not finite")
+        if label not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        labels.append(int(label))
+    try:
+        return ScoreSet(scores, labels)
+    except DataError as exc:  # every line has the same label
+        raise ParseError(f"{path}: {exc}") from exc

@@ -14,23 +14,40 @@ pass (`rng.gaussians`, `rng.randints`), which gives each stream's values
 bit for bit.
 
 Speakers split 50/50 into a pre-training half and an adaptation half.
+
+A corpus file (format svcorpus-v2) is a UTF-8 header, each line ending in
+"\n", followed by one binary payload:
+
+    svcorpus-v2
+    [config]
+    <field>=<value>                  one line per CorpusConfig field
+    [speakers]
+    <speaker> pretrain|adapt         one line per speaker, sorted
+    [utterances]
+    utt <id> <speaker> <t> <f_dim>   one index entry per utterance
+    [frames] <nbytes>
+    <payload>
+
+The payload holds every utterance's [t, f_dim] frames as raw little-endian
+float64, row-major, in index order, and nothing follows it; nbytes is
+8 * sum(t * f_dim). Raw bytes read back bit for bit, NaN payloads and
+signed zeros included. The older svcorpus-v1 text files are refused.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
+import os
+import stat
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, text_records
 from .metrics import Trial
 from .rng import Stream, gaussians, randints
 
-FORMAT_HEADER = "svcorpus-v1"
+FORMAT_HEADER = "svcorpus-v2"
 
 
 @dataclass(frozen=True)
@@ -181,27 +198,27 @@ def mean_frame_classifier_accuracy(corpus: Corpus) -> float:
 
 
 # ---------------------------------------------------------------------------
-# corpus files: text header with config, then one record per utterance
+# corpus files: text header and index, then one raw float64 payload
 
 
 def write_corpus(path, corpus: Corpus) -> None:
-    """Write the corpus file atomically, one `write` per utterance record;
-    each value is "%.17e" formatted, which reads back bit for bit."""
+    """Write the corpus file atomically: the header as one string, then
+    each utterance's frames as one raw little-endian float64 buffer."""
     cfg = corpus.config
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write("[config]\n")
-        for f in fields(cfg):
-            fh.write(f"{f.name}={getattr(cfg, f.name)!r}\n")
-        fh.write("[speakers]\n")
-        for spk in sorted(corpus.speaker_split):
-            fh.write(f"{spk} {corpus.speaker_split[spk]}\n")
-        fh.write("[utterances]\n")
-        for u in corpus.utterances:
-            t, f_dim = u.frames.shape
-            template = (" ".join(["%.17e"] * f_dim) + "\n") * t
-            rows = template % tuple(u.frames.ravel().tolist())
-            fh.write(f"utt {u.utt_id} {u.speaker} {t} {f_dim}\n" + rows)
+    frames = [np.asarray(u.frames, "<f8", order="C") for u in corpus.utterances]
+    header = [FORMAT_HEADER, "[config]"]
+    header += [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
+    header.append("[speakers]")
+    header += [f"{spk} {corpus.speaker_split[spk]}" for spk in sorted(corpus.speaker_split)]
+    header.append("[utterances]")
+    for u, block in zip(corpus.utterances, frames):
+        t, f_dim = block.shape
+        header.append(f"utt {u.utt_id} {u.speaker} {t} {f_dim}")
+    header.append(f"[frames] {sum(block.nbytes for block in frames)}")
+    with atomic_write(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        for block in frames:
+            fh.write(block)
 
 
 def _parse_config(lines, path):
@@ -225,71 +242,72 @@ def _parse_config(lines, path):
     return CorpusConfig(**values)
 
 
+def _header_lines(fh, path):
+    """(line number, text) of each header line of a file opened in binary
+    mode, which leaves the payload after the header unread. A line must
+    end in a newline and be UTF-8."""
+    for lineno, raw in enumerate(iter(fh.readline, b""), start=1):
+        if not raw.endswith(b"\n"):
+            raise ParseError(f"{path}:{lineno}: truncated header line")
+        try:
+            yield lineno, raw[:-1].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def read_corpus(path) -> Corpus:
-    """Parse a corpus file. Any malformed or non-UTF-8 content raises
-    ParseError (or ConfigError for a bad config) naming the line."""
-    with _utf8_text(path) as fh:
-        return _read_corpus(fh, path)
-
-
-@contextmanager
-def _utf8_text(path):
-    """The file opened as UTF-8 text; reading a byte that is not UTF-8
-    raises ParseError naming its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from exc
-
-
-def _first_undecodable_line(path) -> int:
-    """Line of the first byte that is not UTF-8, counting line breaks as
-    text mode does: "\n", "\r\n" and a lone "\r"."""
+    """Read a corpus file. A malformed header, index or payload raises
+    ParseError (or ConfigError for a bad config), naming the header line
+    at fault. The payload is read with one `readinto`, and each
+    utterance's frames are a writable view of that buffer."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = len(data)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        end = exc.start
-    head = data[:end].decode("utf-8")
-    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        lines = _header_lines(fh, path)
+        _, header = next(lines, (0, None))
+        if header is None:
+            raise ParseError(f"{path}: empty corpus file")
+        if header == "svcorpus-v1":
+            raise ParseError(f"{path}:1: svcorpus-v1 text corpora are no longer read; "
+                             "regenerate with `svadapt gen-data`")
+        if header != FORMAT_HEADER:
+            raise ParseError(f"{path}:1: unsupported corpus format {header!r}, "
+                             f"expected {FORMAT_HEADER!r}")
+        lineno, section = next(lines, (0, ""))
+        if section != "[config]":
+            raise ParseError(f"{path}:{lineno}: expected [config] section")
+        cfg = _parse_config(lines, path)
+        split = _parse_speakers(lines, path)
+        index, nbytes = _parse_index(lines, path, split, cfg.frame_dim)
+        payload = _read_payload(fh, nbytes, path)
+    utterances, offset = [], 0
+    for utt_id, speaker, t, f_dim in index:
+        frames = np.frombuffer(payload, "<f8", t * f_dim, offset).reshape(t, f_dim)
+        utterances.append(Utterance(utt_id, speaker, frames))
+        offset += frames.nbytes
+    return Corpus(cfg, utterances, split)
 
 
-def _read_corpus(fh, path) -> Corpus:
-    lines = ((i, line.rstrip("\n")) for i, line in enumerate(fh, start=1))
-    lineno, header = next(lines, (0, None))
-    if header is None:
-        raise ParseError(f"{path}: empty corpus file")
-    if header != FORMAT_HEADER:
-        raise ParseError(
-            f"{path}:1: unsupported corpus format {header!r}, expected {FORMAT_HEADER!r}"
-        )
-    lineno, section = next(lines, (0, ""))
-    if section != "[config]":
-        raise ParseError(f"{path}:{lineno}: expected [config] section")
-    cfg = _parse_config(lines, path)
-
+def _parse_speakers(lines, path) -> dict:
     split = {}
     for lineno, line in lines:
         if line == "[utterances]":
-            break
+            return split
         parts = line.split()
         if len(parts) != 2 or parts[1] not in ("pretrain", "adapt"):
             raise ParseError(f"{path}:{lineno}: bad speaker split line {line!r}")
         split[parts[0]] = parts[1]
-    else:
-        raise ParseError(f"{path}: missing [utterances] section")
+    raise ParseError(f"{path}: missing [utterances] section")
 
-    # from here on lines come straight from fh, each record's rows as a block
-    utterances, seen = [], set()
-    for line in fh:
-        lineno += 1
+
+def _parse_index(lines, path, split: dict, frame_dim: int):
+    """([(id, speaker, t, f_dim)], nbytes) from the index records and the
+    `[frames] <nbytes>` line after them."""
+    index, seen = [], set()
+    for lineno, line in lines:
         parts = line.split()
+        if parts[:1] == ["[frames]"]:
+            break
         if len(parts) != 5 or parts[0] != "utt":
-            record = line.rstrip("\n")
-            raise ParseError(f"{path}:{lineno}: expected utterance record, got {record!r}")
+            raise ParseError(f"{path}:{lineno}: expected utterance record, got {line!r}")
         _, utt_id, speaker, t_str, f_str = parts
         try:
             t, f_dim = int(t_str), int(f_str)
@@ -297,60 +315,38 @@ def _read_corpus(fh, path) -> Corpus:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if speaker not in split:
             raise ParseError(f"{path}:{lineno}: utterance for unlisted speaker {speaker!r}")
-        if not 0 < t <= sys.maxsize:
+        if t < 1:
             raise ParseError(f"{path}:{lineno}: utterance {utt_id!r} has {t} frames")
-        if f_dim != cfg.frame_dim:
+        if f_dim != frame_dim:
             raise ParseError(
                 f"{path}:{lineno}: utterance {utt_id!r} has frame dim {f_dim}, "
-                f"the config says {cfg.frame_dim}"
+                f"the config says {frame_dim}"
             )
         if utt_id in seen:
             raise ParseError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
-        rows = list(islice(fh, t))
-        if len(rows) < t:
-            raise ParseError(f"{path}:{lineno + len(rows) + 1}: truncated utterance {utt_id!r}")
-        utterances.append(Utterance(utt_id, speaker, _parse_frames(rows, lineno + 1, f_dim, path)))
-        lineno += t
-    return Corpus(cfg, utterances, split)
+        index.append((utt_id, speaker, t, f_dim))
+    else:
+        raise ParseError(f"{path}: missing [frames] section")
+    nbytes = 8 * sum(t * f_dim for _i, _s, t, f_dim in index)
+    if parts != ["[frames]", str(nbytes)]:
+        raise ParseError(f"{path}:{lineno}: expected '[frames] {nbytes}', got {line!r}")
+    return index, nbytes
 
 
-def _parse_frames(rows, first: int, f_dim: int, path) -> np.ndarray:
-    """One utterance's [t, f_dim] frames from its rows, the first on line
-    `first`: one `np.fromstring` over the block. A token holds no
-    whitespace, so `np.fromstring` reads it as one number or raises; with
-    every row's token count checked, the block holds t * f_dim values.
-    When it raises, or reads a NaN (whose sign and payload `float()`
-    decides), `_parse_row` reads the rows one by one instead, so the
-    result or the error is the row-wise one."""
-    if all(map(f_dim.__eq__, map(len, map(str.split, rows)))):
-        try:
-            frames = np.fromstring("".join(rows), sep=" ").reshape(len(rows), f_dim)
-            if not np.isnan(frames).any():
-                return frames
-        except ValueError:
-            pass
-    return np.array([_parse_row(row, first + i, f_dim, path) for i, row in enumerate(rows)])
-
-
-def _parse_row(row: str, lineno: int, f_dim: int, path) -> list:
-    """One row's values as `float()` reads them. A number must also be one
-    `np.fromstring` reads, so a file loads the same on either path: `1_0`,
-    which `float()` alone accepts, is an error (the writer never emits it)."""
-    vals = row.split()
-    if len(vals) != f_dim:
-        raise ParseError(f"{path}:{lineno}: expected {f_dim} values, got {len(vals)}")
-    try:
-        out = [float(v) for v in vals]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        np.fromstring(row, sep=" ")
-    except ValueError:
-        raise ParseError(
-            f"{path}:{lineno}: unsupported number syntax in {row.strip()!r}"
-        ) from None
-    return out
+def _read_payload(fh, nbytes: int, path) -> bytearray:
+    """The `nbytes` bytes after the header, read in one `readinto`; the
+    file must end there. A buffer is never larger than what a regular
+    file holds, so a header that claims too many bytes allocates none."""
+    st = os.fstat(fh.fileno())
+    held = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else nbytes
+    payload = bytearray(min(held, nbytes))
+    got = fh.readinto(payload)
+    if got < nbytes:
+        raise ParseError(f"{path}: truncated frames: {got} of {nbytes} bytes")
+    if fh.read(1):
+        raise ParseError(f"{path}: trailing bytes after the {nbytes} bytes of frames")
+    return payload
 
 
 # trial-list files: "enroll test label" with label 1 (target) or 0
@@ -366,13 +362,11 @@ def read_trials(path) -> list:
     """Parse a trial list; a malformed or non-UTF-8 line raises ParseError
     naming it."""
     trials = []
-    with _utf8_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: bad trial line {line.rstrip()!r}")
-            try:
-                trials.append(Trial(parts[0], parts[1], parts[2] == "1"))
-            except DataError as exc:  # an utterance paired with itself
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, (enroll, test, label) in text_records(path, 3, "trial"):
+        if label not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: trial label must be 0 or 1, got {label!r}")
+        try:
+            trials.append(Trial(enroll, test, label == "1"))
+        except DataError as exc:  # an utterance paired with itself
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return trials

@@ -90,6 +90,39 @@ class TestTrainEval:
         assert 0.0 <= payload["min_dcf"] <= 1.0
         assert (workdir / "scores.txt").exists()
 
+    def test_learnable_scale_checkpoint_evaluates(self, workdir, tmp_path, capsys):
+        from svadapt.cli import _run_config_from_args, build_parser
+        from svadapt.harness import evaluate, load_checkpoint, train
+        from svadapt.metrics import read_scores
+        from svadapt.synthdata import read_corpus, read_trials
+
+        run = tmp_path / "run.ckpt"
+        train_argv = [
+            "train", "--corpus", str(workdir / "corpus.txt"),
+            "--backbone", str(workdir / "backbone.ckpt"), "--out", str(run),
+            "--mode", "inner-inter", "--adapter-scale", "learnable", "--bottleneck-dim", "4",
+            "--total-steps", "6", "--warmup-steps", "2", "--batch-size", "4", *ENCODER_FLAGS,
+        ]
+        assert main(train_argv) == 0
+        assert load_checkpoint(run).values()["adapters.scale"].shape == ()
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval", "--checkpoint", str(run), "--corpus", str(workdir / "corpus.txt"),
+                "--trials", str(workdir / "trials.txt"),
+                "--scores-out", str(tmp_path / "scores.txt"),
+            ]
+        )
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        # the same run trained and evaluated in process
+        cfg = _run_config_from_args(build_parser().parse_args(train_argv))
+        corpus = read_corpus(workdir / "corpus.txt")
+        trained = train(cfg, load_checkpoint(workdir / "backbone.ckpt"), corpus)
+        result, scores = evaluate(trained.model, corpus, read_trials(workdir / "trials.txt"))
+        assert read_scores(tmp_path / "scores.txt").scores.tolist() == scores
+        assert printed["eer"] == result.eer and printed["min_dcf"] == result.min_dcf
+
     def test_train_with_trials_prints_report(self, workdir, capsys):
         rc = main(
             [
@@ -167,6 +200,48 @@ class TestTrainEval:
         assert rc == 0
 
 
+class TestFrameDimMismatch:
+    """A corpus whose frame dim is not the encoder's input_dim is a config
+    error (exit 2) before any step."""
+
+    @pytest.fixture(scope="class")
+    def corpus12(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dim12")
+        rc = main(
+            [
+                "gen-data", "--out", str(root / "c12.svc"), "--seed", "2", "--speakers", "4",
+                "--utts-per-speaker", "3", "--frames-min", "4", "--frames-max", "5",
+                "--frame-dim", "12", "--trials-out", str(root / "t12.txt"),
+                "--n-target", "2", "--n-nontarget", "2",
+            ]
+        )
+        assert rc == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_training_exits_2(self, workdir, tmp_path, capsys, command):
+        # the workdir corpus has 10-dim frames; the default encoder takes 20
+        rc = main(
+            [
+                command, "--corpus", str(workdir / "corpus.txt"),
+                "--out", str(tmp_path / "x.ckpt"), "--total-steps", "2", "--warmup-steps", "1",
+            ]
+        )
+        assert rc == 2
+        assert "corpus frame dim 10 does not match the encoder input_dim 20" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_eval_exits_2(self, workdir, corpus12, capsys):
+        rc = main(
+            [
+                "eval", "--checkpoint", str(workdir / "backbone.ckpt"),
+                "--corpus", str(corpus12 / "c12.svc"), "--trials", str(corpus12 / "t12.txt"),
+            ]
+        )
+        assert rc == 2
+        assert "corpus frame dim 12 does not match the encoder input_dim 10" in capsys.readouterr().err
+
+
 class TestCountParams:
     def test_preset_table(self, capsys):
         rc = main(["count-params", "--encoder-preset", "wavlm-base-plus-dims"])
@@ -182,6 +257,31 @@ class TestCountParams:
         by_mode = {r["mode"]: r for r in rows}
         assert by_mode["inter"]["trainable_pretrained_side"] == 394_764
         assert by_mode["houlsby"]["trainable_pretrained_side"] == 9_498_624
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--config", "run.conf"), ("--adapter-scale", "learnable"), ("--mode", "inner"),
+            ("--adapter-variant", "sequential"), ("--total-steps", "5"), ("--lr-head", "0.1"),
+            ("--seed", "3"), ("--corpus", "c.svc"),
+        ],
+    )
+    def test_a_flag_it_does_not_read_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["count-params", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_every_flag_it_reads_changes_the_table(self, capsys):
+        assert main(["count-params", "--json"]) == 0
+        default = capsys.readouterr().out
+        for flag, value in [
+            ("--embed-dim", "16"), ("--bottleneck-dim", "8"), ("--num-layers", "2"),
+            ("--hidden-dim", "32"), ("--ffn-dim", "64"), ("--input-dim", "10"),
+            ("--encoder-preset", "wavlm-base-plus-dims"),
+        ]:
+            assert main(["count-params", "--json", flag, value]) == 0
+            assert capsys.readouterr().out != default, flag
 
     def test_runs_fast(self):
         import time
@@ -478,6 +578,21 @@ class TestFileFaults:
             ]
         )
         assert rc == 3
+
+    def test_v1_text_corpus_exits_3(self, workdir, tmp_path, capsys):
+        old = tmp_path / "corpus.txt"
+        old.write_text(
+            "svcorpus-v1\n[config]\nframe_dim=10\n[speakers]\nspk000 pretrain\n"
+            "spk001 adapt\n[utterances]\n"
+        )
+        rc = main(
+            [
+                "train", "--corpus", str(old), "--out", str(tmp_path / "x.ckpt"),
+                "--total-steps", "2", "--warmup-steps", "1", *ENCODER_FLAGS,
+            ]
+        )
+        assert rc == 3
+        assert "svcorpus-v1 text corpora are no longer read" in capsys.readouterr().err
 
     def test_non_utf8_trials_exits_3(self, workdir, tmp_path, capsys):
         bad = tmp_path / "trials.txt"

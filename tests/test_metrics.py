@@ -1,8 +1,11 @@
 """EER/minDCF tests against the O(n^2) brute-force threshold oracle."""
 
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt.errors import DataError, ParseError
@@ -156,3 +159,110 @@ class TestScoreFiles:
         path.write_text("a b 0.5 1\nbroken line\n")
         with pytest.raises(ParseError, match=":2:"):
             read_scores(path)
+
+    def test_one_class_only_is_parse_error(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("a b 0.5 1\na c 0.25 1\n")
+        with pytest.raises(ParseError, match="need at least one target and one nontarget"):
+            read_scores(path)
+
+    def test_non_utf8_byte_is_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(b"a b 0.5 1\r\nc d 0.25 0\ne \xff 0.5 1\n")
+        with pytest.raises(ParseError, match=":3: not UTF-8"):
+            read_scores(path)
+
+    @pytest.mark.parametrize("line", ["a b nan 1", "a b -inf 0", "a b 1e999 1"])
+    def test_non_finite_score_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "scores.txt"
+        path.write_text(f"a b 0.5 1\n{line}\n")
+        with pytest.raises(ParseError, match=":2: score .* is not finite"):
+            read_scores(path)
+
+    @pytest.mark.parametrize("label", ["2", "+1", "01", "1_0", "-0", "x"])
+    def test_label_other_than_0_or_1_is_parse_error(self, tmp_path, label):
+        path = tmp_path / "scores.txt"
+        path.write_text(f"a b 0.5 1\na c 0.5 {label}\n")
+        with pytest.raises(ParseError, match=":2: label must be 0 or 1"):
+            read_scores(path)
+
+
+def oracle_scores(data: bytes):
+    """((scores, labels), None) for a score file that must load, else
+    (None, line of the first fault), reading lines the way text mode
+    splits them; (None, None) when no line faults but one class is absent."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), True
+    else:
+        bad = False
+    lines = re.split(r"\r\n|\r|\n", text)
+    if bad:
+        return None, len(lines)
+    scores, labels = [], []
+    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
+        parts = line.split()
+        try:
+            score = float(parts[2]) if len(parts) == 4 else math.nan
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score) or parts[3] not in ("0", "1"):
+            return None, lineno
+        scores.append(score)
+        labels.append(int(parts[3]))
+    if len(set(labels)) < 2:
+        return None, None
+    return (scores, labels), None
+
+
+@st.composite
+def mutated_scores(draw, base: bytes):
+    kind = draw(st.sampled_from(["truncate", "flip", "token"]))
+    if kind == "truncate":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(base) - 1))
+        return base[:i] + bytes([base[i] ^ draw(st.integers(1, 255))]) + base[i + 1 :]
+    a, b = draw(st.sampled_from([m.span() for m in re.finditer(rb"\S+", base)]))
+    token = draw(
+        st.one_of(
+            st.sampled_from(["0", "1", "2", "-1", "+1", "nan", "-inf", "1e999", "1_0", "0x1p3",
+                             "", "u 1", "\r", "\x85", " ", "\xff"]),
+            st.from_regex(r"\A[-+]?[0-9_.]{0,6}([eE][-+]?[0-9]{0,4})?\Z"),
+            st.text(max_size=8),
+        )
+    )
+    return base[:a] + token.encode("utf-8") + base[b:]
+
+
+class TestScoreReaderFuzz:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "scores.txt"
+        rng = np.random.default_rng(5)
+        trials = [Trial(f"e{i}", f"t{i}", bool(i % 2)) for i in range(8)]
+        write_scores(path, trials, rng.normal(size=8).tolist())
+        return path.read_bytes()
+
+    def test_loads_as_the_oracle_or_names_its_line(self, base, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.txt"
+
+        @settings(max_examples=400, deadline=None)
+        @given(mutated_scores(base))
+        @example(base)
+        @example(base + b"a b 0.5 \xff\n")
+        @example(base + b"a b nan 1\n")
+        def check(data):
+            path.write_bytes(data)
+            want, bad_line = oracle_scores(data)
+            if want is None:
+                fault = "need at least one target" if bad_line is None else f":{bad_line}: "
+                with pytest.raises(ParseError, match=fault):
+                    read_scores(path)
+            else:
+                got = read_scores(path)
+                assert got.scores.tobytes() == np.array(want[0]).tobytes()
+                assert got.labels.tolist() == want[1]
+
+        check()
