@@ -25,7 +25,7 @@ so parameter reports and checkpoint layouts follow from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import tensor as tt
 from .errors import ConfigError
@@ -91,6 +91,18 @@ class AdapterConfig:
                 object.__setattr__(self, "scale", float(self.scale))
             except (TypeError, ValueError):
                 raise ConfigError(f"scale must be a number or {LEARNABLE!r}, got {self.scale!r}")
+
+
+def default_adapter(mode: str) -> AdapterConfig | None:
+    """The adapter config a mode takes when none is given: none for a mode
+    without adapter slots, else the default `AdapterConfig`, switched to the
+    first variant the mode accepts when it does not accept the default's
+    (houlsby: sequential)."""
+    spec = MODE_SPECS[mode]
+    if not spec.slots:
+        return None
+    cfg = AdapterConfig()
+    return cfg if cfg.variant in spec.variants else replace(cfg, variant=spec.variants[0])
 
 
 class BottleneckAdapter:
@@ -189,8 +201,8 @@ def inter_layer_forward(h_sum: Tensor, adapter: InterLayerAdapter) -> Tensor:
 def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
     """Configure a fresh model for a tuning mode from its `MODE_SPECS` row:
     insert the row's bottleneck adapters and set every trainability flag.
-    A mode with adapter slots takes an `AdapterConfig` (the default one when
-    none is given) of a variant it accepts; any other mode takes none.
+    A mode with adapter slots takes an `AdapterConfig` (`default_adapter`
+    when none is given) of a variant it accepts; any other mode takes none.
     Attaching twice is an error.
     """
     if mode not in MODES:
@@ -199,7 +211,7 @@ def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
         raise ConfigError(f"model already attached in mode {model.mode!r}")
     spec = MODE_SPECS[mode]
     if spec.slots:
-        adapter_cfg = adapter_cfg or AdapterConfig()
+        adapter_cfg = adapter_cfg or default_adapter(mode)
         if adapter_cfg.variant not in spec.variants:
             raise ConfigError(f"mode {mode!r} uses {' or '.join(spec.variants)} adapters only")
     elif adapter_cfg is not None:

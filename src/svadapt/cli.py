@@ -10,7 +10,9 @@ parsed or written), 4 numeric failure (NaN detected).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -23,7 +25,9 @@ from .errors import ConfigError, DataError, NumericError
 from .harness import (
     DEFAULT_SWEEP_SCALES,
     RunConfig,
+    _check_frame_dim,
     config_from_file,
+    config_from_text,
     config_settings,
     count_params_table,
     embed_trial_utterances,
@@ -47,6 +51,7 @@ from .synthdata import (
     write_corpus,
     write_trials,
 )
+from .tensor import GRAD_CHECK_STEPS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,17 +98,25 @@ def _run_config_from_args(args) -> RunConfig:
     cfg = config_from_file(args.config) if args.config else RunConfig()
     updates = _flag_values(args, None)
     updates["encoder"] = _encoder_from_args(args, cfg.encoder)
+    mode = updates.get("mode", cfg.mode)
+    adapter = cfg.adapter
+    if adapter == ad.default_adapter(cfg.mode) or mode not in ad.INNER_MODES:
+        # the default adapter of the config's mode, or any adapter config
+        # when switching to a mode without adapters, gives way to the
+        # default of the mode the run uses (houlsby: sequential)
+        adapter = ad.default_adapter(mode)
     # AdapterConfig validates/coerces the scale value itself
     adapter_flags = _flag_values(args, "adapter")
-    adapter = cfg.adapter
     if adapter_flags:
         adapter = replace(adapter or ad.AdapterConfig(), **adapter_flags)
-    elif updates.get("mode", cfg.mode) not in ad.INNER_MODES:
-        # switching to a mode without bottleneck adapters drops any config
-        # inherited from the defaults of an adapter mode
-        adapter = None
     updates["adapter"] = adapter
     return replace(cfg, **updates)
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value outside its range before any work is done."""
+    if not ok:
+        raise ConfigError(f"--{flag} must be {rule}, got {value!r}")
 
 
 def _read(reader, path, what: str):
@@ -113,6 +126,14 @@ def _read(reader, path, what: str):
         raise DataError(f"{what} {path} not found") from exc
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out_dirs(*paths) -> None:
+    """Refuse an output whose directory is missing before any input is read
+    or any work is done, with the error a failed write would give."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _path(flag_value, cfg_value, what):
@@ -143,6 +164,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _run_config_from_args(args)
+    _check_out_dirs(args.out)
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     run = pretrain_backbone(cfg, corpus, out_path=args.out)
     print(
@@ -155,6 +177,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config_from_args(args)
+    _check_out_dirs(args.out)
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
@@ -173,9 +196,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require(0.0 < args.p_target < 1.0, "p-target", "in (0, 1)", args.p_target)
+    _check_out_dirs(args.scores_out, args.embeddings_out)
     corpus = _read(read_corpus, args.corpus, "corpus file")
     trials = _read(read_trials, args.trials, "trial list")
     checkpoint = load_checkpoint(args.checkpoint)
+    # a corpus that does not fit the encoder is a config error, reported
+    # before any fault in the checkpoint's params
+    _check_frame_dim(corpus, config_from_text(checkpoint.config_text).encoder)
     model = model_from_checkpoint(checkpoint)
     embs = embed_trial_utterances(model, corpus, trials)
     result, scores = score_trials(embs, trials, p_target=args.p_target)
@@ -240,6 +268,10 @@ def cmd_grad_check(args) -> int:
     """Numerically verify gradients through a full tiny forward+loss graph."""
     from .gradsuite import full_graph_grad_check
 
+    lo, hi = GRAD_CHECK_STEPS
+    _require(args.probes >= 1, "probes", "at least 1", args.probes)
+    _require(lo <= args.step_size <= hi, "step-size", f"in [{lo:g}, {hi:g}]", args.step_size)
+    _require(args.tolerance >= 0.0, "tolerance", "non-negative", args.tolerance)
     err = full_graph_grad_check(
         n_probes=args.probes, h=args.step_size, seed=args.seed
     )

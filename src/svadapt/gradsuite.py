@@ -10,10 +10,12 @@ so probing it against a zero analytic gradient would be meaningless.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tensor as tt
-from .adapters import LEARNABLE, MODE_SPECS, AdapterConfig
+from .adapters import LEARNABLE, default_adapter
 from .backbone import EncoderConfig
 from .backend import train_loss
 from .model import SVModel, build_model
@@ -40,11 +42,11 @@ def build_check_model(mode: str = "inner-inter", seed: int = 0):
     encoder_cfg = EncoderConfig(
         num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=8, seed=seed
     )
-    adapter_cfg = None
-    if MODE_SPECS[mode].slots:
-        # parallel with a learnable scale wherever the mode accepts it
-        variant = "parallel" if "parallel" in MODE_SPECS[mode].variants else "sequential"
-        adapter_cfg = AdapterConfig(bottleneck_dim=4, variant=variant, scale=LEARNABLE)
+    # the mode's default adapter (parallel wherever the mode accepts it),
+    # with a learnable scale
+    adapter_cfg = default_adapter(mode)
+    if adapter_cfg is not None:
+        adapter_cfg = replace(adapter_cfg, bottleneck_dim=4, scale=LEARNABLE)
     model = build_model(encoder_cfg, 8, mode, adapter_cfg, seed=seed + 1)
     model.add_classifier(3)
     _randomize_zero_init(model, seed)

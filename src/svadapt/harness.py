@@ -88,7 +88,7 @@ class RunConfig:
             raise ConfigError(f"unknown tuning mode {self.mode!r}; expected one of {ad.MODES}")
         if ad.MODE_SPECS[self.mode].slots:
             if self.adapter is None:
-                object.__setattr__(self, "adapter", ad.AdapterConfig())
+                object.__setattr__(self, "adapter", ad.default_adapter(self.mode))
         elif self.adapter is not None:
             raise ConfigError(f"mode {self.mode!r} takes no adapter configuration")
         if self.total_steps < 1 or self.batch_size < 1:
@@ -402,6 +402,7 @@ def _run_steps(model: SVModel, utterances, labels, cfg: RunConfig) -> list:
 
 
 def _check_frame_dim(corpus: Corpus, encoder_cfg: EncoderConfig) -> None:
+    """ConfigError unless the corpus frames fit the encoder's input."""
     if corpus.config.frame_dim != encoder_cfg.input_dim:
         raise ConfigError(
             f"corpus frame dim {corpus.config.frame_dim} does not match the "
@@ -462,9 +463,16 @@ def train(cfg: RunConfig, backbone_ckpt: Checkpoint | None, corpus: Corpus, out_
 
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
+    """The model a checkpoint's config describes, with every param loaded
+    from it; a param the checkpoint lacks (a backbone-only file) is a
+    DataError, never left at its random init."""
     cfg = config_from_text(checkpoint.config_text)
     model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-    model.load_param_values(checkpoint.values())
+    values = checkpoint.values()
+    missing = [p.name for p in model.named_params() if p.name not in values]
+    if missing:
+        raise DataError(f"checkpoint lacks {len(missing)} model params: {', '.join(missing)}")
+    model.load_param_values(values)
     return model
 
 

@@ -9,6 +9,13 @@ recorded at all, and gradient products aimed at frozen parameters are
 skipped, so a mostly-frozen model back-propagates only through the live
 subgraph. With no active tape, ops are pure evaluation.
 
+Backward consumes the tape: it drops each recorded op (its output and
+closure) as soon as the closure has run or been skipped, so intermediate
+tensors and their gradients are freed while backward is still running.
+Tensors the caller holds, such as the loss and the embeddings, keep their
+gradients; `len(tape)` still counts the recorded ops, and a tape runs
+backward once.
+
 Primitive ops (each records one tape node): `matmul` and `vecmat`, both
 with an optional fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`,
 `softmax`, `softmax_cross_entropy`, `mean_rows`, `sum_all`, `lincomb`,
@@ -141,11 +148,14 @@ class Tape:
     """Execution-ordered record of ops; backward replays it in reverse.
 
     One tape per training step; a tape and the params it touches form a
-    single-threaded unit (the active tape is thread-local).
+    single-threaded unit (the active tape is thread-local). Backward
+    consumes the recorded ops, so it runs once per tape; tensors the
+    caller holds keep their gradients.
     """
 
     def __init__(self):
-        self._ops = []  # (output tensor, backward closure)
+        self._ops = []  # (output tensor, backward closure); None once run
+        self._spent = False
 
     def __enter__(self):
         if _active() is not None:
@@ -171,8 +181,14 @@ class Tape:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape")
+        self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for out, bwd in reversed(self._ops):
+        ops = self._ops
+        for i in range(len(ops) - 1, -1, -1):
+            out, bwd = ops[i]
+            ops[i] = None  # frees out, its grad and its closure unless held elsewhere
             if out.grad is not None:
                 bwd(out.grad)
 
@@ -531,6 +547,9 @@ def linear_vec(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # gradient verification
 
 
+GRAD_CHECK_STEPS = (1e-7, 1e-4)  # the finite-difference step sizes grad_check accepts
+
+
 def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -> float:
     """Max relative disagreement between tape gradients of the scalar f()
     and central finite differences at randomly probed coordinates.
@@ -541,8 +560,9 @@ def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -
     Caller is responsible for keeping relu pre-activations away from the
     kink relative to h.
     """
-    if not (1e-7 <= h <= 1e-4):
-        raise ValueError(f"grad_check: h must be in [1e-7, 1e-4], got {h}")
+    lo, hi = GRAD_CHECK_STEPS
+    if not (lo <= h <= hi):
+        raise ValueError(f"grad_check: h must be in [{lo:g}, {hi:g}], got {h}")
     params = [p for p in params]
     with Tape() as tape:
         loss = f()

@@ -327,6 +327,24 @@ class TestGradCheck:
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--step-size", "1"), ("--step-size", "0"), ("--step-size", "nan"),
+            ("--probes", "-5"), ("--probes", "0"),
+            ("--tolerance", "-0.0001"), ("--tolerance", "nan"),
+        ],
+    )
+    def test_bad_flag_value_exits_2_before_any_work(self, flag, value, capsys, monkeypatch):
+        import svadapt.gradsuite
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("grad check ran")
+
+        monkeypatch.setattr(svadapt.gradsuite, "full_graph_grad_check", no_work)
+        assert main(["grad-check", flag, value]) == 2
+        assert f"config error: {flag} must be" in capsys.readouterr().err
+
 
 class TestNumericFailure:
     def test_divergent_run_exits_4(self, workdir):
@@ -429,6 +447,92 @@ class TestEmbeddingExport:
         assert len(seen) == len(set(seen)) == len(distinct)
         assert (tmp_path / "scores.txt").read_bytes() == (tmp_path / "want_scores.txt").read_bytes()
         assert (tmp_path / "embs.txt").read_bytes() == (tmp_path / "want_embs.txt").read_bytes()
+
+
+class TestEvalFlagsAndCheckpoints:
+    @pytest.mark.parametrize("value", ["2", "0", "1", "-0.5", "nan"])
+    def test_bad_p_target_exits_2_before_reading_inputs(self, tmp_path, value, capsys):
+        # the inputs do not exist: read first, they would be exit 3
+        rc = main(
+            [
+                "eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                "--corpus", str(tmp_path / "missing.txt"),
+                "--trials", str(tmp_path / "missing_trials.txt"), "--p-target", value,
+            ]
+        )
+        assert rc == 2
+        assert "--p-target must be in (0, 1)" in capsys.readouterr().err
+
+    def test_backbone_checkpoint_is_not_scored(self, workdir, capsys):
+        # a pretrain checkpoint holds no bridge or head
+        rc = main(
+            [
+                "eval", "--checkpoint", str(workdir / "backbone.ckpt"),
+                "--corpus", str(workdir / "corpus.txt"),
+                "--trials", str(workdir / "trials.txt"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert "lacks 9 model params" in captured.err and "bridge.w" in captured.err
+
+
+class TestHoulsbyDefaults:
+    def _cfg(self, *flags):
+        from svadapt.cli import _run_config_from_args, build_parser
+
+        return _run_config_from_args(
+            build_parser().parse_args(["train", "--out", "x.ckpt", *flags])
+        )
+
+    def test_houlsby_gets_a_sequential_adapter(self, tmp_path):
+        from svadapt.adapters import AdapterConfig
+
+        assert self._cfg("--mode", "houlsby").adapter == AdapterConfig(variant="sequential")
+        assert self._cfg("--mode", "houlsby", "--bottleneck-dim", "4").adapter == AdapterConfig(
+            bottleneck_dim=4, variant="sequential"
+        )
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\nmode = inter\n")
+        flags = ("--config", str(conf), "--mode", "houlsby")
+        assert self._cfg(*flags).adapter == AdapterConfig(variant="sequential")
+
+    def test_other_modes_keep_their_defaults(self, tmp_path):
+        from svadapt.adapters import AdapterConfig
+
+        assert self._cfg().adapter == AdapterConfig()
+        assert self._cfg("--mode", "inner").adapter == AdapterConfig()
+        assert self._cfg("--mode", "inter").adapter is None
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\nmode = inner\n[adapter]\nbottleneck_dim = 8\n")
+        flags = ("--config", str(conf), "--mode", "inner-inter")
+        assert self._cfg(*flags).adapter == AdapterConfig(bottleneck_dim=8)
+
+    def test_houlsby_trains_from_the_cli(self, workdir, tmp_path):
+        from svadapt.harness import config_from_text, load_checkpoint
+
+        run = tmp_path / "h.ckpt"
+        argv = [
+            "train", "--corpus", str(workdir / "corpus.txt"),
+            "--backbone", str(workdir / "backbone.ckpt"), "--out", str(run),
+            "--mode", "houlsby", "--bottleneck-dim", "4", "--total-steps", "3",
+            "--warmup-steps", "1", "--batch-size", "4", *ENCODER_FLAGS,
+        ]
+        assert main(argv) == 0
+        cfg = config_from_text(load_checkpoint(run).config_text)
+        assert (cfg.mode, cfg.adapter.variant) == ("houlsby", "sequential")
+
+    def test_explicit_parallel_houlsby_exits_2(self, workdir, tmp_path, capsys):
+        rc = main(
+            [
+                "train", "--corpus", str(workdir / "corpus.txt"),
+                "--out", str(tmp_path / "p.ckpt"), "--mode", "houlsby",
+                "--adapter-variant", "parallel", "--total-steps", "3",
+                "--warmup-steps", "1", *ENCODER_FLAGS,
+            ]
+        )
+        assert rc == 2
+        assert "sequential adapters only" in capsys.readouterr().err
 
 
 class TestCorruptCheckpoint:
@@ -642,3 +746,27 @@ class TestFileFaults:
         assert rc == 3
         assert f"cannot write {target}: Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize(
+        "command, work",
+        [("pretrain", "pretrain_backbone"), ("train", "train_run"), ("eval", "read_corpus")],
+    )
+    def test_missing_output_directory_is_refused_before_any_work(
+        self, workdir, tmp_path, capsys, monkeypatch, command, work
+    ):
+        import svadapt.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(svadapt.cli, work, no_work)
+        target = str(tmp_path / "missing" / "out.txt")
+        inputs = ["--corpus", str(workdir / "corpus.txt")]
+        argv = {
+            "pretrain": ["pretrain", *inputs, "--out", target],
+            "train": ["train", *inputs, "--out", target],
+            "eval": ["eval", "--checkpoint", str(workdir / "backbone.ckpt"), *inputs,
+                     "--trials", str(workdir / "trials.txt"), "--embeddings-out", target],
+        }[command]
+        assert main(argv) == 3
+        assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err

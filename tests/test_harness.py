@@ -78,6 +78,12 @@ class TestRunConfig:
         cfg = RunConfig(mode="inner")
         assert cfg.adapter is not None
 
+    def test_houlsby_default_adapter_is_sequential(self):
+        assert RunConfig(mode="houlsby").adapter == AdapterConfig(variant="sequential")
+        assert config_from_text("[run]\nmode = houlsby\n").adapter.variant == "sequential"
+        for mode in ("inner", "inner-inter"):
+            assert RunConfig(mode=mode).adapter == AdapterConfig()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown tuning mode"):
             RunConfig(mode="prefix-tuning")
@@ -310,6 +316,22 @@ class TestCheckpoints:
         res_direct, _ = evaluate(run.model, corpus, trials)
         res_loaded, _ = evaluate(model_from_checkpoint(load_checkpoint(path)), corpus, trials)
         assert res_direct == res_loaded
+
+    def test_backbone_only_checkpoint_is_no_model(self, backbone_ckpt):
+        # a pretrain checkpoint has no bridge or head: building a model
+        # from it would score with their random init
+        with pytest.raises(DataError, match=r"lacks 9 model params: .*bridge\.w.*head\.fc2\.b"):
+            model_from_checkpoint(backbone_ckpt)
+
+    def test_checkpoint_missing_one_param_is_named(self, corpus, tmp_path):
+        cfg = tiny_cfg("inner", AdapterConfig(bottleneck_dim=4), steps=2)
+        path = tmp_path / "run.ckpt"
+        train(cfg, None, corpus, out_path=path)
+        ck = load_checkpoint(path)
+        kept = [p for p in ck.params if p[0] != "adapters.layer01.ffn.w_up"]
+        save_checkpoint(path, ck.config_text, kept, ck.step)
+        with pytest.raises(DataError, match=r"lacks 1 model params: adapters\.layer01\.ffn\.w_up$"):
+            model_from_checkpoint(load_checkpoint(path))
 
 
 class TestCheckpointCorruption:

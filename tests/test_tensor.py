@@ -7,6 +7,8 @@ differences. None of them reuse the library's backward path.
 
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svadapt import tensor as T
+from svadapt.backend import train_loss
+from svadapt.harness import RunConfig, build_model
 from svadapt.tensor import Param, Tape, Tensor
 
 
@@ -534,3 +538,68 @@ class TestDeterminismAndFreezing:
             tape.clear()
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
         assert len(tape) == 0
+
+
+class TestBackwardConsumesTape:
+    """Backward drops each recorded op once its closure has run, so the
+    graph is freed while backward runs; tensors the caller holds keep
+    their gradients."""
+
+    @staticmethod
+    def _desk_batch(mode="full-finetune"):
+        # one desk-config training batch: 8 utterances of 45 frames
+        cfg = RunConfig(mode=mode)
+        model = build_model(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
+        model.add_classifier(4)
+        rng = np.random.default_rng(0)
+        frames = [rng.normal(size=(45, cfg.encoder.input_dim)) for _ in range(8)]
+        return model, frames, [i % 4 for i in range(8)]
+
+    def test_backward_frees_graph_while_running(self):
+        model, frames, labels = self._desk_batch()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                embs = [model.embed(f) for f in frames]
+                loss = train_loss(embs, labels, model.classifier)
+                forward_live = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert forward_live > 5e6  # the graph of one batch is megabytes
+        assert peak <= 1.1 * forward_live
+        assert held <= 0.5e6
+        assert len(tape) == 451
+        assert all(e.grad is not None for e in embs)
+
+    def test_only_caller_held_outputs_survive(self):
+        model, frames, labels = self._desk_batch("inner-inter")
+        with Tape() as tape:
+            embs = [model.embed(f) for f in frames]
+            loss = train_loss(embs, labels, model.classifier)
+            refs = [weakref.ref(out.data) for out, _bwd in tape._ops]
+            tape.backward(loss)
+        held = {id(t.data) for t in embs + [loss]}
+        alive = [r() for r in refs if r() is not None]
+        assert len(alive) == len(held)
+        assert {id(a) for a in alive} == held
+
+    def test_second_backward_raises(self):
+        p = Param([1.0, 2.0], name="p")
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(p, p))
+            tape.backward(loss)
+            with pytest.raises(RuntimeError, match="already ran"):
+                tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+    def test_len_unchanged_by_backward(self):
+        p = Param([1.0, 2.0], name="p")
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.relu(p), p))
+            recorded = len(tape)
+            tape.backward(loss)
+        assert recorded == 3 and len(tape) == recorded
