@@ -3,6 +3,7 @@ training-only classifier, and cosine trial scoring."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -71,12 +72,13 @@ def cosine_score(a, b) -> float:
     the score 0 and records a degenerate-embedding warning."""
     va = a.vector if isinstance(a, SpeakerEmbedding) else np.asarray(a, dtype=np.float64)
     vb = b.vector if isinstance(b, SpeakerEmbedding) else np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    # sqrt(v . v) is what np.linalg.norm computes for a vector, minus its wrapper
+    na = math.sqrt(va.dot(va))
+    nb = math.sqrt(vb.dot(vb))
     if na < 1e-12 or nb < 1e-12:
         warnings.warn("zero-norm embedding scored as 0", DegenerateEmbeddingWarning)
         return 0.0
-    return float(np.dot(va, vb) / (na * nb))
+    return float(va.dot(vb) / (na * nb))
 
 
 def write_embeddings(path, embeddings) -> None:

@@ -2,7 +2,8 @@
 
 The schedule ramps linearly from zero to the peak rate over the warm-up
 steps, then decays linearly to a floor of `floor_ratio * peak` (1/20th by
-default) at the final step. Frozen params are never touched.
+default) at the final step. Frozen params are never touched. A step whose
+gradients hold a NaN or inf raises `NumericError` before any param moves.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,31 @@ class Adam:
                 self._v[id(p)] = np.zeros_like(p.data)
 
     def step(self) -> None:
+        bad = next((p for ps, _ in self.groups for p in ps if not np.isfinite(p.grad).all()), None)
+        if bad is not None:
+            raise NumericError(f"non-finite gradient for {bad.name!r} at step {self.t + 1}")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for params, sched in self.groups:
             lr = sched.at(self.t)
             for p in params:
-                m = self._m[id(p)]
-                v = self._v[id(p)]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * p.grad * p.grad
-                p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                g, m, v = p.grad, self._m[id(p)], self._v[id(p)]
+                # the plain expressions' order in two scratch arrays; out=,
+                # because g * c is a numpy scalar, not an array, for a 0-d g
+                s = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
+                m *= b1
+                m += s
+                np.multiply(g, 1.0 - b2, out=s)
+                s *= g
+                v *= b2
+                v += s
+                np.sqrt(np.divide(v, c2, out=s), out=s)
+                s += self.eps
+                u = np.divide(m, c1, out=np.empty_like(m))
+                u *= lr
+                u /= s
+                p.data -= u
 
     def zero_grad(self) -> None:
         for params, _ in self.groups:

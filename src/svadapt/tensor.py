@@ -29,6 +29,11 @@ contributions therefore rebind it (`t.grad = t.grad + g`) and never write
 into it. A `Param` owns its gradient buffer and accumulates into it in
 place, so `Param.grad` stays the same array across steps.
 
+Ops compute in place only in arrays they allocated, never in an input's
+`data` or the `g` a backward receives (either may be shared or a read-only
+view), and keep the operation order of the plain expressions, so their
+results are bit-identical. `relu` passes a NaN through to the loss check.
+
 Params are made by three factories, `Param.xavier`, `Param.zeros` and
 `Param.ones`, which make shape-only params inside a `shape_only()` block.
 
@@ -47,11 +52,13 @@ import numpy as np
 
 from .rng import xavier_uniform
 
-_tls = threading.local()
+
+class _ThreadState(threading.local):
+    tape = None  # the active Tape
+    shape_only = False  # whether the Param factories make shape-only params
 
 
-def _active() -> "Tape | None":
-    return getattr(_tls, "tape", None)
+_tls = _ThreadState()
 
 
 class Tensor:
@@ -109,7 +116,7 @@ class Param(Tensor):
 
     @classmethod
     def _make(cls, name, shape, trainable, init) -> "Param":
-        if not getattr(_tls, "shape_only", False):
+        if not _tls.shape_only:
             return cls(init(), name=name, trainable=trainable)
         p = cls.__new__(cls)
         p.data = np.broadcast_to(np.float64(0.0), shape)
@@ -129,7 +136,7 @@ def shape_only():
     """Within the block, the Param factories on this thread make shape-only
     params: a read-only zero-stride view of one 0.0 with no gradient
     buffer, so a model of any size can be built and counted, but not run."""
-    before = getattr(_tls, "shape_only", False)
+    before = _tls.shape_only
     _tls.shape_only = True
     try:
         yield
@@ -158,7 +165,7 @@ class Tape:
         self._spent = False
 
     def __enter__(self):
-        if _active() is not None:
+        if _tls.tape is not None:
             raise RuntimeError("a tape is already active on this thread")
         _tls.tape = self
         return self
@@ -169,10 +176,6 @@ class Tape:
 
     def __len__(self):
         return len(self._ops)
-
-    def clear(self):
-        """Drop recorded ops. Parameter values are untouched."""
-        self._ops.clear()
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into every trainable Param reachable
@@ -196,7 +199,7 @@ class Tape:
 def _record(out: Tensor, bwd, inputs) -> None:
     """Mark out as gradient-bearing and push the closure, but only when a
     tape is active and some input can reach a trainable parameter."""
-    tape = _active()
+    tape = _tls.tape
     if tape is None:
         return
     for t in inputs:
@@ -219,7 +222,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _check_bias(op: str, bias, out_shape) -> None:
-    if bias is not None and (bias.ndim != 1 or bias.shape[0] != out_shape[-1]):
+    if bias is not None and bias.data.shape != out_shape[-1:]:
         raise ValueError(f"{op}: bias shape {bias.shape} does not fit output {out_shape}")
 
 
@@ -230,9 +233,10 @@ def _check_bias(op: str, bias, out_shape) -> None:
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product [m, k] @ [k, n] -> [m, n], plus an optional length-n
     bias row added to every row (its gradient sums over rows)."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    y = a.data @ b.data
+    y = ad @ bd
     _check_bias("matmul", bias, y.shape)
     if bias is not None:
         y += bias.data
@@ -242,9 +246,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None and _wants(bias):
             _accum(bias, g.sum(axis=0))
         if _wants(a):
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ bd.T)
         if _wants(b):
-            _accum(b, a.data.T @ g)
+            _accum(b, ad.T @ g)
 
     _record(out, bwd, (a, b) if bias is None else (a, b, bias))
     return out
@@ -332,12 +336,12 @@ def scale(x: Tensor, s) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    """max(x, 0), passing NaN through; the subgradient at 0 is taken as 0."""
+    y = np.maximum(x.data, 0.0)
+    out = Tensor(y)
 
     def bwd(g):
-        _accum(x, g * mask)
+        _accum(x, g * (y > 0.0))
 
     _record(out, bwd, (x,))
     return out
@@ -355,12 +359,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"feature dim {d}"
         )
     # sum / d is bitwise what ndarray.mean computes, minus its Python wrapper
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    y = np.multiply(xhat, xhat)
+    inv = y.sum(axis=-1, keepdims=True) / d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def bwd(g):
         reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
@@ -369,12 +377,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if _wants(beta):
             _accum(beta, reduce_rows(g))
         if _wants(x):
-            dxhat = g * gamma.data
-            dx = inv * (
-                dxhat
-                - dxhat.sum(axis=-1, keepdims=True) / d
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-            )
+            # inv * (dxhat - sum(dxhat) / d - (xhat * sum(dxhat * xhat)) / d)
+            dx = g * gamma.data
+            mean = dx.sum(axis=-1, keepdims=True) / d
+            proj = np.multiply(dx, xhat)
+            np.multiply(xhat, proj.sum(axis=-1, keepdims=True), out=proj)
+            proj /= d
+            dx -= mean
+            dx -= proj
+            dx *= inv
             _accum(x, dx)
 
     _record(out, bwd, (x, gamma, beta))
@@ -449,10 +460,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    z = (qh @ kh.transpose(0, 2, 1)) * c
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    att = e / e.sum(axis=-1, keepdims=True)
+    att = qh @ kh.transpose(0, 2, 1)
+    att *= c
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     out = Tensor(merge(att @ vh))
 
     def bwd(g):
@@ -460,8 +472,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
         if _wants(v):
             _accum(v, merge(att.transpose(0, 2, 1) @ gh))
         if _wants(q) or _wants(k):
-            ga = gh @ vh.transpose(0, 2, 1)
-            gz = (att * (ga - (ga * att).sum(axis=-1, keepdims=True))) * c
+            # gz = (att * (ga - sum(ga * att))) * c, built in ga's buffer
+            gz = gh @ vh.transpose(0, 2, 1)
+            gz -= np.multiply(gz, att).sum(axis=-1, keepdims=True)
+            gz *= att
+            gz *= c
             if _wants(q):
                 _accum(q, merge(gz @ kh))
             if _wants(k):
@@ -476,7 +491,8 @@ def mean_rows(x: Tensor) -> Tensor:
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"mean_rows expects a non-empty [T, d] matrix, got {x.shape}")
     t = x.shape[0]
-    out = Tensor(x.data.mean(axis=0))
+    # sum / t is bitwise what ndarray.mean computes, minus its Python wrapper
+    out = Tensor(x.data.sum(axis=0) / t)
 
     def bwd(g):
         _accum(x, np.broadcast_to(g / t, x.data.shape))

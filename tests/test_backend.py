@@ -114,6 +114,31 @@ class TestCosineScore:
         b = SpeakerEmbedding("utt2", np.array([1.0, 0.0]))
         assert cosine_score(a, b) == 1.0
 
+    def test_same_bits_as_linalg_norm_expression(self):
+        # the plain expression cosine_score replaced, kept as the reference
+        def reference(va, vb):
+            na = float(np.linalg.norm(va))
+            nb = float(np.linalg.norm(vb))
+            if na < 1e-12 or nb < 1e-12:
+                return 0.0
+            return float(np.dot(va, vb) / (na * nb))
+
+        rng = np.random.default_rng(60)
+        for _ in range(2000):
+            n = int(rng.integers(1, 70))
+            a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9)
+            b = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9)
+            got, want = cosine_score(a, b), reference(a, b)
+            assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-13, 5e-324])
+    def test_zero_norm_side_scores_zero_and_warns(self, tiny):
+        zero = np.full(4, tiny)
+        other = np.array([1.0, -2.0, 0.5, 3.0])
+        for a, b in ((zero, other), (other, zero), (zero, zero)):
+            with pytest.warns(DegenerateEmbeddingWarning):
+                assert cosine_score(a, b) == 0.0
+
 
 class TestEmbeddingExport:
     def test_rows_round_trip(self, tmp_path):

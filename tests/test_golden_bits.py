@@ -1,0 +1,91 @@
+"""Golden bits: a tiny 3-step pretrain, then a 3-step tuning run and an
+evaluation in each of the seven modes plus a learnable-scale and a
+sequential inner-inter run.
+
+The sha256 digests (first 16 hex digits) of the losses' `repr`, the trial
+scores' `repr`, the `EvalResult` `repr` and the checkpoint bytes are pinned.
+A change that is meant to keep every number (a faster kernel, less
+bookkeeping) must leave them all; a change that moves numbers on purpose
+re-pins them and says why. Matrix products go through the BLAS numpy is
+built with, so another numpy/BLAS build may round differently and need its
+own pins.
+"""
+
+import hashlib
+
+import pytest
+
+from svadapt.adapters import AdapterConfig
+from svadapt.backbone import EncoderConfig
+from svadapt.harness import RunConfig, evaluate, load_checkpoint, pretrain_backbone, train
+from svadapt.synthdata import CorpusConfig, generate_corpus, generate_trials
+
+ENCODER = EncoderConfig(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=48, input_dim=10)
+CORPUS = CorpusConfig(
+    seed=4, num_speakers=8, utts_per_speaker=6, frames_min=2, frames_max=40, frame_dim=10
+)
+CONFIGS = {
+    "full-finetune": ("full-finetune", None),
+    "linear-probe": ("linear-probe", None),
+    "weighted-sum": ("weighted-sum", None),
+    "houlsby": ("houlsby", None),
+    "inner": ("inner", None),
+    "inter": ("inter", None),
+    "inner-inter": ("inner-inter", None),
+    "inner-inter-learnable": ("inner-inter", AdapterConfig(scale="learnable")),
+    "inner-inter-sequential": ("inner-inter", AdapterConfig(variant="sequential")),
+}
+
+# name -> (losses, scores, EvalResult, checkpoint); the pretrain run has no
+# evaluation
+PINNED = {
+    "pretrain": ("70046e8cd56e7b6d", "c57f74a78b1087dc"),
+    "full-finetune": ("1244f0eea8c585f8", "e5e77895a11fb313", "eb5dcf9d13399280", "f87f2678f4a1ff88"),
+    "houlsby": ("f261299c5a32266b", "4bcc6737144f7f25", "54689547ace8aaf9", "0ba65d2c92488743"),
+    "inner": ("b3c2b68884446639", "870fb5b4cb960105", "81fe27ce784e8db5", "f94344da3a3f96b6"),
+    "inner-inter": ("c80b49d0617b76f4", "2c5d5563b74b1e28", "4b71ccc600f9233a", "18aac887dc80b824"),
+    "inner-inter-learnable": ("3733b4cc0a2ebf75", "ca223b2773fc881c", "73ceb69d981baa92", "a67c7276b7f9f4e6"),
+    "inner-inter-sequential": ("a1c5a7a5f651829b", "70df7df4222664f6", "7097fc3e6407757d", "347bed06f578dba7"),
+    "inter": ("34435e9ab859809c", "3aa3a713899b9cd9", "067fe14e29951752", "48022c71605a6c99"),
+    "linear-probe": ("d14a9be925a9c5eb", "b96cbe032c1f9d08", "f277108852ffe215", "de3d6bfad5ec3b73"),
+    "weighted-sum": ("d0b8eb7ff6188739", "fa889f1fa4c86e5a", "d9db3085ad1e4cfd", "2f852034e54ea3d1"),
+}
+
+
+def run_config(mode, adapter=None):
+    return RunConfig(
+        mode=mode, encoder=ENCODER, embed_dim=8, adapter=adapter, total_steps=3,
+        warmup_steps=1, batch_size=4, seed=2, lr_head=1e-2, lr_other=1e-2,
+    )
+
+
+def digest(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else repr(data).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(CORPUS)
+
+
+@pytest.fixture(scope="module")
+def pretrained(corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "backbone.ckpt"
+    run = pretrain_backbone(run_config("full-finetune"), corpus, out_path=path)
+    return run, path
+
+
+def test_pretrain(pretrained):
+    run, path = pretrained
+    assert (digest(run.losses), digest(path.read_bytes())) == PINNED["pretrain"]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_tuning_run(name, corpus, pretrained, tmp_path):
+    mode, adapter = CONFIGS[name]
+    path = tmp_path / "run.ckpt"
+    run = train(run_config(mode, adapter), load_checkpoint(pretrained[1]), corpus, out_path=path)
+    trials = generate_trials(corpus.part("adapt"), 30, 30, seed=1)
+    result, scores = evaluate(run.model, corpus, trials)
+    got = (digest(run.losses), digest(scores), digest(result), digest(path.read_bytes()))
+    assert got == PINNED[name]

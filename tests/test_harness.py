@@ -11,7 +11,7 @@ from svadapt import tensor as tt
 from svadapt.adapters import AdapterConfig
 from svadapt.backbone import EncoderConfig, PRESETS
 from svadapt.backend import train_loss
-from svadapt.errors import ConfigError, DataError
+from svadapt.errors import ConfigError, DataError, NumericError
 from svadapt.harness import (
     DEFAULT_SWEEP_SCALES,
     MetricsReport,
@@ -264,6 +264,37 @@ class TestAdam:
         assert np.array_equal(frozen.data, before)
         assert not np.array_equal(live.data, before)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_gradient_raises_before_any_update(self, bad, which):
+        # one bad element in the 0-d, 1-d or 2-d param of two groups: the
+        # error names that param and the step, and nothing moves, so the
+        # next clean step lands where a fresh optimizer's first step does
+        from svadapt.optim import Adam
+        from svadapt.tensor import Param
+
+        def make():
+            params = [Param(0.5, name="s"), Param([1.0, -2.0], name="v"),
+                      Param(np.arange(6.0).reshape(2, 3), name="w")]
+            for p in params:
+                p.grad[...] = 0.25
+            groups = [(params[:1], LrSchedule(0.1, 1, 10)), (params[1:], LrSchedule(0.2, 1, 10))]
+            return params, Adam(groups)
+
+        params, opt = make()
+        before = [p.data.copy() for p in params]
+        params[which].grad.reshape(-1)[-1] = bad
+        with pytest.raises(NumericError, match=rf"'{params[which].name}' at step 1"):
+            opt.step()
+        for p, data in zip(params, before):
+            assert p.data.tobytes() == data.tobytes()
+        params[which].grad[...] = 0.25
+        opt.step()
+        fresh, fresh_opt = make()
+        fresh_opt.step()
+        for p, q in zip(params, fresh):
+            assert p.data.tobytes() == q.data.tobytes()
+
 
 class TestCheckpoints:
     def test_load_then_save_reproduces_bytes(self, corpus, tmp_path):
@@ -483,6 +514,34 @@ class TestTrain:
                 assert not same, f"{p.name} should have moved"
             else:
                 assert same, f"{p.name} should be untouched at lr_other=0"
+
+
+class TestNonFiniteGradientInTraining:
+    def test_error_names_param_at_the_step_it_appears(self, corpus, backbone_ckpt, monkeypatch):
+        # a hook corrupts one gradient after the second backward; the loss
+        # is still finite, so only the gradient check can catch it there
+        import svadapt.harness as harness_module
+
+        models, calls = [], []
+        build = harness_module.build_model
+        backward = tt.Tape.backward
+
+        def build_and_keep(*args, **kwargs):
+            models.append(build(*args, **kwargs))
+            return models[-1]
+
+        def corrupting_backward(tape, loss):
+            backward(tape, loss)
+            calls.append(loss.item())
+            if len(calls) == 2:
+                models[0].head.fc1_w.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(harness_module, "build_model", build_and_keep)
+        monkeypatch.setattr(tt.Tape, "backward", corrupting_backward)
+        with pytest.raises(NumericError, match=r"'head\.fc1\.w' at step 2"):
+            train(tiny_cfg("inter", steps=4), backbone_ckpt, corpus)
+        assert len(calls) == 2 and all(np.isfinite(calls))
+        assert np.all(np.isfinite(models[0].head.fc1_w.data))
 
 
 class TestEvaluate:

@@ -531,14 +531,6 @@ class TestDeterminismAndFreezing:
         first, second = run(), run()
         assert np.array_equal(first, second)
 
-    def test_clear_leaves_values_alone(self):
-        p = Param([1.0, 2.0], name="p")
-        with Tape() as tape:
-            T.mul(p, p)
-            tape.clear()
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
-        assert len(tape) == 0
-
 
 class TestBackwardConsumesTape:
     """Backward drops each recorded op once its closure has run, so the
@@ -603,3 +595,254 @@ class TestBackwardConsumesTape:
             recorded = len(tape)
             tape.backward(loss)
         assert recorded == 3 and len(tape) == recorded
+
+
+# ---------------------------------------------------------------------------
+# same bits as the plain expressions
+#
+# The hot ops compute in place in arrays they allocate. Each reference below
+# is the plain numpy expression the op replaced, kept here verbatim; the op's
+# output and every input gradient must be byte-equal to it.
+
+
+def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gamma + beta
+    reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    )
+    return out, [dx, reduce_rows(g * xhat), reduce_rows(g)]
+
+
+def ref_attention(q, k, v, g, num_heads):
+    t, d = q.shape
+    dh = d // num_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(t, num_heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    z = (qh @ kh.transpose(0, 2, 1)) * c
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = merge(att @ vh)
+    gh = split(g)
+    ga = gh @ vh.transpose(0, 2, 1)
+    gz = (att * (ga - (ga * att).sum(axis=-1, keepdims=True))) * c
+    dq = merge(gz @ kh)
+    dk = merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1))
+    dv = merge(att.transpose(0, 2, 1) @ gh)
+    return (out, att), [dq, dk, dv]
+
+
+def ref_relu(x, g):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), [g * mask]
+
+
+def ref_mean_rows(x, g):
+    return x.mean(axis=0), [np.broadcast_to(g / x.shape[0], x.shape)]
+
+
+def ref_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.98, eps=1e-8):
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p in params:
+        m[p.name] *= beta1
+        m[p.name] += (1.0 - beta1) * p.grad
+        v[p.name] *= beta2
+        v[p.name] += (1.0 - beta2) * p.grad * p.grad
+        p.data -= lr * (m[p.name] / c1) / (np.sqrt(v[p.name] / c2) + eps)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# upstream gradients: (loss built on the op's output, the gradient it sends)
+def weighted_upstream(rng, shape):
+    """A random writable upstream gradient G (through sum(out * G))."""
+    weights = rng.normal(size=shape)
+    return (lambda out: T.sum_all(T.mul(out, Tensor(weights)))), weights
+
+
+def sum_upstream(shape):
+    """sum_all's read-only broadcast view of ones: a write into g raises."""
+    return T.sum_all, np.ones(shape)
+
+
+def mean_rows_upstream(shape):
+    """mean_rows's read-only broadcast of 1/T rows: a write into g raises."""
+    return (lambda out: T.sum_all(T.mean_rows(out))), np.ones(shape) / shape[0]
+
+
+def run_op(op, arrays, trainable, loss_of):
+    """(output tensor, gradient of each input or None) of op on the arrays.
+
+    A trainable input enters as scale(param, 1.0), the same bits in a
+    non-Param tensor, so its gradient is the op's array itself and not a
+    sum into a param buffer. The inputs' data must come out unchanged."""
+    with Tape() as tape:
+        leaves = [
+            T.scale(Param(a, name=f"p{i}"), 1.0) if live else Tensor(a)
+            for i, (a, live) in enumerate(zip(arrays, trainable))
+        ]
+        before = [leaf.data.copy() for leaf in leaves]
+        out = op(*leaves)
+        tape.backward(loss_of(out))
+    for leaf, data in zip(leaves, before):
+        assert_same_bits(leaf.data, data)
+    return out, [leaf.grad if live else None for leaf, live in zip(leaves, trainable)]
+
+
+def assert_grads(got, want, trainable):
+    for g, w, live in zip(got, want, trainable):
+        if live:
+            assert_same_bits(g, w)
+        else:
+            assert g is None
+
+
+def ln_inputs(rng, t, d=6):  # d not a power of two, so / d and * (1 / d) differ
+    x = rng.normal(size=(t, d)) * rng.uniform(0.1, 10.0, size=(t, 1))
+    x[::5] = x[::5, :1]  # every fifth row constant: variance 0, eps decides
+    return [x, rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
+
+
+class TestSameBitsAsPlainExpressions:
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_layer_norm(self, mix):
+        rng = np.random.default_rng(50)
+        for t in range(1, 71):
+            arrays = ln_inputs(rng, t)
+            loss_of, g = weighted_upstream(rng, (t, 6))
+            out, grads = run_op(T.layer_norm, arrays, mix, loss_of)
+            want_out, want_grads = ref_layer_norm(*arrays, g)
+            assert_same_bits(out.data, want_out)
+            assert_grads(grads, want_grads, mix)
+
+    def test_layer_norm_vector(self):
+        rng = np.random.default_rng(51)
+        x, gamma, beta = ln_inputs(rng, 1)
+        loss_of, g = weighted_upstream(rng, 6)
+        out, grads = run_op(T.layer_norm, [x[0], gamma, beta], (True,) * 3, loss_of)
+        want_out, want_grads = ref_layer_norm(x[0], gamma, beta, g)
+        assert_same_bits(out.data, want_out)
+        assert_grads(grads, want_grads, (True,) * 3)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_attention(self, num_heads, mix):
+        rng = np.random.default_rng(52)
+        holder = {}
+
+        def op(q, k, v):
+            out, holder["att"] = T.attention(q, k, v, num_heads)
+            return out
+
+        for t in range(1, 71):
+            arrays = [rng.normal(size=(t, 8)) * 2.0 for _ in range(3)]
+            loss_of, g = weighted_upstream(rng, (t, 8))
+            out, grads = run_op(op, arrays, mix, loss_of)
+            (want_out, want_att), want_grads = ref_attention(*arrays, g, num_heads)
+            assert_same_bits(out.data, want_out)
+            assert_same_bits(holder["att"], want_att)
+            assert_grads(grads, want_grads, mix)
+
+    def test_relu(self):
+        rng = np.random.default_rng(53)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0]
+        for t in range(1, 71):
+            x = rng.normal(size=(t, 8))
+            x.flat[: len(specials)] = specials[: x.size]
+            loss_of, g = weighted_upstream(rng, x.shape)
+            out, grads = run_op(T.relu, [x], (True,), loss_of)
+            want_out, want_grads = ref_relu(x, g)
+            assert_same_bits(out.data, want_out)
+            assert_grads(grads, want_grads, (True,))
+
+    def test_relu_passes_nan_forward_and_no_gradient(self):
+        x = np.array([np.nan, 2.0, -3.0, 0.0])
+        out, (grad,) = run_op(T.relu, [x], (True,), T.sum_all)
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0, 0.0])
+
+    def test_mean_rows(self):
+        rng = np.random.default_rng(54)
+        for t in range(1, 71):
+            x = rng.normal(size=(t, 8)) * 3.0
+            loss_of, g = weighted_upstream(rng, 8)
+            out, grads = run_op(T.mean_rows, [x], (True,), loss_of)
+            want_out, want_grads = ref_mean_rows(x, g)
+            assert_same_bits(out.data, want_out)
+            assert_grads(grads, want_grads, (True,))
+
+    @pytest.mark.parametrize("upstream", [sum_upstream, mean_rows_upstream])
+    def test_read_only_upstream_gradient(self, upstream):
+        # every op receives a read-only broadcast view as g: a write into
+        # it would raise, and the results still match the references
+        rng = np.random.default_rng(55)
+        t = 9
+        arrays = ln_inputs(rng, t)
+        loss_of, g = upstream((t, 6))
+        out, grads = run_op(T.layer_norm, arrays, (True,) * 3, loss_of)
+        want_out, want_grads = ref_layer_norm(*arrays, g)
+        assert_same_bits(out.data, want_out)
+        assert_grads(grads, want_grads, (True,) * 3)
+
+        loss_of, g = upstream((t, 8))
+        arrays = [rng.normal(size=(t, 8)) for _ in range(3)]
+        two_heads = lambda q, k, v: T.attention(q, k, v, 2)[0]
+        out, grads = run_op(two_heads, arrays, (True,) * 3, loss_of)
+        want_out, want_grads = ref_attention(*arrays, g, 2)
+        assert_same_bits(out.data, want_out[0])
+        assert_grads(grads, want_grads, (True,) * 3)
+
+        out, grads = run_op(T.relu, arrays[:1], (True,), loss_of)
+        want_out, want_grads = ref_relu(arrays[0], g)
+        assert_same_bits(out.data, want_out)
+        assert_grads(grads, want_grads, (True,))
+
+        out, grads = run_op(T.mean_rows, arrays[:1], (True,), T.sum_all)
+        assert_same_bits(grads[0], ref_mean_rows(arrays[0], np.ones(8))[1][0])
+
+    def test_adam(self):
+        from svadapt.optim import Adam, LrSchedule
+
+        rng = np.random.default_rng(56)
+        shapes = [(), (5,), (3, 4), (), (2, 2)]
+        values = [rng.normal(size=s) for s in shapes]
+        ours = [Param(a.copy(), name=f"p{i}") for i, a in enumerate(values)]
+        theirs = [Param(a.copy(), name=f"p{i}") for i, a in enumerate(values)]
+        head, other = LrSchedule(0.1, 2, 5), LrSchedule(0.02, 1, 5)
+        opt = Adam([(ours[:3], head), (ours[3:], other)])
+        m = {p.name: np.zeros_like(p.data) for p in theirs}
+        v = {p.name: np.zeros_like(p.data) for p in theirs}
+        for step in range(1, 6):
+            for a, b in zip(ours, theirs):
+                scale = 10.0 ** rng.integers(-3, 3)
+                a.grad[...] = b.grad[...] = rng.normal(size=a.data.shape) * scale
+            grads = [p.grad.copy() for p in ours]
+            opt.step()
+            ref_adam_step(theirs[:3], m, v, step, head.at(step))
+            ref_adam_step(theirs[3:], m, v, step, other.at(step))
+            for a, b, g in zip(ours, theirs, grads):
+                assert_same_bits(a.data, b.data)
+                assert_same_bits(a.grad, g)  # the step reads g, never writes it
