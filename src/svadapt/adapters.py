@@ -1,13 +1,12 @@
-"""Bottleneck adapters over the FFN sub-block, the layer-weighted feature
-bridge, and the tuning-mode table with attachment and parameter counting.
+"""Bottleneck adapters, the layer-weighted feature bridge, and the
+tuning-mode table with attachment and parameter counting.
 
-Two insertion styles exist for the per-layer bottleneck adapter:
-
-* sequential: the adapter consumes the FFN output and adds its normalized
-  bottleneck branch back onto it before the usual residual + LN;
-* parallel: the adapter consumes the FFN *input*, and its branch is scaled
-  by a factor s (fixed or learnable) and summed with the FFN output and the
-  residual before the sub-block LN.
+A bottleneck adapter is inserted on the output h of a frozen sub-block (the
+FFN, and in houlsby mode the MHSA too), before the sub-block's residual and
+LN, by one rule: h <- h + s * branch(r). A parallel adapter reads the
+sub-block's input, r = x, and scales its branch by s, fixed or learnable;
+a sequential adapter reads the output, r = h, with s = 1
+(`BottleneckAdapter.insert`).
 
 Both are exact no-ops at initialization: the up-projection and the branch
 LN shift start at zero, so an adapted model reproduces the frozen model
@@ -25,6 +24,7 @@ so parameter reports and checkpoint layouts follow from the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import tensor as tt
@@ -91,6 +91,10 @@ class AdapterConfig:
                 object.__setattr__(self, "scale", float(self.scale))
             except (TypeError, ValueError):
                 raise ConfigError(f"scale must be a number or {LEARNABLE!r}, got {self.scale!r}")
+            if not math.isfinite(self.scale):
+                raise ConfigError(f"adapter scale must be finite, got {self.scale!r}")
+        if not math.isfinite(self.scale_init):
+            raise ConfigError(f"adapter scale_init must be finite, got {self.scale_init!r}")
 
 
 def default_adapter(mode: str) -> AdapterConfig | None:
@@ -107,14 +111,14 @@ def default_adapter(mode: str) -> AdapterConfig | None:
 
 class BottleneckAdapter:
     """Down-project, ReLU, up-project, LN. Up-projection and LN shift start
-    at zero so the branch output is exactly zero at init."""
+    at zero so the branch output is exactly zero at init. `scale` is None
+    for a sequential adapter, else the parallel branch's float or shared
+    scalar Param."""
 
-    def __init__(self, d: int, bottleneck: int, name: str, seed: int,
-                 variant: str = "sequential", scale=None):
+    def __init__(self, d: int, bottleneck: int, name: str, seed: int, scale=None):
         if bottleneck >= d:
             raise ConfigError(f"bottleneck {bottleneck} must be smaller than width {d}")
-        self.variant = variant
-        self.scale = scale  # None (sequential), float, or shared scalar Param
+        self.scale = scale
         self.w_down = Param.xavier(f"{name}.w_down", (d, bottleneck), seed)
         self.b_down = Param.zeros(f"{name}.b_down", bottleneck)
         self.w_up = Param.zeros(f"{name}.w_up", (bottleneck, d))
@@ -124,42 +128,20 @@ class BottleneckAdapter:
 
     def branch(self, x: Tensor) -> Tensor:
         """LN(up(relu(down(x)))), the bare bottleneck branch."""
-        h = tt.relu(tt.linear(x, self.w_down, self.b_down))
-        return tt.layer_norm(tt.linear(h, self.w_up, self.b_up), self.ln_g, self.ln_b)
+        h = tt.relu(tt.matmul(x, self.w_down, self.b_down))
+        return tt.layer_norm(tt.matmul(h, self.w_up, self.b_up), self.ln_g, self.ln_b)
 
-    def apply_sequential(self, h: Tensor) -> Tensor:
-        return inner_sequential(h, self)
-
-    def fuse_ffn(self, u: Tensor, ffn_out: Tensor, ln_gamma, ln_beta) -> Tensor:
-        """Fuse this adapter with the FFN sub-block of its host layer."""
-        if self.variant == "sequential":
-            return tt.layer_norm(
-                tt.add(inner_sequential(ffn_out, self), u), ln_gamma, ln_beta
-            )
-        return fuse_parallel(u, ffn_out, inner_parallel(u, self), self.scale, ln_gamma, ln_beta)
+    def insert(self, host_in: Tensor, host_out: Tensor) -> Tensor:
+        """The output of a frozen sub-block with this adapter inserted:
+        host_out + branch(host_out) when sequential, host_out + s *
+        branch(host_in) when parallel. A learnable s receives gradient
+        through the scale op."""
+        if self.scale is None:
+            return tt.add(host_out, self.branch(host_out))
+        return tt.add(host_out, tt.scale(self.branch(host_in), self.scale))
 
     def params(self):
         return [self.w_down, self.b_down, self.w_up, self.b_up, self.ln_g, self.ln_b]
-
-
-def inner_sequential(ffn_out: Tensor, adapter: BottleneckAdapter) -> Tensor:
-    """Adapter applied after the FFN: its branch reads the FFN output and is
-    added back onto it (the residual belongs to the adapter)."""
-    return tt.add(ffn_out, adapter.branch(ffn_out))
-
-
-def inner_parallel(x: Tensor, adapter: BottleneckAdapter) -> Tensor:
-    """Parallel branch: reads the FFN input, no internal residual."""
-    return adapter.branch(x)
-
-
-def fuse_parallel(x: Tensor, ffn_out: Tensor, z_p: Tensor, s, ln_gamma, ln_beta) -> Tensor:
-    """LN(ffn_out + s * z_p + x): scaled parallel branch summed with the
-    frozen FFN branch and the residual, then the sub-block LN. A learnable
-    s receives gradient through the scale op."""
-    return tt.layer_norm(
-        tt.add(tt.add(ffn_out, tt.scale(z_p, s)), x), ln_gamma, ln_beta
-    )
 
 
 def weighted_sum(layer_outputs, layer_logits: Param) -> Tensor:
@@ -190,7 +172,7 @@ class InterLayerAdapter:
 def inter_layer_forward(h_sum: Tensor, adapter: InterLayerAdapter) -> Tensor:
     """LN(relu(h_sum @ W + b)) row-wise, mapping [T, d] to [T, e]."""
     return tt.layer_norm(
-        tt.relu(tt.linear(h_sum, adapter.w, adapter.b)), adapter.ln_g, adapter.ln_b
+        tt.relu(tt.matmul(h_sum, adapter.w, adapter.b)), adapter.ln_g, adapter.ln_b
     )
 
 
@@ -231,7 +213,7 @@ def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
         adapters = [
             BottleneckAdapter(
                 cfg.hidden_dim, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
-                model.seed, adapter_cfg.variant, scale,
+                model.seed, scale,
             )
             for i in range(cfg.num_layers)
         ]

@@ -2,9 +2,9 @@
 
 The front end is a single frozen affine featurizer mapping input frames to
 the hidden width; it stays frozen in every tuning mode. Each layer is the
-classic post-norm pair of sub-blocks, LN(MHSA(x) + x) then LN(FFN(u) + u),
-with optional adapter fusion of the FFN sub-block delegated to duck-typed
-adapter objects (see adapters.py).
+classic post-norm pair of sub-blocks, LN(MHSA(x) + x) then LN(FFN(u) + u);
+an adapter given for a sub-block is inserted on its output before the
+residual and LN (see adapters.py).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Featurizer:
         self.bias = Param.zeros("featurizer.bias", cfg.hidden_dim, trainable=False)
 
     def __call__(self, frames: Tensor) -> Tensor:
-        return tt.linear(frames, self.proj, self.bias)
+        return tt.matmul(frames, self.proj, self.bias)
 
     def params(self):
         return [self.proj, self.bias]
@@ -94,24 +94,20 @@ class TransformerLayer:
         ]
 
     def ffn(self, u: Tensor) -> Tensor:
-        return tt.linear(tt.relu(tt.linear(u, self.w1, self.b1)), self.w2, self.b2)
+        return tt.matmul(tt.relu(tt.matmul(u, self.w1, self.b1)), self.w2, self.b2)
 
 
-def mhsa(x: Tensor, layer: TransformerLayer, num_heads: int, return_attn: bool = False):
+def mhsa(x: Tensor, layer: TransformerLayer, num_heads: int) -> Tensor:
     """Scaled dot-product multi-head self-attention, fully bidirectional,
-    with per-head scale 1/sqrt(head_dim). With return_attn, also returns
-    the per-head [T, T] attention weights (untaped)."""
+    with per-head scale 1/sqrt(head_dim)."""
     d = x.shape[1]
     if layer.wq.shape[0] != d:
         raise ValueError(f"mhsa: input width {d} does not match layer {layer.wq.shape}")
-    q = tt.linear(x, layer.wq, layer.bq)
-    k = tt.linear(x, layer.wk, layer.bk)
-    v = tt.linear(x, layer.wv, layer.bv)
-    heads, att = tt.attention(q, k, v, num_heads)
-    out = tt.linear(heads, layer.wo, layer.bo)
-    if return_attn:
-        return out, [Tensor(a) for a in att]
-    return out
+    q = tt.matmul(x, layer.wq, layer.bq)
+    k = tt.matmul(x, layer.wk, layer.bk)
+    v = tt.matmul(x, layer.wv, layer.bv)
+    heads, _ = tt.attention(q, k, v, num_heads)
+    return tt.matmul(heads, layer.wo, layer.bo)
 
 
 def layer_forward(
@@ -121,17 +117,16 @@ def layer_forward(
     ffn_adapter=None,
     mhsa_adapter=None,
 ) -> Tensor:
-    """One transformer layer. Adapter objects, when given, own the fusion of
-    their branch with the frozen sub-block (sequential or parallel with
-    scaling); with none the layer is the plain post-norm block."""
+    """One post-norm transformer layer. An adapter given for a sub-block is
+    inserted on that sub-block's output (`BottleneckAdapter.insert`)."""
     att = mhsa(x, layer, num_heads)
     if mhsa_adapter is not None:
-        att = mhsa_adapter.apply_sequential(att)
+        att = mhsa_adapter.insert(x, att)
     u = tt.layer_norm(tt.add(att, x), layer.ln_att_g, layer.ln_att_b)
     f = layer.ffn(u)
-    if ffn_adapter is None:
-        return tt.layer_norm(tt.add(f, u), layer.ln_ffn_g, layer.ln_ffn_b)
-    return ffn_adapter.fuse_ffn(u, f, layer.ln_ffn_g, layer.ln_ffn_b)
+    if ffn_adapter is not None:
+        f = ffn_adapter.insert(u, f)
+    return tt.layer_norm(tt.add(f, u), layer.ln_ffn_g, layer.ln_ffn_b)
 
 
 class Encoder:

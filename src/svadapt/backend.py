@@ -56,14 +56,14 @@ def pool_and_embed(features: Tensor, head: SVHead) -> Tensor:
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"pool_and_embed needs a non-empty [T, e] input, got {features.shape}")
     pooled = tt.mean_rows(features)
-    h = tt.relu(tt.linear_vec(pooled, head.fc1_w, head.fc1_b))
-    return tt.linear_vec(h, head.fc2_w, head.fc2_b)
+    h = tt.relu(tt.vecmat(pooled, head.fc1_w, head.fc1_b))
+    return tt.vecmat(h, head.fc2_w, head.fc2_b)
 
 
 def train_loss(embeddings, labels, clf: ClassifierHead) -> Tensor:
     """Softmax cross-entropy over training speakers for a batch of
     embedding tensors."""
-    logits = tt.linear(tt.stack_rows(embeddings), clf.w, clf.b)
+    logits = tt.matmul(tt.stack_rows(embeddings), clf.w, clf.b)
     return tt.softmax_cross_entropy(logits, labels)
 
 

@@ -235,30 +235,23 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_sweep_scale(args) -> int:
-    try:
-        scales = tuple(map(float, args.scales.split(","))) if args.scales else DEFAULT_SWEEP_SCALES
-    except ValueError as exc:
-        raise ConfigError(f"--scales must be comma-separated numbers: {args.scales!r}") from exc
+    scales = DEFAULT_SWEEP_SCALES
+    if args.scales:
+        words = args.scales.split(",")
+        try:
+            scales = [w if w in ("sequential", ad.LEARNABLE) else float(w) for w in words]
+        except ValueError as exc:
+            raise ConfigError(f"--scales entries must be numbers, 'sequential' or "
+                              f"'learnable': {args.scales!r}") from exc
     cfg = _run_config_from_args(args)
-    if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
-        cfg = replace(cfg, mode="inner-inter")
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials = _read(read_trials, _path(args.trials, cfg.trials_path, "trial list"), "trial list")
-    rows = sweep_scale(
-        cfg,
-        backbone,
-        corpus,
-        trials,
-        scales=scales,
-        include_learnable=not args.no_learnable,
-        include_sequential=not args.no_sequential,
-    )
+    rows = sweep_scale(cfg, backbone, corpus, trials, scales=scales)
     if args.json:
         for row in rows:
-            print(json.dumps({"scale": row["scale"], "eer": row["eer"],
-                              "min_dcf": row["min_dcf"]}, sort_keys=True))
+            print(json.dumps(row, sort_keys=True))
     else:
         print(format_sweep_table(rows))
     return EXIT_OK
@@ -337,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--backbone")
     p.add_argument("--trials")
-    p.add_argument("--scales", help="comma-separated fixed scales")
-    p.add_argument("--no-learnable", action="store_true")
-    p.add_argument("--no-sequential", action="store_true")
+    p.add_argument(
+        "--scales", help="comma-separated sweep rows: numbers, 'sequential' or 'learnable'"
+    )
     p.add_argument("--json", action="store_true")
     _add_run_flags(p)
     p.set_defaults(func=cmd_sweep_scale)

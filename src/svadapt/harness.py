@@ -95,6 +95,16 @@ class RunConfig:
             raise ConfigError("total_steps and batch_size must be positive")
         if self.warmup_steps < 0 or self.warmup_steps > self.total_steps:
             raise ConfigError("warmup_steps must lie within [0, total_steps]")
+        for key, ok, rule in (
+            ("lr_head", 0.0 <= self.lr_head < math.inf, "finite and >= 0"),
+            ("lr_other", 0.0 <= self.lr_other < math.inf, "finite and >= 0"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_eps", 0.0 < self.adam_eps < math.inf, "finite and > 0"),
+            ("lr_floor_ratio", 0.0 <= self.lr_floor_ratio <= 1.0, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 class Setting(NamedTuple):
@@ -457,9 +467,11 @@ def train(cfg: RunConfig, backbone_ckpt: Checkpoint | None, corpus: Corpus, out_
     """One tuning run on the adaptation speakers, starting from a pretrained
     backbone when given."""
     model, losses = _fit(cfg, corpus, "adapt", backbone_ckpt)
-    if out_path is not None:
-        save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
-    return TrainedRun(model, cfg, losses, model_backbone_hash(model))
+    if out_path is None:
+        h = model_backbone_hash(model)
+    else:
+        h = save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
+    return TrainedRun(model, cfg, losses, h)
 
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
@@ -583,45 +595,29 @@ def format_count_table(rows) -> str:
 # scaling-factor sweep
 
 
-DEFAULT_SWEEP_SCALES = (0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
+DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
 
 
-def sweep_scale(
-    cfg: RunConfig,
-    backbone_ckpt,
-    corpus: Corpus,
-    trials,
-    scales=DEFAULT_SWEEP_SCALES,
-    include_learnable: bool = True,
-    include_sequential: bool = True,
-) -> list:
-    """Train + evaluate one run per row: the sequential variant, the
-    learnable scale, and each fixed scale; returns row dicts."""
+def sweep_scale(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
+                scales=DEFAULT_SWEEP_SCALES) -> list:
+    """Train and evaluate one run per entry of `scales`, each a row
+    {"scale", "eer", "min_dcf"}: "sequential" runs the sequential adapter,
+    "learnable" the parallel one with a learnable scale, and a number the
+    parallel one at that fixed scale. Every row's config is checked before
+    the first run starts."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
-    base_adapter = cfg.adapter
-    entries = []
-    if include_sequential:
-        entries.append(("sequential", replace(base_adapter, variant="sequential")))
-    if include_learnable:
-        entries.append(
-            (ad.LEARNABLE, replace(base_adapter, variant="parallel", scale=ad.LEARNABLE))
-        )
+    runs = []
     for s in scales:
-        entries.append((f"{s:g}", replace(base_adapter, variant="parallel", scale=float(s))))
-
+        if s == "sequential":
+            acfg = replace(cfg.adapter, variant="sequential")
+        else:
+            acfg = replace(cfg.adapter, variant="parallel", scale=s)
+        runs.append((s if isinstance(s, str) else f"{s:g}", replace(cfg, adapter=acfg)))
     rows = []
-    for label, acfg in entries:
-        run_cfg = replace(cfg, adapter=acfg)
-        _run, result, report = run_and_report(run_cfg, backbone_ckpt, corpus, trials)
-        rows.append(
-            {
-                "scale": label,
-                "eer": result.eer,
-                "min_dcf": result.min_dcf,
-                "report": report,
-            }
-        )
+    for label, run_cfg in runs:
+        result, _scores = evaluate(train(run_cfg, backbone_ckpt, corpus).model, corpus, trials)
+        rows.append({"scale": label, "eer": result.eer, "min_dcf": result.min_dcf})
     return rows
 
 

@@ -50,16 +50,12 @@ class SVModel:
 
     # -- forward ----------------------------------------------------------
 
-    def layer_outputs(self, frames):
-        return bb.encode_collect(frames, self.encoder, self.ffn_adapters, self.mhsa_adapters)
-
-    def features(self, frames) -> Tensor:
-        """[T, e] bridge output over the weighted layer combination."""
-        h = ad.weighted_sum(self.layer_outputs(frames), self.layer_logits)
-        return ad.inter_layer_forward(h, self.bridge)
-
     def embed(self, frames) -> Tensor:
-        return be.pool_and_embed(self.features(frames), self.head)
+        """[e] speaker embedding: the softmax-weighted sum of every layer's
+        output, through the bridge, pooled over time and through the head."""
+        outputs = bb.encode_collect(frames, self.encoder, self.ffn_adapters, self.mhsa_adapters)
+        h = ad.inter_layer_forward(ad.weighted_sum(outputs, self.layer_logits), self.bridge)
+        return be.pool_and_embed(h, self.head)
 
     def embed_np(self, frames) -> np.ndarray:
         return self.embed(frames).data

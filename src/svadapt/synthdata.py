@@ -36,6 +36,7 @@ signed zeros included. The older svcorpus-v1 text files are refused.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 from dataclasses import dataclass, field, fields
@@ -71,6 +72,10 @@ class CorpusConfig:
             )
         if self.utts_per_speaker < 1 or self.frame_dim < 1:
             raise ConfigError("utts_per_speaker and frame_dim must be positive")
+        for name in ("speaker_scale", "channel_scale", "noise_scale"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ Primitive ops (each records one tape node): `matmul` and `vecmat`, both
 with an optional fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`,
 `softmax`, `softmax_cross_entropy`, `mean_rows`, `sum_all`, `lincomb`,
 `stack_rows`; and `attention`, which runs every head of scaled dot-product
-attention as one op. `linear` and `linear_vec` are one-line composites.
+attention as one op.
 
 Gradient accumulation: the first gradient a non-`Param` tensor receives is
 assigned as is, without a copy, so its `grad` array may be shared with
@@ -547,16 +547,6 @@ def stack_rows(vectors: list) -> Tensor:
 
     _record(out, bwd, vectors)
     return out
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, the everywhere-used affine map."""
-    return matmul(x, w, b)
-
-
-def linear_vec(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """v @ w + b for a single vector."""
-    return vecmat(v, w, b)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,6 @@ from svadapt.adapters import (
     attach,
     count_params,
     count_trainable,
-    fuse_parallel,
-    inner_parallel,
-    inner_sequential,
     inter_layer_forward,
     weighted_sum,
 )
@@ -46,8 +43,8 @@ def reference_branch(x, a):
     return reference_layer_norm(h @ a.w_up.data + a.b_up.data, a.ln_g.data, a.ln_b.data)
 
 
-def randomized_adapter(d=4, dh=2, seed=0, variant="sequential", scale=None):
-    a = BottleneckAdapter(d, dh, "adapters.test", seed, variant, scale)
+def randomized_adapter(d=4, dh=2, seed=0, scale=None):
+    a = BottleneckAdapter(d, dh, "adapters.test", seed, scale)
     rng = np.random.default_rng(seed)
     a.w_up.data[...] = rng.normal(size=a.w_up.shape)
     a.b_up.data[...] = rng.normal(size=a.b_up.shape)
@@ -57,75 +54,89 @@ def randomized_adapter(d=4, dh=2, seed=0, variant="sequential", scale=None):
 
 
 class TestInnerSequential:
+    """`insert` without a scale: the branch reads the host output and is
+    added back onto it; the host input is ignored."""
+
     def test_identity_at_init(self):
         a = BottleneckAdapter(4, 2, "adapters.t", seed=0)
         x = np.random.default_rng(0).normal(size=(3, 4))
-        out = inner_sequential(Tensor(x), a)
+        out = a.insert(Tensor(np.zeros((3, 4))), Tensor(x))
         np.testing.assert_array_equal(out.data, x)
 
     def test_relu_kills_negative_branch(self):
         a = BottleneckAdapter(4, 2, "adapters.t", seed=1)
         a.b_down.data[...] = -100.0  # all bottleneck pre-activations negative
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-        out = inner_sequential(x, a)
+        out = a.insert(x, x)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_matches_reference_composition(self):
         a = randomized_adapter(d=4, dh=2, seed=2)
-        x = np.random.default_rng(2).normal(size=(2, 4))
-        out = inner_sequential(Tensor(x), a)
+        rng = np.random.default_rng(2)
+        host_in, x = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        out = a.insert(Tensor(host_in), Tensor(x))
         np.testing.assert_allclose(out.data, x + reference_branch(x, a), atol=1e-12)
 
 
 class TestInnerParallel:
+    """`insert` with a scale: the branch reads the host input, and its
+    scaled output is added onto the host output."""
+
     def test_zero_output_at_init(self):
-        a = BottleneckAdapter(4, 2, "adapters.t", seed=3)
-        x = np.random.default_rng(3).normal(size=(3, 4))
-        np.testing.assert_array_equal(inner_parallel(Tensor(x), a).data, 0.0)
+        a = BottleneckAdapter(4, 2, "adapters.t", seed=3, scale=1.0)
+        rng = np.random.default_rng(3)
+        x, h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(a.insert(Tensor(x), Tensor(h)).data, h)
 
     def test_zero_input_zero_biases(self):
-        a = BottleneckAdapter(4, 2, "adapters.t", seed=4)
+        a = BottleneckAdapter(4, 2, "adapters.t", seed=4, scale=1.0)
         np.testing.assert_array_equal(
-            inner_parallel(Tensor(np.zeros((2, 4))), a).data, 0.0
+            a.insert(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))).data, 0.0
         )
 
     def test_matches_reference_composition(self):
-        a = randomized_adapter(d=6, dh=3, seed=5)
-        x = np.random.default_rng(5).normal(size=(4, 6))
-        out = inner_parallel(Tensor(x), a)
-        np.testing.assert_allclose(out.data, reference_branch(x, a), atol=1e-12)
+        a = randomized_adapter(d=6, dh=3, seed=5, scale=0.5)
+        rng = np.random.default_rng(5)
+        x, h = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        out = a.insert(Tensor(x), Tensor(h))
+        np.testing.assert_allclose(out.data, h + 0.5 * reference_branch(x, a), atol=1e-12)
 
 
 class TestFuseParallel:
+    """The FFN sub-block with a parallel adapter, LN(insert(x, f) + x),
+    against LN(f + s * branch(x) + x)."""
+
     def setup_method(self):
         rng = np.random.default_rng(6)
         self.x = rng.normal(size=(3, 4))
         self.f = rng.normal(size=(3, 4))
-        self.z = rng.normal(size=(3, 4))
         self.g = Tensor(np.ones(4))
         self.b = Tensor(np.zeros(4))
 
+    def fused(self, s):
+        a = randomized_adapter(d=4, dh=2, seed=6, scale=s)
+        x = Tensor(self.x)
+        return T.layer_norm(T.add(a.insert(x, Tensor(self.f)), x), self.g, self.b)
+
     def test_scale_zero_collapses_to_vanilla(self):
-        fused = fuse_parallel(Tensor(self.x), Tensor(self.f), Tensor(self.z), 0.0, self.g, self.b)
         vanilla = T.layer_norm(T.add(Tensor(self.f), Tensor(self.x)), self.g, self.b)
-        np.testing.assert_array_equal(fused.data, vanilla.data)
+        np.testing.assert_array_equal(self.fused(0.0).data, vanilla.data)
 
     def test_pre_ln_sum_is_linear_in_scale(self):
-        s2 = self.f + 2.0 * self.z + self.x
-        s1 = self.f + 1.0 * self.z + self.x
-        np.testing.assert_allclose(s2 - s1, self.z, atol=1e-12)
+        z = reference_branch(self.x, randomized_adapter(d=4, dh=2, seed=6))
+        s1 = randomized_adapter(d=4, dh=2, seed=6, scale=1.0).insert(Tensor(self.x), Tensor(self.f))
+        s2 = randomized_adapter(d=4, dh=2, seed=6, scale=2.0).insert(Tensor(self.x), Tensor(self.f))
+        np.testing.assert_allclose(s2.data - s1.data, z, atol=1e-12)
 
     def test_matches_reference_at_half_scale(self):
-        fused = fuse_parallel(Tensor(self.x), Tensor(self.f), Tensor(self.z), 0.5, self.g, self.b)
-        expected = reference_layer_norm(self.f + 0.5 * self.z + self.x, np.ones(4), np.zeros(4))
-        np.testing.assert_allclose(fused.data, expected, atol=1e-12)
+        z = reference_branch(self.x, randomized_adapter(d=4, dh=2, seed=6))
+        expected = reference_layer_norm(self.f + 0.5 * z + self.x, np.ones(4), np.zeros(4))
+        np.testing.assert_allclose(self.fused(0.5).data, expected, atol=1e-12)
 
     def test_learnable_scale_receives_gradient(self):
         s = Param(1.0, name="adapters.scale")
         with Tape() as tape:
-            fused = fuse_parallel(
-                Tensor(self.x), Tensor(self.f), Tensor(self.z), s, self.g, self.b
-            )
+            fused = self.fused(s)
             tape.backward(T.sum_all(T.mul(fused, fused)))
         assert s.grad != 0.0
 

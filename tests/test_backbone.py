@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svadapt import tensor as T
+from svadapt.adapters import BottleneckAdapter
 from svadapt.backbone import (
     Encoder,
     EncoderConfig,
@@ -30,6 +31,16 @@ def reference_mhsa(x, layer, num_heads):
         att = e / e.sum(axis=1, keepdims=True)
         heads.append(att @ vh)
     return np.concatenate(heads, axis=1) @ layer.wo.data + layer.bo.data
+
+
+def attention_weights(x, layer, num_heads):
+    """The per-head [T, T] attention weights of `layer` on x, from its
+    query, key and value projections."""
+    q, k, v = (
+        T.matmul(Tensor(x), w, b)
+        for w, b in ((layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
+    )
+    return T.attention(q, k, v, num_heads)[1]
 
 
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
@@ -75,9 +86,9 @@ class TestMhsa:
         layer.wv.data[...] = np.eye(d)
         layer.wo.data[...] = np.eye(d)
         x = np.random.default_rng(1).normal(size=(5, d))
-        out, attns = mhsa(Tensor(x), layer, enc.cfg.num_heads, return_attn=True)
-        for att in attns:
-            np.testing.assert_allclose(att.data, 1.0 / 5.0, atol=1e-12)
+        out = mhsa(Tensor(x), layer, enc.cfg.num_heads)
+        for att in attention_weights(x, layer, enc.cfg.num_heads):
+            np.testing.assert_allclose(att, 1.0 / 5.0, atol=1e-12)
         np.testing.assert_allclose(
             out.data, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12
         )
@@ -94,10 +105,9 @@ class TestMhsa:
     def test_attention_rows_are_distributions(self):
         enc = small_encoder(seed=4)
         x = np.random.default_rng(3).normal(size=(7, 8))
-        _, attns = mhsa(Tensor(x), enc.layers[0], enc.cfg.num_heads, return_attn=True)
-        for att in attns:
-            np.testing.assert_allclose(att.data.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(att.data >= 0.0)
+        for att in attention_weights(x, enc.layers[0], enc.cfg.num_heads):
+            np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(att >= 0.0)
 
 
 class TestLayerForward:
@@ -125,6 +135,82 @@ class TestLayerForward:
         f = np.maximum(u @ layer.w1.data + layer.b1.data, 0.0) @ layer.w2.data + layer.b2.data
         expected = reference_layer_norm(f + u, layer.ln_ffn_g.data, layer.ln_ffn_b.data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def composed_layer_forward(x, layer, num_heads, ffn_adapter=None, mhsa_adapter=None):
+    """A transformer layer with its adapters spelled out in primitive ops, in
+    the order they have always run: a sequential adapter adds its branch of
+    the sub-block output onto that output; a parallel FFN adapter's scaled
+    branch of the FFN input joins the FFN output before the residual."""
+
+    def branch(a, h):
+        z = T.relu(T.matmul(h, a.w_down, a.b_down))
+        return T.layer_norm(T.matmul(z, a.w_up, a.b_up), a.ln_g, a.ln_b)
+
+    q = T.matmul(x, layer.wq, layer.bq)
+    k = T.matmul(x, layer.wk, layer.bk)
+    v = T.matmul(x, layer.wv, layer.bv)
+    heads, _ = T.attention(q, k, v, num_heads)
+    att = T.matmul(heads, layer.wo, layer.bo)
+    if mhsa_adapter is not None:
+        att = T.add(att, branch(mhsa_adapter, att))
+    u = T.layer_norm(T.add(att, x), layer.ln_att_g, layer.ln_att_b)
+    f = T.matmul(T.relu(T.matmul(u, layer.w1, layer.b1)), layer.w2, layer.b2)
+    if ffn_adapter is None:
+        pre = T.add(f, u)
+    elif ffn_adapter.scale is None:
+        pre = T.add(T.add(f, branch(ffn_adapter, f)), u)
+    else:
+        z = branch(ffn_adapter, u)
+        pre = T.add(T.add(f, T.scale(z, ffn_adapter.scale)), u)
+    return T.layer_norm(pre, layer.ln_ffn_g, layer.ln_ffn_b)
+
+
+class TestLayerForwardComposition:
+    """`layer_forward` with `BottleneckAdapter.insert` runs the same ops in
+    the same order as the composition above, so its output and every
+    gradient are equal to the last bit."""
+
+    @staticmethod
+    def adapter(slot, seed, scale):
+        a = BottleneckAdapter(8, 3, f"adapters.layer00.{slot}", seed, scale)
+        rng = np.random.default_rng(seed)
+        for p in a.params():
+            p.data[...] = rng.normal(size=p.shape)
+        return a
+
+    @pytest.mark.parametrize(
+        "case", ["plain", "sequential", "parallel-fixed", "parallel-learnable", "houlsby"]
+    )
+    def test_output_and_gradients_are_bit_identical(self, case):
+        enc = small_encoder(seed=13)
+        layer = enc.layers[0]
+        x = Param(np.random.default_rng(16).normal(size=(5, 8)), name="x")
+        learnable = Param(0.7, name="adapters.scale")
+        ffn_scale = {"parallel-fixed": 0.5, "parallel-learnable": learnable}.get(case)
+        ffn_adapter = None if case == "plain" else self.adapter("ffn", 14, ffn_scale)
+        mhsa_adapter = self.adapter("mhsa", 15, None) if case == "houlsby" else None
+        params = [*layer.params(), x]
+        for a in (ffn_adapter, mhsa_adapter):
+            if a is not None:
+                params += a.params()
+        if case == "parallel-learnable":
+            params.append(learnable)
+
+        def run(forward):
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                out = forward(x, layer, enc.cfg.num_heads, ffn_adapter, mhsa_adapter)
+                tape.backward(T.sum_all(T.mul(out, out)))
+            return out.data.tobytes(), [p.grad.tobytes() for p in params]
+
+        out, grads = run(layer_forward)
+        ref_out, ref_grads = run(composed_layer_forward)
+        assert out == ref_out
+        for p, g, ref in zip(params, grads, ref_grads):
+            assert g == ref, p.name
+            assert np.frombuffer(g).any(), p.name
 
 
 class TestEncodeCollect:

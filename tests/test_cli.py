@@ -298,7 +298,7 @@ class TestSweepScale:
                 "sweep-scale", "--corpus", str(workdir / "corpus.txt"),
                 "--backbone", str(workdir / "backbone.ckpt"),
                 "--trials", str(workdir / "trials.txt"),
-                "--scales", "0.5", "--no-learnable",
+                "--scales", "sequential,0.5",
                 "--mode", "inner-inter", "--bottleneck-dim", "4",
                 "--total-steps", "4", "--warmup-steps", "1", "--batch-size", "4",
                 "--json", *ENCODER_FLAGS,
@@ -319,6 +319,20 @@ class TestSweepScale:
         )
         assert rc == 2
         assert "--scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["linear-probe", "houlsby"])
+    def test_mode_without_parallel_adapter_exits_2_naming_it(self, workdir, mode, capsys):
+        rc = main(
+            [
+                "sweep-scale", "--corpus", str(workdir / "corpus.txt"),
+                "--backbone", str(workdir / "backbone.ckpt"),
+                "--trials", str(workdir / "trials.txt"), "--scales", "0.5",
+                "--mode", mode, "--total-steps", "2", "--warmup-steps", "1",
+                "--batch-size", "4", *ENCODER_FLAGS,
+            ]
+        )
+        assert rc == 2
+        assert repr(mode) in capsys.readouterr().err
 
 
 class TestGradCheck:
@@ -344,6 +358,75 @@ class TestGradCheck:
         monkeypatch.setattr(svadapt.gradsuite, "full_graph_grad_check", no_work)
         assert main(["grad-check", flag, value]) == 2
         assert f"config error: {flag} must be" in capsys.readouterr().err
+
+
+class TestMalformedRunNumbers:
+    """A malformed number in a run config is a config error naming the key,
+    raised before any input is read (the corpus does not exist: read
+    first, it would be exit 3)."""
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--lr-head", "nan"], "lr_head"),
+            (["--lr-head", "inf"], "lr_head"),
+            (["--lr-head", "-1"], "lr_head"),
+            (["--adam-beta1", "1"], "adam_beta1"),
+            (["--adam-beta2", "1.5"], "adam_beta2"),
+            (["--adam-eps", "-1"], "adam_eps"),
+            (["--lr-floor-ratio", "-2"], "lr_floor_ratio"),
+            (["--adapter-scale", "nan"], "scale"),
+            (["--adapter-scale", "inf"], "scale"),
+            (["--adapter-scale", "learnable", "--scale-init", "nan"], "scale_init"),
+        ],
+    )
+    def test_train_exits_2_before_reading_inputs(self, tmp_path, flags, key, capsys):
+        rc = main(
+            ["train", "--corpus", str(tmp_path / "missing.svc"),
+             "--out", str(tmp_path / "run.ckpt"), *flags]
+        )
+        assert rc == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_config_file_value_is_checked_too(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[optim]\nadam_beta2 = 1.5\n")
+        rc = main(
+            ["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
+             "--out", str(tmp_path / "run.ckpt")]
+        )
+        assert rc == 2
+        assert "adam_beta2 must be" in capsys.readouterr().err
+
+    def test_gen_data_nan_noise_scale_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus.svc"
+        assert main(["gen-data", "--out", str(out), "--noise-scale", "nan"]) == 2
+        assert "noise_scale must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReadmeCommands:
+    def test_every_documented_command_parses(self):
+        import shlex
+        from pathlib import Path
+
+        from svadapt.cli import build_parser
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("svadapt ")]
+        assert {argv[1] for argv in commands} >= {
+            "gen-data", "pretrain", "train", "eval", "count-params", "sweep-scale",
+            "grad-check",
+        }
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 class TestNumericFailure:

@@ -36,6 +36,7 @@ from svadapt.harness import (
 )
 from svadapt.model import build_model
 from svadapt.optim import LrSchedule
+from svadapt.rng import fnv1a64
 from svadapt.synthdata import CorpusConfig, generate_corpus, generate_trials
 
 TINY_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=10)
@@ -116,6 +117,37 @@ class TestRunConfig:
     def test_non_numeric_adapter_scale_is_config_error(self):
         with pytest.raises(ConfigError, match="scale must be a number"):
             config_from_text("[run]\nmode = inner\n[adapter]\nscale = x\n")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("optim", "lr_head", "nan"),
+            ("optim", "lr_head", "inf"),
+            ("optim", "lr_head", "-1"),
+            ("optim", "lr_other", "-1e-05"),
+            ("optim", "adam_beta1", "1"),
+            ("optim", "adam_beta1", "-0.1"),
+            ("optim", "adam_beta2", "1.5"),
+            ("optim", "adam_eps", "-1"),
+            ("optim", "adam_eps", "0"),
+            ("optim", "adam_eps", "inf"),
+            ("optim", "lr_floor_ratio", "-2"),
+            ("optim", "lr_floor_ratio", "1.5"),
+            ("optim", "lr_floor_ratio", "nan"),
+            ("adapter", "scale", "nan"),
+            ("adapter", "scale", "-inf"),
+            ("adapter", "scale_init", "nan"),
+        ],
+    )
+    def test_malformed_number_is_config_error_naming_the_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            config_from_text(f"[{section}]\n{key} = {value}\n")
+
+    def test_range_ends_are_accepted(self):
+        cfg = RunConfig(lr_head=0.0, lr_other=0.0, adam_beta1=0.0, adam_beta2=0.0,
+                        lr_floor_ratio=1.0)
+        assert config_from_text(config_to_text(cfg)) == cfg
+        assert RunConfig(lr_floor_ratio=0.0).lr_floor_ratio == 0.0
 
     def test_text_bytes_are_pinned(self):
         # the serializer's exact output; parsing it and writing it again
@@ -516,6 +548,25 @@ class TestTrain:
                 assert same, f"{p.name} should be untouched at lr_other=0"
 
 
+    def test_checkpointed_run_hashes_the_backbone_once(
+        self, corpus, backbone_ckpt, tmp_path, monkeypatch
+    ):
+        import svadapt.harness as harness
+
+        hashed = []
+
+        def counting_fnv1a64(data):
+            hashed.append(len(data))
+            return fnv1a64(data)
+
+        monkeypatch.setattr(harness, "fnv1a64", counting_fnv1a64)
+        path = tmp_path / "run.ckpt"
+        run = train(tiny_cfg(steps=2), backbone_ckpt, corpus, out_path=path)
+        assert len(hashed) == 1
+        assert run.backbone_hash == backbone_ckpt.backbone_hash
+        assert run.backbone_hash == load_checkpoint(path).backbone_hash
+
+
 class TestNonFiniteGradientInTraining:
     def test_error_names_param_at_the_step_it_appears(self, corpus, backbone_ckpt, monkeypatch):
         # a hook corrupts one gradient after the second backward; the loss
@@ -630,14 +681,19 @@ class TestCountParamsTable:
 class TestSweepScale:
     def test_roster_and_populated_metrics(self, corpus, trials, backbone_ckpt):
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=4)
-        rows = sweep_scale(cfg, backbone_ckpt, corpus, trials, scales=(0.5, 1.0))
+        rows = sweep_scale(
+            cfg, backbone_ckpt, corpus, trials, scales=("sequential", "learnable", 0.5, 1.0)
+        )
         assert [r["scale"] for r in rows] == ["sequential", "learnable", "0.5", "1"]
+        assert all(set(r) == {"scale", "eer", "min_dcf"} for r in rows)
         for r in rows:
             assert np.isfinite(r["eer"]) and np.isfinite(r["min_dcf"])
         assert "sequential" in format_sweep_table(rows)
 
     def test_default_roster(self):
-        assert DEFAULT_SWEEP_SCALES == (0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
+        assert DEFAULT_SWEEP_SCALES == (
+            "sequential", "learnable", 0.05, 0.1, 0.5, 1.0, 1.5, 2.0
+        )
 
     def test_requires_inner_mode(self, corpus, trials, backbone_ckpt):
         with pytest.raises(ConfigError, match="inner-adapter mode"):
@@ -648,10 +704,7 @@ class TestSweepScale:
         # gradient, so the run collapses onto the corresponding mode without
         # bottleneck adapters (inter) step for step
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20, seed=6)
-        rows = sweep_scale(
-            cfg, backbone_ckpt, corpus, trials, scales=(0.0,),
-            include_learnable=False, include_sequential=False,
-        )
+        rows = sweep_scale(cfg, backbone_ckpt, corpus, trials, scales=(0.0,))
         baseline = train(tiny_cfg("inter", steps=20, seed=6), backbone_ckpt, corpus)
         res, _ = evaluate(baseline.model, corpus, trials)
         assert rows[0]["eer"] == res.eer

@@ -77,6 +77,13 @@ class TestGenerateCorpus:
         with pytest.raises(ConfigError, match="frame range"):
             CorpusConfig(frames_min=10, frames_max=5)
 
+    @pytest.mark.parametrize("name", ["speaker_scale", "channel_scale", "noise_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_rejects_non_finite_or_negative_scale(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+            CorpusConfig(**{name: value})
+        CorpusConfig(**{name: 0.0})
+
 
 class TestGenerateTrials:
     def test_exact_counts_and_labels(self):

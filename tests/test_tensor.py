@@ -157,7 +157,7 @@ class TestBackward:
         x = rng.normal(size=(3, 4))
 
         def f():
-            h = T.relu(T.linear(Tensor(x), w1, b1))
+            h = T.relu(T.matmul(Tensor(x), w1, b1))
             return T.sum_all(T.mul(T.matmul(h, w2), T.matmul(h, w2)))
 
         with Tape() as tape:
@@ -258,7 +258,7 @@ class TestOpGradientsAgainstFiniteDifferences:
         xs = [rng.normal(size=(4, d)) * 2.0 for _ in range(3)]
 
         def f():
-            hs = [T.layer_norm(T.relu(T.linear(Tensor(x), w, b)), g, be) for x in xs]
+            hs = [T.layer_norm(T.relu(T.matmul(Tensor(x), w, b)), g, be) for x in xs]
             mix = T.lincomb(T.softmax(c), hs)
             pooled = T.mean_rows(T.scale(mix, s))
             sm = T.softmax(T.stack_rows([pooled, T.mean_rows(hs[0])]))
@@ -290,7 +290,7 @@ class TestOpGradientsAgainstFiniteDifferences:
         b = Param(rng.normal(size=4), name="b")
 
         def f():
-            h = T.linear_vec(v, w, b)
+            h = T.vecmat(v, w, b)
             return T.sum_all(T.mul(T.add(h, T.scale(b, -1.0)), h))
 
         assert T.grad_check(f, [v, w, b], n_probes=30, seed=2) < 1e-4
@@ -367,8 +367,8 @@ class TestFusedBias:
     def test_linear_records_one_tape_op(self):
         w = Param(np.ones((3, 2)), name="w")
         with Tape() as tape:
-            T.linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
-            T.linear_vec(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
+            T.matmul(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+            T.vecmat(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
         assert len(tape) == 2
 
     def test_matmul_bias_length_mismatch_names_both_shapes(self):
