@@ -38,6 +38,7 @@ from .harness import (
     pretrain_backbone,
     run_and_report,
     score_trials,
+    sweep_configs,
     sweep_scale,
     train as train_run,
 )
@@ -148,15 +149,23 @@ def _path(flag_value, cfg_value, what):
 
 
 def cmd_gen_data(args) -> int:
+    """Generate the corpus and, when asked, its trial list; both are built
+    and checked before either file is written."""
+    for flag in ("n-target", "n-nontarget"):
+        value = getattr(args, flag.replace("-", "_"))
+        _require(value >= 0, flag, "non-negative", value)
+    _check_out_dirs(args.out, args.trials_out)
     cfg = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
     corpus = generate_corpus(cfg)
-    write_corpus(args.out, corpus)
-    print(f"wrote {len(corpus.utterances)} utterances to {args.out}")
+    trials = None
     if args.trials_out:
         trials = generate_trials(
             corpus.part(args.trial_part), args.n_target, args.n_nontarget,
             seed=args.trial_seed,
         )
+    write_corpus(args.out, corpus)
+    print(f"wrote {len(corpus.utterances)} utterances to {args.out}")
+    if trials is not None:
         write_trials(args.trials_out, trials)
         print(f"wrote {len(trials)} trials to {args.trials_out}")
     return EXIT_OK
@@ -244,6 +253,7 @@ def cmd_sweep_scale(args) -> int:
             raise ConfigError(f"--scales entries must be numbers, 'sequential' or "
                               f"'learnable': {args.scales!r}") from exc
     cfg = _run_config_from_args(args)
+    sweep_configs(cfg, scales)  # a bad mode or scale fails before any input is read
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None

@@ -222,15 +222,20 @@ class Checkpoint:
         return {name: arr for name, trainable, arr in self.params}
 
 
+_BACKBONE = ("featurizer.", "encoder.")
+
+
 def backbone_hash_of(params) -> int:
     """FNV-1a over the little-endian float64 bytes of the backbone params
-    (featurizer + transformer stack) in their serialized order."""
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for name, _t, arr in params
-        if name.startswith(("featurizer.", "encoder."))
-    )
-    return fnv1a64(blob)
+    (featurizer + transformer stack) in their serialized order, hashed as
+    one contiguous buffer."""
+    arrays = [np.ravel(arr) for name, _t, arr in params if name.startswith(_BACKBONE)]
+    return _hash_values(np.concatenate(arrays, dtype="<f8") if arrays else np.empty(0, "<f8"))
+
+
+def _hash_values(values: np.ndarray) -> int:
+    """FNV-1a over the bytes of a contiguous little-endian float64 array."""
+    return fnv1a64(memoryview(values.view(np.uint8)))
 
 
 def model_backbone_hash(model: SVModel) -> int:
@@ -247,25 +252,22 @@ def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
     """Write the versioned binary checkpoint; returns the backbone hash. A
-    0-d param (the learnable adapter scale) is written with rank 0."""
+    0-d param (the learnable adapter scale) is written with rank 0. The
+    file is one `writelines` of the packed headers and the arrays' own
+    buffers."""
     payload = [(name, trainable, np.asarray(arr, "<f8", order="C")) for name, trainable, arr in params]
     h = backbone_hash_of(payload)
+    conf = config_text.encode("utf-8")
+    pieces = [MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(conf)), conf,
+              struct.pack("<QI", step, len(payload))]
+    for name, trainable, arr in payload:
+        nb = name.encode("utf-8")
+        pieces.append(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb,
+                                  int(trainable), arr.ndim, *arr.shape))
+        pieces.append(arr)
+    pieces.append(struct.pack("<Q", h))
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        conf = config_text.encode("utf-8")
-        fh.write(struct.pack("<I", len(conf)))
-        fh.write(conf)
-        fh.write(struct.pack("<Q", step))
-        fh.write(struct.pack("<I", len(payload)))
-        for name, trainable, arr in payload:
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<BB", int(trainable), arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-        fh.write(struct.pack("<Q", h))
+        fh.writelines(pieces)
     return h
 
 
@@ -332,18 +334,31 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     config_text = r.text(conf_len, "config block")
     (step,) = r.unpack("<Q", "step")
     (nparams,) = r.unpack("<I", "param count")
-    params = []
+    layout = []  # (name, trainable, shape, value count, byte offset in blob)
     for i in range(nparams):
         (name_len,) = r.unpack("<H", f"param {i} name length")
         name = r.text(name_len, f"param {i} name")
         trainable, rank = r.unpack("<BB", f"param {name!r} flags")
         shape = r.unpack(f"<{rank}I", f"param {name!r} shape")
         count = math.prod(shape)
-        raw = r.take(8 * count, f"param {name!r} values")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        params.append((name, bool(trainable), arr.copy()))
+        layout.append((name, bool(trainable), shape, count, r.off))
+        r.take(8 * count, f"param {name!r} values")
     (stored_hash,) = r.unpack("<Q", "backbone hash")
-    actual = backbone_hash_of(params)
+    # the values leave the blob in one copy, into one owned buffer that
+    # holds the backbone params first, in file order, so the hashed bytes
+    # are its prefix; each param is a view of its own part of the buffer
+    in_backbone = [name.startswith(_BACKBONE) for name, *_rest in layout]
+    counts = [count for _n, _t, _s, count, _o in layout]
+    n_backbone = sum(count for count, b in zip(counts, in_backbone) if b)
+    values = np.empty(sum(counts), "<f8")
+    free = [n_backbone, 0]  # next free index for other and backbone params
+    params = []
+    for (name, trainable, shape, count, offset), b in zip(layout, in_backbone):
+        view = values[free[b] : free[b] + count]
+        free[b] += count
+        view[...] = np.frombuffer(blob, "<f8", count, offset)
+        params.append((name, trainable, view.reshape(shape)))
+    actual = _hash_values(values[:n_backbone])
     if stored_hash != actual:
         raise DataError(
             f"{path}: backbone hash mismatch "
@@ -424,12 +439,17 @@ def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
     """(model, losses): the model for `cfg`, with the backbone loaded when
     given, trained with a fresh classifier on the speakers of `part`."""
     _check_frame_dim(corpus, cfg.encoder)
-    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-    if backbone_ckpt is not None:
-        load_backbone_into(model, backbone_ckpt)
     utterances = corpus.part(part)
     if not utterances:
         raise DataError(f"corpus has no utterances in the {part!r} part")
+    if cfg.batch_size > len(utterances):
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} exceeds the {len(utterances)} utterances "
+            f"of the {part!r} part"
+        )
+    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+    if backbone_ckpt is not None:
+        load_backbone_into(model, backbone_ckpt)
     speakers = corpus.speakers(part)
     model.add_classifier(len(speakers))
     index = {s: i for i, s in enumerate(speakers)}
@@ -452,9 +472,7 @@ def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
 def load_backbone_into(model: SVModel, checkpoint: Checkpoint) -> None:
     """Install pretrained featurizer + transformer weights by name."""
     backbone = {
-        name: arr
-        for name, _t, arr in checkpoint.params
-        if name.startswith(("featurizer.", "encoder."))
+        name: arr for name, _t, arr in checkpoint.params if name.startswith(_BACKBONE)
     }
     own = {p.name for p in model.backbone_params()}
     missing = own - set(backbone)
@@ -598,13 +616,11 @@ def format_count_table(rows) -> str:
 DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
 
 
-def sweep_scale(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
-                scales=DEFAULT_SWEEP_SCALES) -> list:
-    """Train and evaluate one run per entry of `scales`, each a row
-    {"scale", "eer", "min_dcf"}: "sequential" runs the sequential adapter,
-    "learnable" the parallel one with a learnable scale, and a number the
-    parallel one at that fixed scale. Every row's config is checked before
-    the first run starts."""
+def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
+    """(label, run config) for each entry of `scales`: "sequential" runs
+    the sequential adapter, "learnable" the parallel one with a learnable
+    scale, and a number the parallel one at that fixed scale. A mode
+    without a parallel adapter, or a bad entry, is a ConfigError."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
     runs = []
@@ -614,8 +630,16 @@ def sweep_scale(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         else:
             acfg = replace(cfg.adapter, variant="parallel", scale=s)
         runs.append((s if isinstance(s, str) else f"{s:g}", replace(cfg, adapter=acfg)))
+    return runs
+
+
+def sweep_scale(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
+                scales=DEFAULT_SWEEP_SCALES) -> list:
+    """Train and evaluate one run per entry of `scales` (see
+    `sweep_configs`), each a row {"scale", "eer", "min_dcf"}. Every row's
+    config is checked before the first run starts."""
     rows = []
-    for label, run_cfg in runs:
+    for label, run_cfg in sweep_configs(cfg, scales):
         result, _scores = evaluate(train(run_cfg, backbone_ckpt, corpus).model, corpus, trials)
         rows.append({"scale": label, "eer": result.eer, "min_dcf": result.min_dcf})
     return rows

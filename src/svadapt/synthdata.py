@@ -156,6 +156,9 @@ def generate_corpus(cfg: CorpusConfig) -> Corpus:
 def generate_trials(utterances, n_target: int, n_nontarget: int, seed: int) -> list:
     """Exact counts of same-speaker and cross-speaker unordered pairs, no
     duplicates, no self-pairs, deterministic in the seed."""
+    if n_target < 0 or n_nontarget < 0:
+        raise ConfigError(f"trial counts must be non-negative, got {n_target} target "
+                          f"and {n_nontarget} nontarget")
     by_speaker = {}
     for u in utterances:
         by_speaker.setdefault(u.speaker, []).append(u.utt_id)
@@ -339,13 +342,14 @@ def _parse_index(lines, path, split: dict, frame_dim: int):
     return index, nbytes
 
 
-def _read_payload(fh, nbytes: int, path) -> bytearray:
-    """The `nbytes` bytes after the header, read in one `readinto`; the
-    file must end there. A buffer is never larger than what a regular
-    file holds, so a header that claims too many bytes allocates none."""
+def _read_payload(fh, nbytes: int, path) -> np.ndarray:
+    """The `nbytes` bytes after the header, read in one `readinto` into an
+    uninitialised uint8 buffer; the file must end there. A buffer is never
+    larger than what a regular file holds, so a header that claims too
+    many bytes allocates none."""
     st = os.fstat(fh.fileno())
     held = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else nbytes
-    payload = bytearray(min(held, nbytes))
+    payload = np.empty(min(held, nbytes), np.uint8)
     got = fh.readinto(payload)
     if got < nbytes:
         raise ParseError(f"{path}: truncated frames: {got} of {nbytes} bytes")

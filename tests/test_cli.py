@@ -63,6 +63,23 @@ class TestGenData:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "counts", [("-3", "5"), ("5", "-1"), ("2", "10000")], ids=["neg-target", "neg-nontarget", "too-many"]
+    )
+    def test_failed_trial_request_writes_no_file(self, tmp_path, capsys, counts):
+        out, trials_out = tmp_path / "c.svc", tmp_path / "t.txt"
+        rc = main(
+            [
+                "gen-data", "--out", str(out), "--speakers", "6", "--utts-per-speaker", "4",
+                "--trials-out", str(trials_out), "--n-target", counts[0],
+                "--n-nontarget", counts[1],
+            ]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrainEval:
     def test_train_eval_cycle(self, workdir, capsys):
         run = workdir / "run.ckpt"
@@ -89,6 +106,23 @@ class TestTrainEval:
         assert 0.0 <= payload["eer"] <= 1.0
         assert 0.0 <= payload["min_dcf"] <= 1.0
         assert (workdir / "scores.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_batch_larger_than_the_part_exits_2(self, workdir, tmp_path, capsys, command):
+        from svadapt.synthdata import read_corpus
+
+        part = "adapt" if command == "train" else "pretrain"
+        n = len(read_corpus(workdir / "corpus.txt").part(part))
+        rc = main(
+            [
+                command, "--corpus", str(workdir / "corpus.txt"),
+                "--out", str(tmp_path / "run.ckpt"), "--total-steps", "1",
+                "--warmup-steps", "1", "--batch-size", str(n + 1), *ENCODER_FLAGS,
+            ]
+        )
+        assert rc == 2
+        assert f"batch_size {n + 1} exceeds the {n} utterances" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_learnable_scale_checkpoint_evaluates(self, workdir, tmp_path, capsys):
         from svadapt.cli import _run_config_from_args, build_parser
@@ -319,6 +353,26 @@ class TestSweepScale:
         )
         assert rc == 2
         assert "--scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--mode", "linear-probe"], "'linear-probe'"),
+            (["--mode", "houlsby"], "'houlsby'"),
+            (["--mode", "inner-inter", "--scales", "0.5,nan"], "finite"),
+        ],
+    )
+    def test_bad_sweep_exits_2_before_reading_inputs(self, tmp_path, capsys, flags, named):
+        # no input exists: read first, any of them would be exit 3
+        rc = main(
+            [
+                "sweep-scale", "--corpus", str(tmp_path / "missing.svc"),
+                "--backbone", str(tmp_path / "missing.ckpt"),
+                "--trials", str(tmp_path / "missing_trials.txt"), *flags,
+            ]
+        )
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["linear-probe", "houlsby"])
     def test_mode_without_parallel_adapter_exits_2_naming_it(self, workdir, mode, capsys):

@@ -1,6 +1,10 @@
 """Harness: configs, checkpoints, training procedures, reports."""
 
+import io
+import itertools
 import re
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt import tensor as tt
-from svadapt.adapters import AdapterConfig
+from svadapt.adapters import MODE_SPECS, AdapterConfig, default_adapter
 from svadapt.backbone import EncoderConfig, PRESETS
 from svadapt.backend import train_loss
 from svadapt.errors import ConfigError, DataError, NumericError
@@ -328,6 +332,103 @@ class TestAdam:
             assert p.data.tobytes() == q.data.tobytes()
 
 
+def fnv1a64_loop(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
+    """A checkpoint laid out by a per-param writer: one `write` per field,
+    one `tobytes` per array, the hash by the FNV-1a byte loop."""
+    payload = [(name, t, np.asarray(arr, "<f8", order="C")) for name, t, arr in params]
+    backbone = b"".join(
+        arr.tobytes() for name, _t, arr in payload if name.startswith(("featurizer.", "encoder."))
+    )
+    fh = io.BytesIO()
+    fh.write(b"SVADCKPT")
+    fh.write(struct.pack("<I", 1))
+    conf = config_text.encode("utf-8")
+    fh.write(struct.pack("<I", len(conf)))
+    fh.write(conf)
+    fh.write(struct.pack("<Q", step))
+    fh.write(struct.pack("<I", len(payload)))
+    for name, trainable, arr in payload:
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(nb)))
+        fh.write(nb)
+        fh.write(struct.pack("<BB", int(trainable), arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.tobytes())
+    fh.write(struct.pack("<Q", fnv1a64_loop(backbone)))
+    return fh.getvalue()
+
+
+CHECKPOINT_MODES = [(mode, default_adapter(mode)) for mode in MODE_SPECS] + [
+    ("inner-inter", AdapterConfig(bottleneck_dim=4, scale="learnable")),
+]
+
+
+def randomized_model(mode, acfg, seed=0):
+    """A tiny model of `mode` with every param drawn at random, so no
+    checkpoint array is all zeros."""
+    if acfg is not None:
+        acfg = replace(acfg, bottleneck_dim=4)
+    model = build_model(TINY_ENCODER, 8, mode, acfg, seed)
+    rng = np.random.default_rng(seed)
+    for p in model.named_params():
+        p.data[...] = rng.normal(size=p.data.shape)
+    return model
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("mode,acfg", CHECKPOINT_MODES, ids=lambda v: str(getattr(v, "scale", v)))
+    def test_save_writes_the_per_param_layout(self, tmp_path, mode, acfg):
+        model = randomized_model(mode, acfg)
+        path = tmp_path / "run.ckpt"
+        h = save_model_checkpoint(path, model, "[run]\nmode = x\n", 9)
+        params = [(p.name, p.trainable, p.data) for p in model.named_params(include_classifier=False)]
+        want = reference_checkpoint_bytes("[run]\nmode = x\n", params, 9)
+        assert path.read_bytes() == want
+        assert h == int.from_bytes(want[-8:], "little")
+
+    def test_odd_params_keep_the_per_param_layout(self, tmp_path):
+        # a 0-d, an empty, an integer and a transposed (not C-order) array;
+        # the backbone params are not first in the file
+        params = [
+            ("head.s", True, np.array(0.5)),
+            ("encoder.z", False, np.zeros((0, 3))),
+            ("encoder.i", False, np.arange(3)),
+            ("bridge.w", True, np.ones((2, 2))),
+            ("featurizer.t", True, np.arange(6.0).reshape(2, 3).T),
+        ]
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, "", params, 2)
+        assert path.read_bytes() == reference_checkpoint_bytes("", params, 2)
+        loaded = load_checkpoint(path)
+        for (name, trainable, arr), (lname, ltrainable, larr) in zip(params, loaded.params):
+            assert (lname, ltrainable, larr.shape) == (name, trainable, arr.shape)
+            assert larr.tobytes() == np.asarray(arr, "<f8").tobytes()
+
+    @pytest.mark.parametrize("mode,acfg", [CHECKPOINT_MODES[-1], ("full-finetune", None)])
+    def test_loaded_params_are_separate_writable_arrays(self, tmp_path, mode, acfg):
+        model = randomized_model(mode, acfg, seed=1)
+        path = tmp_path / "run.ckpt"
+        save_model_checkpoint(path, model, "", 1)
+        arrays = [arr for _n, _t, arr in load_checkpoint(path).params]
+        for arr in arrays:
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.c_contiguous
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        # writing into one loaded param leaves the others as saved
+        want = [p.data.copy() for p in model.named_params(include_classifier=False)]
+        arrays[0][...] = -7.0
+        for arr, expected in zip(arrays[1:], want[1:]):
+            assert arr.tobytes() == expected.tobytes()
+
+
 class TestCheckpoints:
     def test_load_then_save_reproduces_bytes(self, corpus, tmp_path):
         cfg = tiny_cfg("inner", AdapterConfig(bottleneck_dim=4), steps=6)
@@ -547,6 +648,29 @@ class TestTrain:
             else:
                 assert same, f"{p.name} should be untouched at lr_other=0"
 
+
+    def test_batch_larger_than_the_part_is_refused_before_the_model_is_built(
+        self, corpus, monkeypatch
+    ):
+        import svadapt.harness as harness
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(harness, "build_model", no_model)
+        n = len(corpus.part("adapt"))
+        cfg = replace(tiny_cfg(steps=2), batch_size=n + 1)
+        with pytest.raises(ConfigError, match=rf"batch_size {n + 1} exceeds the {n} utterances"):
+            train(cfg, None, corpus)
+        n = len(corpus.part("pretrain"))
+        cfg = replace(tiny_cfg(steps=2), batch_size=n + 1)
+        with pytest.raises(ConfigError, match=rf"batch_size {n + 1} exceeds the {n} utterances"):
+            pretrain_backbone(cfg, corpus)
+
+    def test_batch_of_the_whole_part_trains(self, corpus):
+        n = len(corpus.part("adapt"))
+        run = train(replace(tiny_cfg(steps=1), batch_size=n), None, corpus)
+        assert len(run.losses) == 1
 
     def test_checkpointed_run_hashes_the_backbone_once(
         self, corpus, backbone_ckpt, tmp_path, monkeypatch

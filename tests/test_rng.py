@@ -12,7 +12,8 @@ from svadapt.harness import model_backbone_hash
 from svadapt.model import build_model
 from svadapt.rng import Stream, fnv1a64, gaussians, randints
 
-BLOCK = 1 << 16
+BLOCK = 1 << 16  # bytes per dot product
+STAGE = 1 << 17  # bytes per pass of the bit stages
 
 
 def fnv1a64_loop(data: bytes) -> int:
@@ -44,7 +45,7 @@ def test_matches_byte_loop_on_short_strings(data):
 
 @settings(max_examples=12, deadline=None)
 @given(
-    n=st.integers(0, 3 * BLOCK),
+    n=st.integers(0, 3 * STAGE),
     seed=st.integers(0, 2**32 - 1),
     fill=st.sampled_from([None, 0, 255]),
 )
@@ -57,6 +58,11 @@ def test_matches_byte_loop_on_short_strings(data):
 @example(n=BLOCK + 1, seed=6, fill=None)
 @example(n=2 * BLOCK + 64 + 7, seed=7, fill=None)
 @example(n=2 * BLOCK + 64 + 7, seed=0, fill=255)
+@example(n=STAGE - 1, seed=8, fill=None)
+@example(n=STAGE, seed=9, fill=None)
+@example(n=STAGE + 64 + 7, seed=10, fill=None)
+@example(n=STAGE + 64 + 7, seed=0, fill=0)
+@example(n=3 * STAGE + 1, seed=11, fill=None)
 def test_matches_byte_loop_across_blocks(n, seed, fill):
     data = blob(n, seed, fill)
     assert fnv1a64(data) == fnv1a64_loop(data)

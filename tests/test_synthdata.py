@@ -92,6 +92,12 @@ class TestGenerateTrials:
         assert len(trials) == 40
         assert sum(t.target for t in trials) == 15
 
+    @pytest.mark.parametrize("n_target,n_nontarget", [(-3, 5), (5, -1)])
+    def test_negative_count_is_a_config_error(self, n_target, n_nontarget):
+        corpus = generate_corpus(SMALL)
+        with pytest.raises(ConfigError, match="non-negative"):
+            generate_trials(corpus.part("adapt"), n_target, n_nontarget, seed=0)
+
     def test_deterministic(self):
         corpus = generate_corpus(SMALL)
         a = generate_trials(corpus.part("adapt"), 10, 10, seed=3)
@@ -191,6 +197,17 @@ class TestCorpusFiles:
         before = b.frames.copy()
         a.frames[:] = 7.0
         assert np.array_equal(b.frames, before)
+
+    def test_writing_one_utterance_leaves_every_other_unchanged(self, tmp_path):
+        path = tmp_path / "corpus.svc"
+        corpus = generate_corpus(SMALL)
+        write_corpus(path, corpus)
+        loaded = read_corpus(path).utterances
+        for i, utt in enumerate(loaded):
+            utt.frames[...] = -1.0 - i
+            for j, (got, saved) in enumerate(zip(loaded, corpus.utterances)):
+                want = np.full_like(saved.frames, -1.0 - j) if j <= i else saved.frames
+                assert got.frames.tobytes() == want.tobytes(), (i, j)
 
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "corpus.svc"

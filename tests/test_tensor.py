@@ -725,6 +725,29 @@ def ln_inputs(rng, t, d=6):  # d not a power of two, so / d and * (1 / d) differ
     return [x, rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
 
 
+class TestOpOutputs:
+    """Every primitive op's output holds a float64 ndarray; the scalar
+    results are 0-d arrays, never numpy scalars."""
+
+    def test_outputs_are_float64_arrays(self):
+        rng = np.random.default_rng(3)
+        m, v = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4))
+        w, s = Tensor(rng.normal(size=(4, 2))), Tensor(np.array(0.5))
+        total = T.sum_all(m)
+        outputs = [
+            T.matmul(m, w), T.vecmat(v, w), T.add(m, m), T.mul(v, v), T.scale(m, s),
+            T.scale(v, 2.0), T.relu(m), T.softmax(m), T.mean_rows(m),
+            T.layer_norm(m, Tensor(np.ones(4)), Tensor(np.zeros(4))),
+            T.attention(m, m, m, 2)[0], T.lincomb(v, [m, m, m, m]), T.stack_rows([v, v]),
+            total, T.softmax_cross_entropy(m, [0, 1, 3]),
+            T.scale(total, 2.0), T.add(total, total), T.mul(total, total), T.relu(total),
+        ]
+        for out in outputs:
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+            assert out.grad is None and not out.needs_grad
+        assert [out.data.shape for out in outputs[-6:]] == [()] * 6
+
+
 class TestSameBitsAsPlainExpressions:
     @pytest.mark.parametrize("mix", MIXES3)
     def test_layer_norm(self, mix):
