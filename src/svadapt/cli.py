@@ -151,9 +151,10 @@ def _path(flag_value, cfg_value, what):
 def cmd_gen_data(args) -> int:
     """Generate the corpus and, when asked, its trial list; both are built
     and checked before either file is written."""
-    for flag in ("n-target", "n-nontarget"):
-        value = getattr(args, flag.replace("-", "_"))
-        _require(value >= 0, flag, "non-negative", value)
+    if args.trials_out:
+        for flag in ("n-target", "n-nontarget"):
+            value = getattr(args, flag.replace("-", "_"))
+            _require(value >= 0, flag, "non-negative", value)
     _check_out_dirs(args.out, args.trials_out)
     cfg = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
     corpus = generate_corpus(cfg)
@@ -253,12 +254,12 @@ def cmd_sweep_scale(args) -> int:
             raise ConfigError(f"--scales entries must be numbers, 'sequential' or "
                               f"'learnable': {args.scales!r}") from exc
     cfg = _run_config_from_args(args)
-    sweep_configs(cfg, scales)  # a bad mode or scale fails before any input is read
+    runs = sweep_configs(cfg, scales)  # a bad mode or scale fails before any input is read
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
     backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials = _read(read_trials, _path(args.trials, cfg.trials_path, "trial list"), "trial list")
-    rows = sweep_scale(cfg, backbone, corpus, trials, scales=scales)
+    rows = sweep_scale(runs, backbone, corpus, trials)
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))

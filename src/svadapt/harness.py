@@ -230,11 +230,7 @@ def backbone_hash_of(params) -> int:
     (featurizer + transformer stack) in their serialized order, hashed as
     one contiguous buffer."""
     arrays = [np.ravel(arr) for name, _t, arr in params if name.startswith(_BACKBONE)]
-    return _hash_values(np.concatenate(arrays, dtype="<f8") if arrays else np.empty(0, "<f8"))
-
-
-def _hash_values(values: np.ndarray) -> int:
-    """FNV-1a over the bytes of a contiguous little-endian float64 array."""
+    values = np.concatenate(arrays, dtype="<f8") if arrays else np.empty(0, "<f8")
     return fnv1a64(memoryview(values.view(np.uint8)))
 
 
@@ -334,31 +330,18 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     config_text = r.text(conf_len, "config block")
     (step,) = r.unpack("<Q", "step")
     (nparams,) = r.unpack("<I", "param count")
-    layout = []  # (name, trainable, shape, value count, byte offset in blob)
+    params = []
     for i in range(nparams):
         (name_len,) = r.unpack("<H", f"param {i} name length")
         name = r.text(name_len, f"param {i} name")
         trainable, rank = r.unpack("<BB", f"param {name!r} flags")
         shape = r.unpack(f"<{rank}I", f"param {name!r} shape")
         count = math.prod(shape)
-        layout.append((name, bool(trainable), shape, count, r.off))
-        r.take(8 * count, f"param {name!r} values")
+        raw = r.take(8 * count, f"param {name!r} values")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        params.append((name, bool(trainable), arr.copy()))
     (stored_hash,) = r.unpack("<Q", "backbone hash")
-    # the values leave the blob in one copy, into one owned buffer that
-    # holds the backbone params first, in file order, so the hashed bytes
-    # are its prefix; each param is a view of its own part of the buffer
-    in_backbone = [name.startswith(_BACKBONE) for name, *_rest in layout]
-    counts = [count for _n, _t, _s, count, _o in layout]
-    n_backbone = sum(count for count, b in zip(counts, in_backbone) if b)
-    values = np.empty(sum(counts), "<f8")
-    free = [n_backbone, 0]  # next free index for other and backbone params
-    params = []
-    for (name, trainable, shape, count, offset), b in zip(layout, in_backbone):
-        view = values[free[b] : free[b] + count]
-        free[b] += count
-        view[...] = np.frombuffer(blob, "<f8", count, offset)
-        params.append((name, trainable, view.reshape(shape)))
-    actual = _hash_values(values[:n_backbone])
+    actual = backbone_hash_of(params)
     if stored_hash != actual:
         raise DataError(
             f"{path}: backbone hash mismatch "
@@ -633,13 +616,12 @@ def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
     return runs
 
 
-def sweep_scale(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
-                scales=DEFAULT_SWEEP_SCALES) -> list:
-    """Train and evaluate one run per entry of `scales` (see
-    `sweep_configs`), each a row {"scale", "eer", "min_dcf"}. Every row's
-    config is checked before the first run starts."""
+def sweep_scale(runs, backbone_ckpt, corpus: Corpus, trials) -> list:
+    """Train and evaluate each (label, run config) of `runs`, the list
+    `sweep_configs` returns, so every row's config is checked before the
+    first run starts; each result is a row {"scale", "eer", "min_dcf"}."""
     rows = []
-    for label, run_cfg in sweep_configs(cfg, scales):
+    for label, run_cfg in runs:
         result, _scores = evaluate(train(run_cfg, backbone_ckpt, corpus).model, corpus, trials)
         rows.append({"scale": label, "eer": result.eer, "min_dcf": result.min_dcf})
     return rows

@@ -67,7 +67,9 @@ class Tensor:
     __slots__ = ("data", "grad", "needs_grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's float64 result is kept as is; anything else is converted
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self.needs_grad = False
 
@@ -221,21 +223,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-_new_tensor = Tensor.__new__
-
-
-def _output(data) -> Tensor:
-    """A primitive op's output around the float64 result the op computed,
-    without the dtype conversion `Tensor(data)` applies to a caller's
-    input. A 0-d result comes back from numpy as a scalar and is made a
-    0-d array, so `data` is always an ndarray."""
-    out = _new_tensor(Tensor)
-    out.data = data if type(data) is np.ndarray else np.asarray(data)
-    out.grad = None
-    out.needs_grad = False
-    return out
-
-
 def _check_bias(op: str, bias, out_shape) -> None:
     if bias is not None and bias.data.shape != out_shape[-1:]:
         raise ValueError(f"{op}: bias shape {bias.shape} does not fit output {out_shape}")
@@ -255,7 +242,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     _check_bias("matmul", bias, y.shape)
     if bias is not None:
         y += bias.data
-    out = _output(y)
+    out = Tensor(y)
 
     def bwd(g):
         if bias is not None and _wants(bias):
@@ -278,7 +265,7 @@ def vecmat(v: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     _check_bias("vecmat", bias, y.shape)
     if bias is not None:
         y += bias.data
-    out = _output(y)
+    out = Tensor(y)
 
     def bwd(g):
         if bias is not None and _wants(bias):
@@ -296,7 +283,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of the same shape."""
     if a.shape != b.shape:
         raise ValueError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    out = _output(a.data + b.data)
+    out = Tensor(a.data + b.data)
 
     def bwd(g):
         if _wants(a):
@@ -311,7 +298,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    out = _output(a.data * b.data)
+    out = Tensor(a.data * b.data)
 
     def bwd(g):
         if _wants(a):
@@ -329,7 +316,7 @@ def scale(x: Tensor, s) -> Tensor:
     if isinstance(s, Tensor):
         if s.data.size != 1:
             raise ValueError(f"scale factor must be scalar, got shape {s.shape}")
-        out = _output(x.data * s.data.reshape(()))
+        out = Tensor(x.data * s.data.reshape(()))
 
         def bwd(g):
             if _wants(x):
@@ -341,7 +328,7 @@ def scale(x: Tensor, s) -> Tensor:
         return out
 
     c = float(s)
-    out = _output(x.data * c)
+    out = Tensor(x.data * c)
 
     def bwd_const(g):
         _accum(x, g * c)
@@ -353,7 +340,7 @@ def scale(x: Tensor, s) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), passing NaN through; the subgradient at 0 is taken as 0."""
     y = np.maximum(x.data, 0.0)
-    out = _output(y)
+    out = Tensor(y)
 
     def bwd(g):
         _accum(x, g * (y > 0.0))
@@ -383,7 +370,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
-    out = _output(y)
+    out = Tensor(y)
 
     def bwd(g):
         reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
@@ -412,7 +399,7 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _output(y)
+    out = Tensor(y)
 
     def bwd(g):
         _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
@@ -439,7 +426,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     nll = lse - z[np.arange(b), labels]
-    out = _output(nll.mean())
+    out = Tensor(nll.mean())
 
     def bwd(g):
         p = np.exp(z - lse[:, None])
@@ -480,7 +467,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    out = _output(merge(att @ vh))
+    out = Tensor(merge(att @ vh))
 
     def bwd(g):
         gh = split(g)
@@ -507,7 +494,7 @@ def mean_rows(x: Tensor) -> Tensor:
         raise ValueError(f"mean_rows expects a non-empty [T, d] matrix, got {x.shape}")
     t = x.shape[0]
     # sum / t is bitwise what ndarray.mean computes, minus its Python wrapper
-    out = _output(x.data.sum(axis=0) / t)
+    out = Tensor(x.data.sum(axis=0) / t)
 
     def bwd(g):
         _accum(x, np.broadcast_to(g / t, x.data.shape))
@@ -517,7 +504,7 @@ def mean_rows(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = _output(x.data.sum())
+    out = Tensor(x.data.sum())
 
     def bwd(g):
         _accum(x, np.broadcast_to(g, x.data.shape))
@@ -537,7 +524,7 @@ def lincomb(coeffs: Tensor, tensors: list) -> Tensor:
     acc = np.zeros_like(tensors[0].data)
     for c, t in zip(coeffs.data, tensors):
         acc += c * t.data
-    out = _output(acc)
+    out = Tensor(acc)
 
     def bwd(g):
         if _wants(coeffs):
@@ -553,7 +540,7 @@ def lincomb(coeffs: Tensor, tensors: list) -> Tensor:
 
 def stack_rows(vectors: list) -> Tensor:
     """Stack length-d vectors into a [B, d] matrix."""
-    out = _output(np.stack([v.data for v in vectors], axis=0))
+    out = Tensor(np.stack([v.data for v in vectors], axis=0))
 
     def bwd(g):
         for i, v in enumerate(vectors):

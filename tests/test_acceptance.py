@@ -24,6 +24,7 @@ from svadapt.harness import (
     evaluate,
     load_backbone_into,
     pretrain_backbone,
+    sweep_configs,
     sweep_scale,
     train,
 )
@@ -386,7 +387,7 @@ class TestCriterion8SweepProtocol:
             adapter=AdapterConfig(bottleneck_dim=4),
             total_steps=40, warmup_steps=8, batch_size=2, seed=2,
         )
-        rows = sweep_scale(cfg, load_checkpoint(path), corpus, trials)
+        rows = sweep_scale(sweep_configs(cfg), load_checkpoint(path), corpus, trials)
         roster = [r["scale"] for r in rows]
         expected = ["sequential", "learnable", "0.05", "0.1", "0.5", "1", "1.5", "2"]
         populated = all(

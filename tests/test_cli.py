@@ -62,7 +62,6 @@ class TestGenData:
         )
         assert rc == 2
 
-
     @pytest.mark.parametrize(
         "counts", [("-3", "5"), ("5", "-1"), ("2", "10000")], ids=["neg-target", "neg-nontarget", "too-many"]
     )
@@ -78,6 +77,17 @@ class TestGenData:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_trial_counts_are_unused_without_trials_out(self, tmp_path):
+        out = tmp_path / "c.svc"
+        rc = main(
+            [
+                "gen-data", "--out", str(out), "--speakers", "2", "--utts-per-speaker", "2",
+                "--n-target", "-3",
+            ]
+        )
+        assert rc == 0
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestTrainEval:

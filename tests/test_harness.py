@@ -35,6 +35,7 @@ from svadapt.harness import (
     run_and_report,
     save_checkpoint,
     save_model_checkpoint,
+    sweep_configs,
     sweep_scale,
     train,
 )
@@ -805,9 +806,8 @@ class TestCountParamsTable:
 class TestSweepScale:
     def test_roster_and_populated_metrics(self, corpus, trials, backbone_ckpt):
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=4)
-        rows = sweep_scale(
-            cfg, backbone_ckpt, corpus, trials, scales=("sequential", "learnable", 0.5, 1.0)
-        )
+        runs = sweep_configs(cfg, scales=("sequential", "learnable", 0.5, 1.0))
+        rows = sweep_scale(runs, backbone_ckpt, corpus, trials)
         assert [r["scale"] for r in rows] == ["sequential", "learnable", "0.5", "1"]
         assert all(set(r) == {"scale", "eer", "min_dcf"} for r in rows)
         for r in rows:
@@ -819,16 +819,16 @@ class TestSweepScale:
             "sequential", "learnable", 0.05, 0.1, 0.5, 1.0, 1.5, 2.0
         )
 
-    def test_requires_inner_mode(self, corpus, trials, backbone_ckpt):
+    def test_requires_inner_mode(self):
         with pytest.raises(ConfigError, match="inner-adapter mode"):
-            sweep_scale(tiny_cfg("linear-probe"), backbone_ckpt, corpus, trials)
+            sweep_configs(tiny_cfg("linear-probe"))
 
     def test_scale_zero_row_equals_no_adapter_baseline(self, corpus, trials, backbone_ckpt):
         # with s=0 the adapter branch contributes nothing and receives no
         # gradient, so the run collapses onto the corresponding mode without
         # bottleneck adapters (inter) step for step
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20, seed=6)
-        rows = sweep_scale(cfg, backbone_ckpt, corpus, trials, scales=(0.0,))
+        rows = sweep_scale(sweep_configs(cfg, scales=(0.0,)), backbone_ckpt, corpus, trials)
         baseline = train(tiny_cfg("inter", steps=20, seed=6), backbone_ckpt, corpus)
         res, _ = evaluate(baseline.model, corpus, trials)
         assert rows[0]["eer"] == res.eer
