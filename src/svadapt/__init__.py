@@ -10,7 +10,7 @@ references), `synthdata` (deterministic synthetic speaker corpus), and
 `harness`/`cli` (training runs, checkpoints, reports, sweeps).
 """
 
-from .adapters import AdapterConfig, BottleneckAdapter, InterLayerAdapter, attach, count_trainable
+from .adapters import AdapterConfig, BottleneckAdapter, InterLayerAdapter, attach
 from .backbone import Encoder, EncoderConfig, PRESETS
 from .backend import ClassifierHead, SVHead, SpeakerEmbedding, cosine_score
 from .errors import ConfigError, DataError, NumericError, ParseError
@@ -56,7 +56,6 @@ __all__ = [
     "compute_eer",
     "compute_min_dcf",
     "cosine_score",
-    "count_trainable",
     "evaluate",
     "generate_corpus",
     "generate_trials",

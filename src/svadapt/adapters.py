@@ -281,11 +281,3 @@ def count_params(model) -> dict:
         "backbone_total": backbone_total,
         "pct_of_backbone": 100.0 * pretrained_side / backbone_total,
     }
-
-
-def count_trainable(model) -> dict:
-    """Exact trainable-parameter count per component, plus the share of the
-    backbone total (featurizer + transformer stack, trainable or not)."""
-    counts = count_params(model)
-    del counts["breakdown"]
-    return counts

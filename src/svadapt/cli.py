@@ -1,10 +1,10 @@
 """Command-line harness.
 
 Subcommands: gen-data, pretrain, train, eval, count-params, sweep-scale,
-grad-check. The run flags derive from `harness.config_settings` and override
-values taken from a `--config` key=value file with [section] grouping. Exit
-codes: 0 success, 2 config error, 3 data error (a file that cannot be read,
-parsed or written), 4 numeric failure (NaN detected).
+compare, grad-check. The run flags derive from `harness.config_settings` and
+override values taken from a `--config` key=value file with [section]
+grouping. Exit codes: 0 success, 2 config error, 3 data error (a file that
+cannot be read, parsed or written), 4 numeric failure (NaN detected).
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from .harness import (
     DEFAULT_SWEEP_SCALES,
     RunConfig,
     _check_frame_dim,
+    compare,
     config_from_file,
     config_from_text,
     config_settings,
     count_params_table,
     embed_trial_utterances,
+    format_compare_table,
     format_count_table,
     format_sweep_table,
     load_checkpoint,
@@ -77,12 +79,12 @@ def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
 
 
 def _flag_values(args, part) -> dict:
-    """{field name: value} for each run flag given on the command line
-    whose setting belongs to `part` (see `harness.Setting`)."""
+    """{field name: value} for each run flag given on the command line whose
+    setting belongs to `part`; a flag the subcommand lacks counts as unset."""
     values = {}
     for s in config_settings():
         if s.part == part and s.flag is not None:
-            value = getattr(args, s.flag.replace("-", "_"))
+            value = getattr(args, s.flag.replace("-", "_"), None)
             if value is not None:
                 values[s.field.name] = value
     return values
@@ -229,13 +231,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count_params(args) -> int:
+    """A dim flag not given takes the default for the encoder's width."""
     encoder = _encoder_from_args(args, EncoderConfig())
     big = encoder.hidden_dim >= 512
-    rows = count_params_table(
-        encoder,
-        args.embed_dim or (512 if big else 32),
-        args.bottleneck_dim or (256 if big else 16),
-    )
+    adapter = replace(ad.AdapterConfig(256 if big else 16), **_flag_values(args, "adapter"))
+    cfg = RunConfig(**{"embed_dim": 512 if big else 32, **_flag_values(args, None)},
+                    encoder=encoder, adapter=adapter)
+    rows = count_params_table(encoder, cfg.embed_dim, adapter.bottleneck_dim)
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -265,6 +267,19 @@ def cmd_sweep_scale(args) -> int:
             print(json.dumps(row, sort_keys=True))
     else:
         print(format_sweep_table(rows))
+    return EXIT_OK
+
+
+def cmd_compare(args) -> int:
+    cfg = RunConfig(**_flag_values(args, None), encoder=_encoder_from_args(args, EncoderConfig()))
+    corpus = _read(read_corpus, args.corpus, "corpus file")
+    trials = _read(read_trials, args.trials, "trial list")
+    reports = compare(cfg, [load_checkpoint(path) for path in args.backbone], corpus, trials)
+    if args.json:
+        for report in reports:
+            print(report.to_json(), flush=True)
+    else:
+        print(format_compare_table(reports))
     return EXIT_OK
 
 
@@ -347,6 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     _add_run_flags(p)
     p.set_defaults(func=cmd_sweep_scale)
+
+    p = sub.add_parser("compare", help="train and evaluate every mode on each backbone")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--trials", required=True)
+    p.add_argument("--backbone", required=True, action="append",
+                   help="pretrained backbone checkpoint; repeat for one run per mode each")
+    p.add_argument("--json", action="store_true")
+    _add_run_flags(p, [s for s in config_settings()
+                       if s.part != "adapter" and s.field.name not in ("mode", "seed")])
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--probes", type=int, default=100)

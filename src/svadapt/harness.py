@@ -1,6 +1,6 @@
 """Run orchestration: configs, binary checkpoints, desk-scale backbone
-pre-training, tuning runs, evaluation, parameter-count reports and the
-scaling-factor sweep.
+pre-training, tuning runs, evaluation, parameter-count reports, the
+scaling-factor sweep and the mode comparison.
 
 Checkpoint format (version 1, little-endian throughout):
 
@@ -91,11 +91,11 @@ class RunConfig:
                 object.__setattr__(self, "adapter", ad.default_adapter(self.mode))
         elif self.adapter is not None:
             raise ConfigError(f"mode {self.mode!r} takes no adapter configuration")
-        if self.total_steps < 1 or self.batch_size < 1:
-            raise ConfigError("total_steps and batch_size must be positive")
-        if self.warmup_steps < 0 or self.warmup_steps > self.total_steps:
-            raise ConfigError("warmup_steps must lie within [0, total_steps]")
         for key, ok, rule in (
+            ("total_steps", self.total_steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
+            ("warmup_steps", 0 <= self.warmup_steps <= self.total_steps, "in [0, total_steps]"),
             ("lr_head", 0.0 <= self.lr_head < math.inf, "finite and >= 0"),
             ("lr_other", 0.0 <= self.lr_other < math.inf, "finite and >= 0"),
             ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
@@ -341,6 +341,8 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
         params.append((name, bool(trainable), arr.copy()))
     (stored_hash,) = r.unpack("<Q", "backbone hash")
+    if r.off != len(blob):
+        raise DataError(f"{path}: {len(blob) - r.off} bytes follow the backbone hash")
     actual = backbone_hash_of(params)
     if stored_hash != actual:
         raise DataError(
@@ -552,7 +554,7 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         mode=cfg.mode,
         seed=cfg.seed,
         steps=cfg.total_steps,
-        counts=ad.count_trainable(run.model),
+        counts=ad.count_params(run.model),
         **asdict(result),
         wall_clock=time.perf_counter() - started,
     )
@@ -567,13 +569,13 @@ def count_params_table(encoder_cfg: EncoderConfig, embed_dim: int, bottleneck_di
     """Per-mode trainable counts with a weights/biases/LN breakdown, shares
     measured against the backbone total (featurizer + transformer stack).
     Each mode is built shape-only and counted by `adapters.count_params`.
-    Its adapters take the first variant the mode accepts, at the default
-    fixed scale, where the count is the same for either variant."""
+    Its adapters are the mode's default at `bottleneck_dim`; a fixed scale
+    adds no param, so the count is the same for either variant."""
     rows = []
-    for mode, spec in ad.MODE_SPECS.items():
-        acfg = None
-        if spec.slots:
-            acfg = ad.AdapterConfig(bottleneck_dim=bottleneck_dim, variant=spec.variants[0])
+    for mode in ad.MODES:
+        acfg = ad.default_adapter(mode)
+        if acfg is not None:
+            acfg = replace(acfg, bottleneck_dim=bottleneck_dim)
         with tt.shape_only():
             counts = ad.count_params(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
         side = counts.pop("pretrained_side_trainable")
@@ -593,7 +595,7 @@ def format_count_table(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scaling-factor sweep
+# scaling-factor sweep and mode comparison
 
 
 DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
@@ -631,4 +633,29 @@ def format_sweep_table(rows) -> str:
     lines = [f"{'scale':<12} {'EER':>8} {'minDCF':>8}"]
     for r in rows:
         lines.append(f"{r['scale']:<12} {r['eer']:>8.4f} {r['min_dcf']:>8.4f}")
+    return "\n".join(lines)
+
+
+def compare(cfg: RunConfig, backbones, corpus: Corpus, trials):
+    """Per backbone, then per mode in `MODES` order: the `run_and_report`
+    report of a run with the mode's default adapter and the seed in the
+    backbone's config text. Every run config is checked before the first
+    run starts; the reports are yielded as the runs finish."""
+    runs = [(b, replace(cfg, mode=mode, adapter=None, seed=config_from_text(b.config_text).seed))
+            for b in backbones for mode in ad.MODES]
+    return (run_and_report(run_cfg, b, corpus, trials)[2] for b, run_cfg in runs)
+
+
+def format_compare_table(reports) -> str:
+    """One row per mode, in first-report order: its trainable count and the
+    median EER and minDCF over its reports."""
+    by_mode = {}
+    for r in reports:
+        by_mode.setdefault(r.mode, []).append(r)
+    lines = [f"{'mode':<14} {'trainable':>12} {'pct':>7} {'EER':>7} {'minDCF':>8}"]
+    for mode, rs in by_mode.items():
+        c = rs[0].counts
+        eer, dcf = (float(np.median([getattr(r, k) for r in rs])) for k in ("eer", "min_dcf"))
+        lines.append(f"{mode:<14} {c['pretrained_side_trainable']:>12,} "
+                     f"{c['pct_of_backbone']:>6.2f}% {eer:>7.3f} {dcf:>8.3f}")
     return "\n".join(lines)

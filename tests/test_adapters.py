@@ -21,7 +21,6 @@ from svadapt.adapters import (
     MODES,
     attach,
     count_params,
-    count_trainable,
     inter_layer_forward,
     weighted_sum,
 )
@@ -249,7 +248,7 @@ class TestAttach:
 def shape_only_counts(encoder_cfg, embed_dim, mode, acfg=None):
     """Trainable counts per component from a shape-only build."""
     with T.shape_only():
-        counts = count_trainable(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
+        counts = count_params(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
     return counts["components"], counts["pretrained_side_trainable"]
 
 
@@ -326,7 +325,7 @@ class TestCountTrainable:
 
     def test_linear_probe_trains_nothing_pretrained_side(self):
         m = desk_model("linear-probe")
-        counts = count_trainable(m)
+        counts = count_params(m)
         assert counts["pretrained_side_trainable"] == 0
         assert counts["components"]["sv_backend"] == 2 * (32 * 32 + 32)
 
@@ -349,7 +348,7 @@ class TestCountTrainable:
 
     def test_weighted_sum_trains_logits_only(self):
         m = desk_model("weighted-sum")
-        counts = count_trainable(m)
+        counts = count_params(m)
         assert counts["pretrained_side_trainable"] == 4  # desk encoder has 4 layers
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from svadapt.cli import main
@@ -327,6 +328,15 @@ class TestCountParams:
             assert main(["count-params", "--json", flag, value]) == 0
             assert capsys.readouterr().out != default, flag
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--embed-dim", "0", "embed_dim"), ("--embed-dim", "-1", "embed_dim"),
+         ("--bottleneck-dim", "0", "bottleneck_dim")],
+    )
+    def test_a_dim_below_one_exits_2(self, flag, value, key, capsys):
+        assert main(["count-params", flag, value]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_runs_fast(self):
         import time
 
@@ -399,6 +409,102 @@ class TestSweepScale:
         assert repr(mode) in capsys.readouterr().err
 
 
+class TestCompare:
+    # wider than the default 16-unit bottleneck, which compare always uses
+    FLAGS = [
+        "--num-layers", "2", "--hidden-dim", "24", "--num-heads", "2", "--ffn-dim", "24",
+        "--input-dim", "10", "--embed-dim", "8", "--batch-size", "4",
+        "--total-steps", "2", "--warmup-steps", "1",
+    ]
+
+    @pytest.fixture(scope="class")
+    def backbones(self, workdir):
+        paths = [workdir / f"compare-backbone{seed}.ckpt" for seed in (0, 1)]
+        for seed, path in enumerate(paths):
+            rc = main(
+                ["pretrain", "--corpus", str(workdir / "corpus.txt"), "--out", str(path),
+                 "--seed", str(seed), *self.FLAGS]
+            )
+            assert rc == 0
+        return paths
+
+    def inputs(self, workdir, backbones):
+        return [
+            "--corpus", str(workdir / "corpus.txt"), "--trials", str(workdir / "trials.txt"),
+            *(arg for path in backbones for arg in ("--backbone", str(path))), *self.FLAGS,
+        ]
+
+    def test_json_rows_are_the_train_reports(self, workdir, backbones, tmp_path, capsys):
+        from svadapt.adapters import MODES
+
+        def untimed(out):
+            return [line.rsplit(', "wall_clock_s"', 1)[0] for line in out.splitlines()]
+
+        assert main(["compare", "--json", *self.inputs(workdir, backbones)]) == 0
+        rows = untimed(capsys.readouterr().out)
+        assert main(["compare", "--json", *self.inputs(workdir, backbones)]) == 0
+        assert untimed(capsys.readouterr().out) == rows
+        runs = [(seed, path, mode) for seed, path in enumerate(backbones) for mode in MODES]
+        assert len(rows) == len(runs) == 14
+        for row, (seed, path, mode) in zip(rows, runs):
+            rc = main(
+                ["train", "--mode", mode, "--seed", str(seed), "--backbone", str(path),
+                 "--corpus", str(workdir / "corpus.txt"), "--trials", str(workdir / "trials.txt"),
+                 "--out", str(tmp_path / "run.ckpt"), *self.FLAGS]
+            )
+            assert rc == 0
+            assert untimed(capsys.readouterr().out) == [row]
+
+    def test_table_has_the_medians_of_the_rows(self, workdir, backbones, capsys):
+        from svadapt.adapters import MODES
+
+        assert main(["compare", "--json", *self.inputs(workdir, backbones)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(["compare", *self.inputs(workdir, backbones)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == ["mode", "trainable", "pct", "EER", "minDCF"]
+        assert [line.split()[0] for line in lines] == list(MODES)
+        for line in lines:
+            mode, trainable, pct, eer, dcf = line.split()
+            ours = [r for r in rows if r["mode"] == mode]
+            assert int(trainable.replace(",", "")) == ours[0]["trainable"]["pretrained_side_trainable"]
+            assert pct == f"{ours[0]['trainable']['pct_of_backbone']:.2f}%"
+            assert eer == f"{np.median([r['eer'] for r in ours]):.3f}"
+            assert dcf == f"{np.median([r['min_dcf'] for r in ours]):.3f}"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "inner"], ["--seed", "1"], ["--config", "run.conf"],
+         ["--bottleneck-dim", "4"], ["--adapter-scale", "0.5"]],
+        ids=["mode", "seed", "config", "bottleneck-dim", "adapter-scale"],
+    )
+    def test_a_flag_it_does_not_take_is_a_usage_error(self, workdir, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", *self.inputs(workdir, ["b.ckpt"]), *flags])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+    def test_no_backbone_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", *self.inputs(workdir, [])])
+        assert info.value.code == 2
+        assert "required: --backbone" in capsys.readouterr().err
+
+    def test_missing_corpus_exits_3_before_any_training(
+        self, workdir, backbones, tmp_path, capsys, monkeypatch
+    ):
+        import svadapt.harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
+        argv = self.inputs(workdir, backbones)
+        argv[argv.index("--corpus") + 1] = str(tmp_path / "missing.svc")
+        assert main(["compare", *argv]) == 3
+        assert "missing.svc not found" in capsys.readouterr().err
+
+
 class TestGradCheck:
     def test_passes_at_default_tolerance(self, capsys):
         rc = main(["grad-check", "--probes", "40"])
@@ -442,6 +548,8 @@ class TestMalformedRunNumbers:
             (["--adapter-scale", "nan"], "scale"),
             (["--adapter-scale", "inf"], "scale"),
             (["--adapter-scale", "learnable", "--scale-init", "nan"], "scale_init"),
+            (["--embed-dim", "-2"], "embed_dim"),
+            (["--embed-dim", "0"], "embed_dim"),
         ],
     )
     def test_train_exits_2_before_reading_inputs(self, tmp_path, flags, key, capsys):
@@ -483,7 +591,7 @@ class TestReadmeCommands:
                     if line.startswith("svadapt ")]
         assert {argv[1] for argv in commands} >= {
             "gen-data", "pretrain", "train", "eval", "count-params", "sweep-scale",
-            "grad-check",
+            "compare", "grad-check",
         }
         parser = build_parser()
         for argv in commands:
@@ -696,6 +804,21 @@ class TestCorruptCheckpoint:
         )
         assert rc == 3
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_bytes_after_the_hash_exit_3(self, workdir, tmp_path, capsys):
+        run = tmp_path / "run.ckpt"
+        assert main(
+            ["train", "--corpus", str(workdir / "corpus.txt"), "--out", str(run),
+             "--mode", "inter", "--total-steps", "2", "--warmup-steps", "1",
+             "--batch-size", "4", *ENCODER_FLAGS]
+        ) == 0
+        run.write_bytes(run.read_bytes() + b"\xa5" * 28)
+        rc = main(
+            ["eval", "--checkpoint", str(run), "--corpus", str(workdir / "corpus.txt"),
+             "--trials", str(workdir / "trials.txt")]
+        )
+        assert rc == 3
+        assert "28 bytes follow the backbone hash" in capsys.readouterr().err
 
 
 # sha256 of `svadapt count-params` stdout, taken before the count moved

@@ -6,12 +6,26 @@ The sha256 digests (first 16 hex digits) of the losses' `repr`, the trial
 scores' `repr`, the `EvalResult` `repr` and the checkpoint bytes are pinned.
 A change that is meant to keep every number (a faster kernel, less
 bookkeeping) must leave them all; a change that moves numbers on purpose
-re-pins them and says why. Matrix products go through the BLAS numpy is
-built with, so another numpy/BLAS build may round differently and need its
-own pins.
+re-pins them and says why.
+
+The determinism contract: losses, scores, metrics and checkpoint bytes are
+a function of the run config, the corpus bytes, the backbone bytes and the
+numpy/BLAS build. Matrix products go through the BLAS numpy is built with,
+so another numpy/BLAS build may round differently and need its own pins.
+Results do not depend on the BLAS thread count:
+`test_pins_hold_at_every_blas_thread_count` recomputes every digest in
+fresh processes whose OpenBLAS/OpenMP thread count is set before numpy is
+imported. Results do not depend on whether a process is fresh or reused,
+either: the in-process tests and the child processes give the same pins.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -68,24 +82,59 @@ def corpus():
     return generate_corpus(CORPUS)
 
 
+def pretrain_digests(corpus, path) -> tuple:
+    run = pretrain_backbone(run_config("full-finetune"), corpus, out_path=path)
+    return digest(run.losses), digest(path.read_bytes())
+
+
+def tuning_digests(name, corpus, backbone_path, path) -> tuple:
+    mode, adapter = CONFIGS[name]
+    run = train(run_config(mode, adapter), load_checkpoint(backbone_path), corpus, out_path=path)
+    trials = generate_trials(corpus.part("adapt"), 30, 30, seed=1)
+    result, scores = evaluate(run.model, corpus, trials)
+    return digest(run.losses), digest(scores), digest(result), digest(path.read_bytes())
+
+
+def all_digests(workdir: Path) -> dict:
+    """Every pinned digest, computed from scratch in `workdir`."""
+    corpus = generate_corpus(CORPUS)
+    backbone = workdir / "backbone.ckpt"
+    got = {"pretrain": pretrain_digests(corpus, backbone)}
+    for name in sorted(CONFIGS):
+        got[name] = tuning_digests(name, corpus, backbone, workdir / "run.ckpt")
+    return got
+
+
 @pytest.fixture(scope="module")
 def pretrained(corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "backbone.ckpt"
-    run = pretrain_backbone(run_config("full-finetune"), corpus, out_path=path)
-    return run, path
+    return pretrain_digests(corpus, path), path
 
 
 def test_pretrain(pretrained):
-    run, path = pretrained
-    assert (digest(run.losses), digest(path.read_bytes())) == PINNED["pretrain"]
+    assert pretrained[0] == PINNED["pretrain"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_tuning_run(name, corpus, pretrained, tmp_path):
-    mode, adapter = CONFIGS[name]
-    path = tmp_path / "run.ckpt"
-    run = train(run_config(mode, adapter), load_checkpoint(pretrained[1]), corpus, out_path=path)
-    trials = generate_trials(corpus.part("adapt"), 30, 30, seed=1)
-    result, scores = evaluate(run.model, corpus, trials)
-    got = (digest(run.losses), digest(scores), digest(result), digest(path.read_bytes()))
-    assert got == PINNED[name]
+    assert tuning_digests(name, corpus, pretrained[1], tmp_path / "run.ckpt") == PINNED[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pins_hold_at_every_blas_thread_count(threads):
+    import svadapt
+
+    src = str(Path(svadapt.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    got = {name: tuple(pins) for name, pins in json.loads(child.stdout).items()}
+    assert got == PINNED
+
+
+if __name__ == "__main__":
+    # the child process of test_pins_hold_at_every_blas_thread_count
+    with tempfile.TemporaryDirectory() as workdir:
+        print(json.dumps(all_digests(Path(workdir))))

@@ -142,6 +142,8 @@ class TestRunConfig:
             ("adapter", "scale", "nan"),
             ("adapter", "scale", "-inf"),
             ("adapter", "scale_init", "nan"),
+            ("head", "embed_dim", "0"),
+            ("head", "embed_dim", "-2"),
         ],
     )
     def test_malformed_number_is_config_error_naming_the_key(self, section, key, value):
@@ -500,8 +502,9 @@ class TestCheckpoints:
 
 
 class TestCheckpointCorruption:
-    """Any truncation or undecodable text block is a DataError, never a
-    bare ValueError or UnicodeDecodeError."""
+    """Any truncation, byte past the hash trailer or undecodable text block
+    is a DataError, never a bare ValueError or UnicodeDecodeError or a
+    silent load."""
 
     @pytest.fixture()
     def tiny_ckpt(self, tmp_path):
@@ -522,6 +525,13 @@ class TestCheckpointCorruption:
             cut.write_bytes(blob[:n])
             with pytest.raises(DataError):
                 load_checkpoint(cut)
+
+    @pytest.mark.parametrize("junk", [b"\0", b"\xa5" * 28], ids=["1-byte", "28-bytes"])
+    def test_bytes_after_the_hash_are_a_data_error(self, tiny_ckpt, tmp_path, junk):
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(tiny_ckpt.read_bytes() + junk)
+        with pytest.raises(DataError, match=f"{len(junk)} bytes follow the backbone hash"):
+            load_checkpoint(padded)
 
     def test_half_length_message_names_truncation(self, tiny_ckpt, tmp_path):
         blob = tiny_ckpt.read_bytes()
