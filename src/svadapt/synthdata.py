@@ -308,7 +308,8 @@ def _parse_speakers(lines, path) -> dict:
 
 def _parse_index(lines, path, split: dict, frame_dim: int):
     """([(id, speaker, t, f_dim)], nbytes) from the index records and the
-    `[frames] <nbytes>` line after them."""
+    `[frames] <nbytes>` line after them, which must be exactly that: one
+    space, and the decimal the index implies."""
     index, seen = [], set()
     for lineno, line in lines:
         parts = line.split()
@@ -337,7 +338,7 @@ def _parse_index(lines, path, split: dict, frame_dim: int):
     else:
         raise ParseError(f"{path}: missing [frames] section")
     nbytes = 8 * sum(t * f_dim for _i, _s, t, f_dim in index)
-    if parts != ["[frames]", str(nbytes)]:
+    if line != f"[frames] {nbytes}":
         raise ParseError(f"{path}:{lineno}: expected '[frames] {nbytes}', got {line!r}")
     return index, nbytes
 

@@ -395,6 +395,14 @@ class TestCorpusRejects:
         with pytest.raises(ParseError, match=f":{len(lines)}: expected '\\[frames\\] {n}'"):
             self.read(tmp_path, parts)
 
+    @pytest.mark.parametrize("sep", ["\t", "  ", "\x1c", "\u2028"])
+    def test_frames_line_takes_one_space(self, tmp_path, parts, lines, sep):
+        # str.split() would take any of these as the separator
+        n = int(lines[-1].split()[1])
+        lines[-1] = f"[frames]{sep}{n}\n"
+        with pytest.raises(ParseError, match=f":{len(lines)}: expected '\\[frames\\] {n}'"):
+            self.read(tmp_path, parts)
+
     def test_missing_frames_line(self, tmp_path, parts, lines):
         del lines[-1]
         with pytest.raises(ParseError, match=f":{len(lines) + 1}: "):
