@@ -10,13 +10,13 @@ references), `synthdata` (deterministic synthetic speaker corpus), and
 `harness`/`cli` (training runs, checkpoints, reports, sweeps).
 """
 
-from .adapters import AdapterConfig, BottleneckAdapter, InterLayerAdapter, attach
+from .adapters import AdapterConfig, BottleneckAdapter, InterLayerAdapter
 from .backbone import Encoder, EncoderConfig, PRESETS
 from .backend import ClassifierHead, SVHead, SpeakerEmbedding, cosine_score
 from .errors import ConfigError, DataError, NumericError, ParseError
 from .harness import Checkpoint, MetricsReport, RunConfig, evaluate, pretrain_backbone, train
 from .metrics import EvalResult, ScoreSet, Trial, compute_eer, compute_min_dcf
-from .model import SVModel, build_model
+from .model import SVModel
 from .optim import Adam, LrSchedule
 from .synthdata import Corpus, CorpusConfig, generate_corpus, generate_trials
 from .tensor import Param, Tape, Tensor, grad_check
@@ -51,8 +51,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "Trial",
-    "attach",
-    "build_model",
     "compute_eer",
     "compute_min_dcf",
     "cosine_score",

@@ -1,5 +1,5 @@
 """Bottleneck adapters, the layer-weighted feature bridge, and the
-tuning-mode table with attachment and parameter counting.
+tuning-mode table with its adapter rule and parameter counting.
 
 A bottleneck adapter is inserted on the output h of a frozen sub-block (the
 FFN, and in houlsby mode the MHSA too), before the sub-block's residual and
@@ -17,9 +17,11 @@ layer outputs into the speaker-embedding width with an FC + ReLU + LN. The
 same bridge object exists in every tuning mode so that all modes share one
 embedding architecture; modes differ only in which parts may train.
 
-`MODE_SPECS` states, once, what each mode inserts and trains. `attach`
-applies a row to a model, and `count_params` counts the model's own params,
-so parameter reports and checkpoint layouts follow from the table.
+`MODE_SPECS` states, once, what each mode inserts and trains, and
+`adapter_for` states which adapter config a mode takes. `model.SVModel`
+builds a model from its mode's row, and `count_params` counts the model's
+own params, so parameter reports and checkpoint layouts follow from the
+table.
 """
 
 from __future__ import annotations
@@ -97,16 +99,25 @@ class AdapterConfig:
             raise ConfigError(f"adapter scale_init must be finite, got {self.scale_init!r}")
 
 
-def default_adapter(mode: str) -> AdapterConfig | None:
-    """The adapter config a mode takes when none is given: none for a mode
-    without adapter slots, else the default `AdapterConfig`, switched to the
-    first variant the mode accepts when it does not accept the default's
-    (houlsby: sequential)."""
+def adapter_for(mode: str, cfg: AdapterConfig | None = None) -> AdapterConfig | None:
+    """`cfg`, or when none is given the mode's default: none for a mode
+    without adapter slots, else `AdapterConfig()` in the mode's first
+    variant if it does not take the default's (houlsby: sequential). An
+    unknown mode, a config for a mode without slots, or a variant the mode
+    does not take is a ConfigError."""
+    if mode not in MODE_SPECS:
+        raise ConfigError(f"unknown tuning mode {mode!r}; expected one of {MODES}")
     spec = MODE_SPECS[mode]
+    if cfg is None:
+        if not spec.slots:
+            return None
+        cfg = AdapterConfig()
+        return cfg if cfg.variant in spec.variants else replace(cfg, variant=spec.variants[0])
     if not spec.slots:
-        return None
-    cfg = AdapterConfig()
-    return cfg if cfg.variant in spec.variants else replace(cfg, variant=spec.variants[0])
+        raise ConfigError(f"mode {mode!r} takes no bottleneck adapter: it has no adapter slots")
+    if cfg.variant not in spec.variants:
+        raise ConfigError(f"mode {mode!r} uses {' or '.join(spec.variants)} adapters only")
+    return cfg
 
 
 class BottleneckAdapter:
@@ -159,11 +170,12 @@ class InterLayerAdapter:
     """FC + ReLU + LN bridge from the hidden width to the embedding width,
     applied to the weighted sum of all layer outputs."""
 
-    def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge"):
-        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed)
-        self.b = Param.zeros(f"{name}.b", embed_dim)
-        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim)
-        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim)
+    def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge",
+                 trainable: bool = True):
+        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed, trainable)
+        self.b = Param.zeros(f"{name}.b", embed_dim, trainable)
+        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim, trainable)
+        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim, trainable)
 
     def params(self):
         return [self.w, self.b, self.ln_g, self.ln_b]
@@ -177,56 +189,7 @@ def inter_layer_forward(h_sum: Tensor, adapter: InterLayerAdapter) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# tuning-mode attachment
-
-
-def attach(model, mode: str, adapter_cfg: AdapterConfig | None = None):
-    """Configure a fresh model for a tuning mode from its `MODE_SPECS` row:
-    insert the row's bottleneck adapters and set every trainability flag.
-    A mode with adapter slots takes an `AdapterConfig` (`default_adapter`
-    when none is given) of a variant it accepts; any other mode takes none.
-    Attaching twice is an error.
-    """
-    if mode not in MODES:
-        raise ConfigError(f"unknown tuning mode {mode!r}; expected one of {MODES}")
-    if getattr(model, "mode", None) is not None:
-        raise ConfigError(f"model already attached in mode {model.mode!r}")
-    spec = MODE_SPECS[mode]
-    if spec.slots:
-        adapter_cfg = adapter_cfg or default_adapter(mode)
-        if adapter_cfg.variant not in spec.variants:
-            raise ConfigError(f"mode {mode!r} uses {' or '.join(spec.variants)} adapters only")
-    elif adapter_cfg is not None:
-        raise ConfigError(f"mode {mode!r} takes no bottleneck adapter config")
-
-    cfg = model.encoder.cfg
-    scale = None
-    if spec.slots and adapter_cfg.variant == "parallel":
-        if adapter_cfg.scale == LEARNABLE:
-            model.scale_param = Param(
-                float(adapter_cfg.scale_init), name="adapters.scale"
-            )
-            scale = model.scale_param
-        else:
-            scale = float(adapter_cfg.scale)
-    for slot in spec.slots:
-        adapters = [
-            BottleneckAdapter(
-                cfg.hidden_dim, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
-                model.seed, scale,
-            )
-            for i in range(cfg.num_layers)
-        ]
-        setattr(model, f"{slot}_adapters", adapters)
-
-    model.encoder.set_trainable(spec.train_stack)
-    model.layer_logits.trainable = spec.train_logits
-    for p in model.bridge.params():
-        p.trainable = spec.train_bridge
-    for p in model.head.params():
-        p.trainable = True
-    model.mode = mode
-    return model
+# parameter accounting
 
 
 _COMPONENT_PREFIXES = (
@@ -241,6 +204,8 @@ _COMPONENT_PREFIXES = (
 )
 BACKBONE_COMPONENTS = ("featurizer", "backbone")
 HEAD_COMPONENTS = ("sv_backend", "classifier")
+# backbone name prefixes, for names read from a file: `component_of` raises
+BACKBONE_PREFIXES = tuple(p for p, comp in _COMPONENT_PREFIXES if comp in BACKBONE_COMPONENTS)
 
 
 def component_of(name: str) -> str:

@@ -26,7 +26,9 @@ from .harness import (
     DEFAULT_SWEEP_SCALES,
     RunConfig,
     _check_frame_dim,
+    buildable,
     compare,
+    compare_configs,
     config_from_file,
     config_from_text,
     config_settings,
@@ -103,14 +105,13 @@ def _run_config_from_args(args) -> RunConfig:
     updates["encoder"] = _encoder_from_args(args, cfg.encoder)
     mode = updates.get("mode", cfg.mode)
     adapter = cfg.adapter
-    if adapter == ad.default_adapter(cfg.mode) or mode not in ad.INNER_MODES:
+    if adapter == ad.adapter_for(cfg.mode) or mode not in ad.INNER_MODES:
         # the default adapter of the config's mode, or any adapter config
         # when switching to a mode without adapters, gives way to the
         # default of the mode the run uses (houlsby: sequential)
-        adapter = ad.default_adapter(mode)
-    # AdapterConfig validates/coerces the scale value itself
+        adapter = ad.adapter_for(mode)
     adapter_flags = _flag_values(args, "adapter")
-    if adapter_flags:
+    if adapter_flags:  # AdapterConfig validates/coerces the scale value itself
         adapter = replace(adapter or ad.AdapterConfig(), **adapter_flags)
     updates["adapter"] = adapter
     return replace(cfg, **updates)
@@ -188,7 +189,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config_from_args(args)
+    cfg = buildable(_run_config_from_args(args))
     _check_out_dirs(args.out)
     corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
     backbone_path = args.backbone or cfg.backbone_path
@@ -271,10 +272,12 @@ def cmd_sweep_scale(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = RunConfig(**_flag_values(args, None), encoder=_encoder_from_args(args, EncoderConfig()))
+    runs = compare_configs(
+        RunConfig(**_flag_values(args, None), encoder=_encoder_from_args(args, EncoderConfig()))
+    )
     corpus = _read(read_corpus, args.corpus, "corpus file")
     trials = _read(read_trials, args.trials, "trial list")
-    reports = compare(cfg, [load_checkpoint(path) for path in args.backbone], corpus, trials)
+    reports = compare(runs, [load_checkpoint(path) for path in args.backbone], corpus, trials)
     if args.json:
         for report in reports:
             print(report.to_json(), flush=True)
@@ -386,12 +389,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenPipeError:  # stdout's reader has gone; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("data error: cannot write stdout: the reader closed the pipe", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # from a write: each reader maps its own to DataError
         print(f"data error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)

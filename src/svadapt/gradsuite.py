@@ -15,25 +15,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as tt
-from .adapters import LEARNABLE, default_adapter
+from .adapters import LEARNABLE, adapter_for, component_of
 from .backbone import EncoderConfig
 from .backend import train_loss
-from .model import SVModel, build_model
+from .model import SVModel
 from .rng import Stream
 from .tensor import grad_check
-
-
-def _randomize_zero_init(model: SVModel, seed: int) -> None:
-    """Give zero-initialized params small random values so every gradient
-    path is exercised; keeps relu pre-activations away from the kink."""
-    stream = Stream(seed, "gradsuite-randomize")
-    for p in model.named_params():
-        if p.name.startswith("featurizer."):
-            continue
-        if not np.any(p.data):
-            p.data[...] = stream.gaussian(p.data.shape) * 0.3
-        if p.name.endswith("logits"):
-            p.data[...] = stream.gaussian(p.data.shape) * 0.5
 
 
 def build_check_model(mode: str = "inner-inter", seed: int = 0):
@@ -42,16 +29,23 @@ def build_check_model(mode: str = "inner-inter", seed: int = 0):
     encoder_cfg = EncoderConfig(
         num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=8, seed=seed
     )
-    # the mode's default adapter (parallel wherever the mode accepts it),
-    # with a learnable scale
-    adapter_cfg = default_adapter(mode)
+    # the mode's default adapter (parallel where the mode takes it), learnable scale
+    adapter_cfg = adapter_for(mode)
     if adapter_cfg is not None:
         adapter_cfg = replace(adapter_cfg, bottleneck_dim=4, scale=LEARNABLE)
-    model = build_model(encoder_cfg, 8, mode, adapter_cfg, seed=seed + 1)
+    model = SVModel(encoder_cfg, 8, mode, adapter_cfg, seed=seed + 1)
     model.add_classifier(3)
-    _randomize_zero_init(model, seed)
+    # give zero-initialized params small random values so every gradient
+    # path is exercised; keeps relu pre-activations away from the kink
+    stream = Stream(seed, "gradsuite-randomize")
     for p in model.named_params():
-        p.trainable = not p.name.startswith("featurizer.")
+        p.trainable = component_of(p.name) != "featurizer"
+        if not p.trainable:
+            continue
+        if not np.any(p.data):
+            p.data[...] = stream.gaussian(p.data.shape) * 0.3
+        if p.name.endswith("logits"):
+            p.data[...] = stream.gaussian(p.data.shape) * 0.5
     frames = [
         Stream(seed, f"gradsuite-frames/{i}").gaussian((6, 8)) for i in range(3)
     ]

@@ -39,7 +39,7 @@ from .backend import cosine_score, train_loss
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write
 from .metrics import ScoreSet, evaluate_scores
-from .model import SVModel, build_model
+from .model import SVModel
 from .optim import Adam, LrSchedule
 from .rng import Stream, fnv1a64
 from .synthdata import Corpus
@@ -84,13 +84,7 @@ class RunConfig:
     backbone_path: str = field(default="", metadata={**DATA, "key": "backbone"})
 
     def __post_init__(self):
-        if self.mode not in ad.MODES:
-            raise ConfigError(f"unknown tuning mode {self.mode!r}; expected one of {ad.MODES}")
-        if ad.MODE_SPECS[self.mode].slots:
-            if self.adapter is None:
-                object.__setattr__(self, "adapter", ad.default_adapter(self.mode))
-        elif self.adapter is not None:
-            raise ConfigError(f"mode {self.mode!r} takes no adapter configuration")
+        object.__setattr__(self, "adapter", ad.adapter_for(self.mode, self.adapter))
         for key, ok, rule in (
             ("total_steps", self.total_steps >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -222,14 +216,11 @@ class Checkpoint:
         return {name: arr for name, trainable, arr in self.params}
 
 
-_BACKBONE = ("featurizer.", "encoder.")
-
-
 def backbone_hash_of(params) -> int:
     """FNV-1a over the little-endian float64 bytes of the backbone params
     (featurizer + transformer stack) in their serialized order, hashed as
     one contiguous buffer."""
-    arrays = [np.ravel(arr) for name, _t, arr in params if name.startswith(_BACKBONE)]
+    arrays = [np.ravel(arr) for name, _t, arr in params if name.startswith(ad.BACKBONE_PREFIXES)]
     values = np.concatenate(arrays, dtype="<f8") if arrays else np.empty(0, "<f8")
     return fnv1a64(memoryview(values.view(np.uint8)))
 
@@ -380,11 +371,9 @@ def _batches(utterances, labels, batch_size: int, total_steps: int, seed: int):
 
 
 def _optimizer(model: SVModel, cfg: RunConfig) -> Adam:
-    head_params = list(model.head.params())
-    if model.classifier is not None:
-        head_params += model.classifier.params()
-    head_ids = {id(p) for p in head_params}
-    other = [p for p in model.trainable_params() if id(p) not in head_ids]
+    head_params, other = [], []
+    for p in model.trainable_params():
+        (head_params if ad.component_of(p.name) in ad.HEAD_COMPONENTS else other).append(p)
     mk = lambda peak: LrSchedule(peak, cfg.warmup_steps, cfg.total_steps, cfg.lr_floor_ratio)
     return Adam(
         [(head_params, mk(cfg.lr_head)), (other, mk(cfg.lr_other))],
@@ -411,6 +400,14 @@ def _run_steps(model: SVModel, utterances, labels, cfg: RunConfig) -> list:
     return losses
 
 
+def buildable(cfg: RunConfig) -> RunConfig:
+    """`cfg`, once its model is built shape-only: the constructor is the one
+    check that a model can be built, made before any input is read."""
+    with tt.shape_only():
+        SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+    return cfg
+
+
 def _check_frame_dim(corpus: Corpus, encoder_cfg: EncoderConfig) -> None:
     """ConfigError unless the corpus frames fit the encoder's input."""
     if corpus.config.frame_dim != encoder_cfg.input_dim:
@@ -432,7 +429,7 @@ def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
             f"batch_size {cfg.batch_size} exceeds the {len(utterances)} utterances "
             f"of the {part!r} part"
         )
-    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+    model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
     if backbone_ckpt is not None:
         load_backbone_into(model, backbone_ckpt)
     speakers = corpus.speakers(part)
@@ -457,7 +454,7 @@ def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
 def load_backbone_into(model: SVModel, checkpoint: Checkpoint) -> None:
     """Install pretrained featurizer + transformer weights by name."""
     backbone = {
-        name: arr for name, _t, arr in checkpoint.params if name.startswith(_BACKBONE)
+        name: arr for name, _t, arr in checkpoint.params if name.startswith(ad.BACKBONE_PREFIXES)
     }
     own = {p.name for p in model.backbone_params()}
     missing = own - set(backbone)
@@ -482,7 +479,7 @@ def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
     from it; a param the checkpoint lacks (a backbone-only file) is a
     DataError, never left at its random init."""
     cfg = config_from_text(checkpoint.config_text)
-    model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+    model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
     values = checkpoint.values()
     missing = [p.name for p in model.named_params() if p.name not in values]
     if missing:
@@ -573,11 +570,11 @@ def count_params_table(encoder_cfg: EncoderConfig, embed_dim: int, bottleneck_di
     adds no param, so the count is the same for either variant."""
     rows = []
     for mode in ad.MODES:
-        acfg = ad.default_adapter(mode)
+        acfg = ad.adapter_for(mode)
         if acfg is not None:
             acfg = replace(acfg, bottleneck_dim=bottleneck_dim)
         with tt.shape_only():
-            counts = ad.count_params(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
+            counts = ad.count_params(SVModel(encoder_cfg, embed_dim, mode, acfg, seed=0))
         side = counts.pop("pretrained_side_trainable")
         rows.append({"mode": mode, "trainable_pretrained_side": side, **counts})
     return rows
@@ -604,8 +601,8 @@ DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.
 def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
     """(label, run config) for each entry of `scales`: "sequential" runs
     the sequential adapter, "learnable" the parallel one with a learnable
-    scale, and a number the parallel one at that fixed scale. A mode
-    without a parallel adapter, or a bad entry, is a ConfigError."""
+    scale, and a number the parallel one at that fixed scale. A bad entry,
+    an unbuildable row or a mode without a parallel adapter is a ConfigError."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
     runs = []
@@ -614,7 +611,7 @@ def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
             acfg = replace(cfg.adapter, variant="sequential")
         else:
             acfg = replace(cfg.adapter, variant="parallel", scale=s)
-        runs.append((s if isinstance(s, str) else f"{s:g}", replace(cfg, adapter=acfg)))
+        runs.append((s if isinstance(s, str) else f"{s:g}", buildable(replace(cfg, adapter=acfg))))
     return runs
 
 
@@ -636,14 +633,19 @@ def format_sweep_table(rows) -> str:
     return "\n".join(lines)
 
 
-def compare(cfg: RunConfig, backbones, corpus: Corpus, trials):
-    """Per backbone, then per mode in `MODES` order: the `run_and_report`
-    report of a run with the mode's default adapter and the seed in the
-    backbone's config text. Every run config is checked before the first
-    run starts; the reports are yielded as the runs finish."""
-    runs = [(b, replace(cfg, mode=mode, adapter=None, seed=config_from_text(b.config_text).seed))
-            for b in backbones for mode in ad.MODES]
-    return (run_and_report(run_cfg, b, corpus, trials)[2] for b, run_cfg in runs)
+def compare_configs(cfg: RunConfig) -> list:
+    """`cfg` in each mode of `MODES`, in order, with the mode's default
+    adapter; a mode whose model cannot be built is a ConfigError."""
+    return [buildable(replace(cfg, mode=mode, adapter=None)) for mode in ad.MODES]
+
+
+def compare(runs, backbones, corpus: Corpus, trials):
+    """Per backbone, then per run config of `runs` (from `compare_configs`):
+    the `run_and_report` report of that run with the seed in the backbone's
+    config text, yielded as the runs finish; every seed is read first."""
+    seeded = [(b, replace(run_cfg, seed=config_from_text(b.config_text).seed))
+              for b in backbones for run_cfg in runs]
+    return (run_and_report(run_cfg, b, corpus, trials)[2] for b, run_cfg in seeded)
 
 
 def format_compare_table(reports) -> str:

@@ -28,22 +28,35 @@ from .tensor import Param, Tensor
 
 
 class SVModel:
-    """Backbone + weighting + bridge + head; adapters arrive via attach()."""
+    """Backbone + adapters + weighting + bridge + head for one tuning mode,
+    built from the mode's `MODE_SPECS` row: the row's bottleneck adapters
+    (with `adapters.adapter_for(mode, adapter_cfg)`), the shared scale of
+    a parallel adapter and every trainability flag. The featurizer never
+    trains and the head always does."""
 
-    def __init__(self, encoder_cfg: bb.EncoderConfig, embed_dim: int, seed: int):
+    def __init__(self, encoder_cfg: bb.EncoderConfig, embed_dim: int, mode: str,
+                 adapter_cfg: ad.AdapterConfig | None, seed: int):
+        adapter_cfg = ad.adapter_for(mode, adapter_cfg)
+        spec = ad.MODE_SPECS[mode]
+        d, n = encoder_cfg.hidden_dim, encoder_cfg.num_layers
         self.seed = seed
         self.embed_dim = embed_dim
         self.encoder = bb.Encoder(encoder_cfg)
-        self.layer_logits = Param.zeros(
-            "layer_weights.logits", encoder_cfg.num_layers, trainable=False
+        self.encoder.set_trainable(spec.train_stack)
+        self.scale_param = scale = None
+        if adapter_cfg is not None and adapter_cfg.variant == "parallel":
+            scale = adapter_cfg.scale
+            if scale == ad.LEARNABLE:
+                scale = self.scale_param = Param(adapter_cfg.scale_init, name="adapters.scale")
+        self.ffn_adapters, self.mhsa_adapters = (
+            [ad.BottleneckAdapter(d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
+                                  seed, scale) for i in range(n)] if slot in spec.slots else None
+            for slot in ("ffn", "mhsa")
         )
-        self.bridge = ad.InterLayerAdapter(encoder_cfg.hidden_dim, embed_dim, seed)
+        self.layer_logits = Param.zeros("layer_weights.logits", n, trainable=spec.train_logits)
+        self.bridge = ad.InterLayerAdapter(d, embed_dim, seed, trainable=spec.train_bridge)
         self.head = be.SVHead(embed_dim, seed)
         self.classifier = None
-        self.mode = None
-        self.ffn_adapters = None
-        self.mhsa_adapters = None
-        self.scale_param = None
 
     def add_classifier(self, num_speakers: int) -> None:
         self.classifier = be.ClassifierHead(self.embed_dim, num_speakers, self.seed)
@@ -96,15 +109,3 @@ class SVModel:
                     f"vs checkpoint {arr.shape}"
                 )
             own[name].data[...] = arr
-
-
-def build_model(
-    encoder_cfg: bb.EncoderConfig,
-    embed_dim: int,
-    mode: str,
-    adapter_cfg: ad.AdapterConfig | None,
-    seed: int,
-) -> SVModel:
-    model = SVModel(encoder_cfg, embed_dim, seed)
-    ad.attach(model, mode, adapter_cfg)
-    return model

@@ -35,7 +35,7 @@ from svadapt.metrics import (
     reference_eer,
     reference_min_dcf,
 )
-from svadapt.model import build_model
+from svadapt.model import SVModel
 from svadapt.synthdata import CorpusConfig, generate_corpus, generate_trials
 
 pytestmark = pytest.mark.slow
@@ -91,7 +91,7 @@ def step0_score_report(corpus, backbone_ckpt) -> str:
     by_id = corpus.by_id()
 
     def scores_for(mode, acfg):
-        model = build_model(EncoderConfig(), 32, mode, acfg, seed=11)
+        model = SVModel(EncoderConfig(), 32, mode, acfg, seed=11)
         load_backbone_into(model, backbone_ckpt)
         embs = {}
         out = []

@@ -19,7 +19,6 @@ from svadapt.adapters import (
     InterLayerAdapter,
     MODE_SPECS,
     MODES,
-    attach,
     count_params,
     inter_layer_forward,
     weighted_sum,
@@ -27,7 +26,7 @@ from svadapt.adapters import (
 from svadapt.backbone import EncoderConfig, PRESETS
 from svadapt.backend import train_loss
 from svadapt.errors import ConfigError
-from svadapt.model import build_model
+from svadapt.model import SVModel
 from svadapt.tensor import Param, Tape, Tensor
 
 
@@ -205,7 +204,7 @@ class TestInterLayer:
 
 
 def desk_model(mode, adapter=None, seed=0):
-    return build_model(EncoderConfig(), 32, mode, adapter, seed=seed)
+    return SVModel(EncoderConfig(), 32, mode, adapter, seed=seed)
 
 
 class TestAttach:
@@ -227,11 +226,6 @@ class TestAttach:
             m = desk_model(mode, acfg)
             assert sum(p.data.size for p in m.encoder.params() if p.trainable) == 0
 
-    def test_double_attach_rejected(self):
-        m = desk_model("inner", AdapterConfig())
-        with pytest.raises(ConfigError, match="already attached"):
-            attach(m, "inner", AdapterConfig())
-
     def test_adapter_config_rejected_outside_inner_modes(self):
         with pytest.raises(ConfigError, match="no bottleneck adapter"):
             desk_model("linear-probe", AdapterConfig())
@@ -248,7 +242,7 @@ class TestAttach:
 def shape_only_counts(encoder_cfg, embed_dim, mode, acfg=None):
     """Trainable counts per component from a shape-only build."""
     with T.shape_only():
-        counts = count_params(build_model(encoder_cfg, embed_dim, mode, acfg, seed=0))
+        counts = count_params(SVModel(encoder_cfg, embed_dim, mode, acfg, seed=0))
     return counts["components"], counts["pretrained_side_trainable"]
 
 
@@ -385,7 +379,7 @@ class TestGradientsThroughFullGraph:
         assert full_graph_grad_check("inner-inter", n_probes=60, seed=3) <= 1e-4
 
     def test_learnable_scale_and_logits_receive_gradient(self):
-        m = build_model(
+        m = SVModel(
             EncoderConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24,
                           input_dim=8),
             8,

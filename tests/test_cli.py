@@ -1,6 +1,10 @@
 """End-to-end CLI coverage with exit-code contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +132,8 @@ class TestTrainEval:
             [
                 command, "--corpus", str(workdir / "corpus.txt"),
                 "--out", str(tmp_path / "run.ckpt"), "--total-steps", "1",
-                "--warmup-steps", "1", "--batch-size", str(n + 1), *ENCODER_FLAGS,
+                "--warmup-steps", "1", "--batch-size", str(n + 1), "--bottleneck-dim", "4",
+                *ENCODER_FLAGS,
             ]
         )
         assert rc == 2
@@ -202,6 +207,16 @@ class TestTrainEval:
             ]
         )
         assert rc == 3
+
+    def test_unbuildable_model_exits_2_before_reading_inputs(self, tmp_path, capsys):
+        # the default 16-unit bottleneck is not narrower than a 16-unit
+        # encoder; the corpus does not exist: read first, it would be exit 3
+        rc = main(
+            ["train", "--corpus", str(tmp_path / "missing.svc"),
+             "--out", str(tmp_path / "run.ckpt"), "--hidden-dim", "16", "--num-heads", "2"]
+        )
+        assert rc == 2
+        assert "bottleneck 16 must be smaller than width 16" in capsys.readouterr().err
 
     def test_unreadable_corpus_is_data_error(self, workdir, tmp_path):
         # a directory: open() raises IsADirectoryError, an OSError
@@ -489,6 +504,26 @@ class TestCompare:
             main(["compare", *self.inputs(workdir, [])])
         assert info.value.code == 2
         assert "required: --backbone" in capsys.readouterr().err
+
+    def test_a_mode_without_a_model_exits_2_before_any_run(self, workdir, capsys, monkeypatch):
+        # houlsby's default 16-unit bottleneck does not fit the 16-unit
+        # backbone of the module fixture
+        import svadapt.harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
+        argv = [
+            "compare", "--json", "--corpus", str(workdir / "corpus.txt"),
+            "--trials", str(workdir / "trials.txt"), "--backbone", str(workdir / "backbone.ckpt"),
+            "--embed-dim", "8", "--batch-size", "4", "--total-steps", "2",
+            "--warmup-steps", "1", *ENCODER_FLAGS,
+        ]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bottleneck 16 must be smaller than width 16" in err
 
     def test_missing_corpus_exits_3_before_any_training(
         self, workdir, backbones, tmp_path, capsys, monkeypatch
@@ -790,6 +825,17 @@ class TestHoulsbyDefaults:
         assert "sequential adapters only" in capsys.readouterr().err
 
 
+    def test_parallel_houlsby_config_exits_2_before_reading_inputs(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\nmode = houlsby\n[adapter]\nvariant = parallel\n")
+        rc = main(
+            ["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
+             "--out", str(tmp_path / "run.ckpt")]
+        )
+        assert rc == 2
+        assert "sequential adapters only" in capsys.readouterr().err
+
+
 class TestCorruptCheckpoint:
     def test_truncated_checkpoint_exits_3(self, workdir, tmp_path, capsys):
         blob = (workdir / "backbone.ckpt").read_bytes()
@@ -962,7 +1008,8 @@ class TestFileFaults:
         rc = main(
             [
                 "train", "--corpus", str(old), "--out", str(tmp_path / "x.ckpt"),
-                "--total-steps", "2", "--warmup-steps", "1", *ENCODER_FLAGS,
+                "--total-steps", "2", "--warmup-steps", "1", "--bottleneck-dim", "4",
+                *ENCODER_FLAGS,
             ]
         )
         assert rc == 3
@@ -1040,3 +1087,23 @@ class TestFileFaults:
         }[command]
         assert main(argv) == 3
         assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_is_one_stderr_line():
+    import svadapt
+
+    src = str(Path(svadapt.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "svadapt", "count-params", "--json"],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                               timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 3
+    assert child.stderr.splitlines() == [
+        "data error: cannot write stdout: the reader closed the pipe"
+    ]

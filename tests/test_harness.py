@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt import tensor as tt
-from svadapt.adapters import MODE_SPECS, AdapterConfig, default_adapter
+from svadapt.adapters import MODE_SPECS, AdapterConfig, adapter_for
 from svadapt.backbone import EncoderConfig, PRESETS
 from svadapt.backend import train_loss
 from svadapt.errors import ConfigError, DataError, NumericError
@@ -39,7 +39,7 @@ from svadapt.harness import (
     sweep_scale,
     train,
 )
-from svadapt.model import build_model
+from svadapt.model import SVModel
 from svadapt.optim import LrSchedule
 from svadapt.rng import fnv1a64
 from svadapt.synthdata import CorpusConfig, generate_corpus, generate_trials
@@ -93,6 +93,10 @@ class TestRunConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown tuning mode"):
             RunConfig(mode="prefix-tuning")
+
+    def test_variant_the_mode_does_not_take_is_rejected(self):
+        with pytest.raises(ConfigError, match="sequential adapters only"):
+            RunConfig(mode="houlsby", adapter=AdapterConfig(variant="parallel"))
 
     def test_warmup_bounded_by_total(self):
         with pytest.raises(ConfigError, match="warmup"):
@@ -190,7 +194,7 @@ class TestRunConfig:
         assert "corpus = a%%b\n" in text and "trials = 100%\n" in text
         assert config_from_text(text) == cfg
         # a checkpoint's embedded config reads back
-        model = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+        model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
         save_model_checkpoint(tmp_path / "p.ckpt", model, text, 0)
         assert config_from_text(load_checkpoint(tmp_path / "p.ckpt").config_text) == cfg
 
@@ -368,7 +372,7 @@ def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
     return fh.getvalue()
 
 
-CHECKPOINT_MODES = [(mode, default_adapter(mode)) for mode in MODE_SPECS] + [
+CHECKPOINT_MODES = [(mode, adapter_for(mode)) for mode in MODE_SPECS] + [
     ("inner-inter", AdapterConfig(bottleneck_dim=4, scale="learnable")),
 ]
 
@@ -378,7 +382,7 @@ def randomized_model(mode, acfg, seed=0):
     checkpoint array is all zeros."""
     if acfg is not None:
         acfg = replace(acfg, bottleneck_dim=4)
-    model = build_model(TINY_ENCODER, 8, mode, acfg, seed)
+    model = SVModel(TINY_ENCODER, 8, mode, acfg, seed)
     rng = np.random.default_rng(seed)
     for p in model.named_params():
         p.data[...] = rng.normal(size=p.data.shape)
@@ -564,7 +568,7 @@ class TestTapeSize:
     )
     def test_desk_step_tape_length(self, mode, ops):
         cfg = RunConfig(mode=mode)
-        model = build_model(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
+        model = SVModel(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
         model.add_classifier(4)
         rng = np.random.default_rng(0)
         frames = [rng.normal(size=(12, cfg.encoder.input_dim)) for _ in range(cfg.batch_size)]
@@ -594,7 +598,7 @@ class TestPretrain:
         run = pretrain_backbone(tiny_cfg(steps=4), corpus)
         feat = [p for p in run.model.backbone_params() if p.name.startswith("featurizer.")]
         assert all(not p.trainable for p in feat)
-        fresh = build_model(TINY_ENCODER, 8, "linear-probe", None, seed=0)
+        fresh = SVModel(TINY_ENCODER, 8, "linear-probe", None, seed=0)
         for p, q in zip(
             sorted(feat, key=lambda p: p.name),
             sorted(
@@ -627,7 +631,7 @@ class TestTrain:
     def test_step0_scores_match_linear_probe(self, corpus, trials, backbone_ckpt):
         def scores_at_step0(mode, acfg):
             cfg = tiny_cfg(mode, acfg, seed=3)
-            model = build_model(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, cfg.seed)
+            model = SVModel(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, cfg.seed)
             load_backbone_into(model, backbone_ckpt)
             _res, scores = evaluate(model, corpus, trials)
             return np.array(scores)
@@ -649,7 +653,7 @@ class TestTrain:
             "inner-inter", AdapterConfig(bottleneck_dim=4), steps=3, lr_other=0.0
         )
         run = train(cfg, backbone_ckpt, corpus)
-        fresh = build_model(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
+        fresh = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
         load_backbone_into(fresh, backbone_ckpt)
         fresh_by_name = {p.name: p for p in fresh.named_params()}
         for p in run.model.named_params(include_classifier=False):
@@ -668,7 +672,7 @@ class TestTrain:
         def no_model(*args, **kwargs):
             raise AssertionError("the model was built")
 
-        monkeypatch.setattr(harness, "build_model", no_model)
+        monkeypatch.setattr(harness, "SVModel", no_model)
         n = len(corpus.part("adapt"))
         cfg = replace(tiny_cfg(steps=2), batch_size=n + 1)
         with pytest.raises(ConfigError, match=rf"batch_size {n + 1} exceeds the {n} utterances"):
@@ -709,7 +713,7 @@ class TestNonFiniteGradientInTraining:
         import svadapt.harness as harness_module
 
         models, calls = [], []
-        build = harness_module.build_model
+        build = harness_module.SVModel
         backward = tt.Tape.backward
 
         def build_and_keep(*args, **kwargs):
@@ -722,7 +726,7 @@ class TestNonFiniteGradientInTraining:
             if len(calls) == 2:
                 models[0].head.fc1_w.grad[0, 0] = np.inf
 
-        monkeypatch.setattr(harness_module, "build_model", build_and_keep)
+        monkeypatch.setattr(harness_module, "SVModel", build_and_keep)
         monkeypatch.setattr(tt.Tape, "backward", corrupting_backward)
         with pytest.raises(NumericError, match=r"'head\.fc1\.w' at step 2"):
             train(tiny_cfg("inter", steps=4), backbone_ckpt, corpus)
@@ -753,7 +757,7 @@ class TestEvaluate:
         eers = []
         for seed in range(5):
             cfg = tiny_cfg(seed=seed)
-            model = build_model(cfg.encoder, cfg.embed_dim, "linear-probe", None, seed)
+            model = SVModel(cfg.encoder, cfg.embed_dim, "linear-probe", None, seed)
             res, _ = evaluate(model, corpus, trials)
             eers.append(res.eer)
         assert 0.02 < float(np.median(eers)) < 0.65

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from svadapt.backbone import EncoderConfig
 from svadapt.harness import model_backbone_hash
-from svadapt.model import build_model
+from svadapt.model import SVModel
 from svadapt.rng import Stream, fnv1a64, gaussians, randints
 
 BLOCK = 1 << 16  # bytes per dot product
@@ -71,7 +71,7 @@ def test_matches_byte_loop_across_blocks(n, seed, fill):
 def test_desk_backbone_hash_is_pinned():
     # computed by the byte loop over these 1,081,856 bytes; a checkpoint
     # trailer written before the numpy hash must still verify
-    model = build_model(EncoderConfig(), 32, "inter", None, 0)
+    model = SVModel(EncoderConfig(), 32, "inter", None, 0)
     assert sum(p.data.nbytes for p in model.backbone_params()) == 1_081_856
     assert model_backbone_hash(model) == 0xB0204ECD6A0993BB
 

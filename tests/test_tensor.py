@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from svadapt import tensor as T
 from svadapt.backend import train_loss
-from svadapt.harness import RunConfig, build_model
+from svadapt.harness import RunConfig, SVModel
 from svadapt.tensor import Param, Tape, Tensor
 
 
@@ -541,7 +541,7 @@ class TestBackwardConsumesTape:
     def _desk_batch(mode="full-finetune"):
         # one desk-config training batch: 8 utterances of 45 frames
         cfg = RunConfig(mode=mode)
-        model = build_model(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
+        model = SVModel(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, seed=0)
         model.add_classifier(4)
         rng = np.random.default_rng(0)
         frames = [rng.normal(size=(45, cfg.encoder.input_dim)) for _ in range(8)]
