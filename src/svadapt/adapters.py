@@ -19,9 +19,9 @@ embedding architecture; modes differ only in which parts may train.
 
 `MODE_SPECS` states, once, what each mode inserts and trains, and
 `adapter_for` states which adapter config a mode takes. `model.SVModel`
-builds a model from its mode's row, and `count_params` counts the model's
-own params, so parameter reports and checkpoint layouts follow from the
-table.
+builds a model and sets every trainable flag from its mode's row, and
+`count_params` counts the model's own params, so parameter reports and
+checkpoint layouts follow from the table.
 """
 
 from __future__ import annotations
@@ -41,26 +41,24 @@ LEARNABLE = "learnable"
 class ModeSpec:
     """One tuning mode. `slots` names the per-layer adapter positions it
     inserts ("ffn", "mhsa"); `variants` are the adapter variants it accepts;
-    the train_* flags say whether the transformer stack, the layer-weight
-    logits and the bridge train. The featurizer never trains and the SV
-    head always does."""
+    `trains` names the components of the pretrained side that train
+    ("backbone", "layer_weights", "inter_adapter"). Every component in
+    `ALWAYS_TRAINED` trains too; the featurizer never does."""
 
     slots: tuple = ()
     variants: tuple = ()
-    train_stack: bool = False
-    train_logits: bool = False
-    train_bridge: bool = False
+    trains: tuple = ()
 
 
 MODE_SPECS = {
-    "full-finetune": ModeSpec(train_stack=True),
+    "full-finetune": ModeSpec(trains=("backbone",)),
     "linear-probe": ModeSpec(),
-    "weighted-sum": ModeSpec(train_logits=True),
+    "weighted-sum": ModeSpec(trains=("layer_weights",)),
     "houlsby": ModeSpec(slots=("ffn", "mhsa"), variants=("sequential",)),
     "inner": ModeSpec(slots=("ffn",), variants=VARIANTS),
-    "inter": ModeSpec(train_logits=True, train_bridge=True),
+    "inter": ModeSpec(trains=("layer_weights", "inter_adapter")),
     "inner-inter": ModeSpec(
-        slots=("ffn",), variants=VARIANTS, train_logits=True, train_bridge=True
+        slots=("ffn",), variants=VARIANTS, trains=("layer_weights", "inter_adapter")
     ),
 }
 MODES = tuple(MODE_SPECS)
@@ -123,8 +121,8 @@ def adapter_for(mode: str, cfg: AdapterConfig | None = None) -> AdapterConfig | 
 class BottleneckAdapter:
     """Down-project, ReLU, up-project, LN. Up-projection and LN shift start
     at zero so the branch output is exactly zero at init. `scale` is None
-    for a sequential adapter, else the parallel branch's float or shared
-    scalar Param."""
+    for a sequential adapter, else the parallel branch's scalar Tensor: a
+    constant when fixed, a Param when learnable, shared across layers."""
 
     def __init__(self, d: int, bottleneck: int, name: str, seed: int, scale=None):
         if bottleneck >= d:
@@ -170,12 +168,11 @@ class InterLayerAdapter:
     """FC + ReLU + LN bridge from the hidden width to the embedding width,
     applied to the weighted sum of all layer outputs."""
 
-    def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge",
-                 trainable: bool = True):
-        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed, trainable)
-        self.b = Param.zeros(f"{name}.b", embed_dim, trainable)
-        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim, trainable)
-        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim, trainable)
+    def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge"):
+        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed)
+        self.b = Param.zeros(f"{name}.b", embed_dim)
+        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim)
+        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim)
 
     def params(self):
         return [self.w, self.b, self.ln_g, self.ln_b]
@@ -204,6 +201,8 @@ _COMPONENT_PREFIXES = (
 )
 BACKBONE_COMPONENTS = ("featurizer", "backbone")
 HEAD_COMPONENTS = ("sv_backend", "classifier")
+# trained in every mode that has them, on top of the mode row's `trains`
+ALWAYS_TRAINED = ("scale", "inner_adapters") + HEAD_COMPONENTS
 # backbone name prefixes, for names read from a file: `component_of` raises
 BACKBONE_PREFIXES = tuple(p for p, comp in _COMPONENT_PREFIXES if comp in BACKBONE_COMPONENTS)
 

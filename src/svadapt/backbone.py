@@ -51,10 +51,8 @@ class Featurizer:
     """Frozen affine projection from input frames to the hidden width."""
 
     def __init__(self, cfg: EncoderConfig):
-        self.proj = Param.xavier(
-            "featurizer.proj", (cfg.input_dim, cfg.hidden_dim), cfg.seed, trainable=False
-        )
-        self.bias = Param.zeros("featurizer.bias", cfg.hidden_dim, trainable=False)
+        self.proj = Param.xavier("featurizer.proj", (cfg.input_dim, cfg.hidden_dim), cfg.seed)
+        self.bias = Param.zeros("featurizer.bias", cfg.hidden_dim)
 
     def __call__(self, frames: Tensor) -> Tensor:
         return tt.matmul(frames, self.proj, self.bias)
@@ -142,13 +140,6 @@ class Encoder:
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-    def set_trainable(self, train_stack: bool) -> None:
-        """Train the transformer stack or freeze it. The featurizer is made
-        frozen and stays so."""
-        for layer in self.layers:
-            for p in layer.params():
-                p.trainable = train_stack
 
 
 def encode_collect(

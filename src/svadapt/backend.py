@@ -52,33 +52,29 @@ class ClassifierHead:
 
 
 def pool_and_embed(features: Tensor, head: SVHead) -> Tensor:
-    """Mean over time frames, then the two FC layers."""
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError(f"pool_and_embed needs a non-empty [T, e] input, got {features.shape}")
+    """Mean over time frames as a [1, e] row, then the two FC layers."""
     pooled = tt.mean_rows(features)
-    h = tt.relu(tt.vecmat(pooled, head.fc1_w, head.fc1_b))
-    return tt.vecmat(h, head.fc2_w, head.fc2_b)
+    h = tt.relu(tt.matmul(pooled, head.fc1_w, head.fc1_b))
+    return tt.matmul(h, head.fc2_w, head.fc2_b)
 
 
 def train_loss(embeddings, labels, clf: ClassifierHead) -> Tensor:
-    """Softmax cross-entropy over training speakers for a batch of
+    """Softmax cross-entropy over training speakers for a batch of [1, e]
     embedding tensors."""
-    logits = tt.matmul(tt.stack_rows(embeddings), clf.w, clf.b)
+    logits = tt.matmul(tt.concat_rows(embeddings), clf.w, clf.b)
     return tt.softmax_cross_entropy(logits, labels)
 
 
-def cosine_score(a, b) -> float:
-    """Cosine similarity of two embeddings; a (near-)zero-norm side makes
-    the score 0 and records a degenerate-embedding warning."""
-    va = a.vector if isinstance(a, SpeakerEmbedding) else np.asarray(a, dtype=np.float64)
-    vb = b.vector if isinstance(b, SpeakerEmbedding) else np.asarray(b, dtype=np.float64)
+def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two float64 embedding vectors; a (near-)zero-norm
+    side makes the score 0 and records a degenerate-embedding warning."""
     # sqrt(v . v) is what np.linalg.norm computes for a vector, minus its wrapper
-    na = math.sqrt(va.dot(va))
-    nb = math.sqrt(vb.dot(vb))
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na < 1e-12 or nb < 1e-12:
         warnings.warn("zero-norm embedding scored as 0", DegenerateEmbeddingWarning)
         return 0.0
-    return float(va.dot(vb) / (na * nb))
+    return float(a.dot(b) / (na * nb))
 
 
 def write_embeddings(path, embeddings) -> None:

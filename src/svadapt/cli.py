@@ -132,12 +132,20 @@ def _read(reader, path, what: str):
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
-def _check_out_dirs(*paths) -> None:
-    """Refuse an output whose directory is missing before any input is read
-    or any work is done, with the error a failed write would give."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _check_paths(outputs: dict, inputs: dict) -> None:
+    """Refuse, before any data file is read or any work is done, an output
+    whose directory is missing (with the error a failed write would give)
+    and an output that is an input or another output (a ConfigError naming
+    both). Each dict maps a flag to a path or None."""
+    seen = {os.path.realpath(path): f"{flag} {path}" for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if path:
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ConfigError(f"{seen[real]} and {flag} {path} name the same file")
+            seen[real] = f"{flag} {path}"
 
 
 def _path(flag_value, cfg_value, what):
@@ -158,7 +166,7 @@ def cmd_gen_data(args) -> int:
         for flag in ("n-target", "n-nontarget"):
             value = getattr(args, flag.replace("-", "_"))
             _require(value >= 0, flag, "non-negative", value)
-    _check_out_dirs(args.out, args.trials_out)
+    _check_paths({"--out": args.out, "--trials-out": args.trials_out}, {})
     cfg = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
     corpus = generate_corpus(cfg)
     trials = None
@@ -177,8 +185,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _run_config_from_args(args)
-    _check_out_dirs(args.out)
-    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
+    corpus_path = _path(args.corpus, cfg.corpus_path, "corpus")
+    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": corpus_path})
+    corpus = _read(read_corpus, corpus_path, "corpus file")
     run = pretrain_backbone(cfg, corpus, out_path=args.out)
     print(
         f"pretrained backbone for {cfg.total_steps} steps: "
@@ -190,11 +199,13 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = buildable(_run_config_from_args(args))
-    _check_out_dirs(args.out)
-    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
+    corpus_path = _path(args.corpus, cfg.corpus_path, "corpus")
     backbone_path = args.backbone or cfg.backbone_path
-    backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials_path = args.trials or cfg.trials_path
+    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": corpus_path,
+                                       "--backbone": backbone_path, "--trials": trials_path})
+    corpus = _read(read_corpus, corpus_path, "corpus file")
+    backbone = load_checkpoint(backbone_path) if backbone_path else None
     trials = _read(read_trials, trials_path, "trial list") if trials_path else None
     if trials is None:
         run = train_run(cfg, backbone, corpus, out_path=args.out)
@@ -210,7 +221,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require(0.0 < args.p_target < 1.0, "p-target", "in (0, 1)", args.p_target)
-    _check_out_dirs(args.scores_out, args.embeddings_out)
+    _check_paths({"--scores-out": args.scores_out, "--embeddings-out": args.embeddings_out},
+                 {f"--{flag}": getattr(args, flag) for flag in ("checkpoint", "corpus", "trials")})
     corpus = _read(read_corpus, args.corpus, "corpus file")
     trials = _read(read_trials, args.trials, "trial list")
     checkpoint = load_checkpoint(args.checkpoint)
@@ -249,7 +261,7 @@ def cmd_count_params(args) -> int:
 
 def cmd_sweep_scale(args) -> int:
     scales = DEFAULT_SWEEP_SCALES
-    if args.scales:
+    if args.scales is not None:
         words = args.scales.split(",")
         try:
             scales = [w if w in ("sequential", ad.LEARNABLE) else float(w) for w in words]

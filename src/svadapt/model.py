@@ -5,7 +5,7 @@ Every tuning mode shares one embedding architecture:
     frames -> featurizer -> N transformer layers (maybe with adapters)
            -> softmax-weighted sum of the N layer outputs
            -> bridge FC+ReLU+LN (hidden width -> embedding width)
-           -> mean over time -> fc1+ReLU -> fc2 -> embedding
+           -> mean over time -> fc1+ReLU -> fc2 -> [1, e] embedding row
 
 so at step 0 every non-finetune mode computes the identical function given
 the same backbone weights and run seed; modes differ in which parts are
@@ -30,9 +30,9 @@ from .tensor import Param, Tensor
 class SVModel:
     """Backbone + adapters + weighting + bridge + head for one tuning mode,
     built from the mode's `MODE_SPECS` row: the row's bottleneck adapters
-    (with `adapters.adapter_for(mode, adapter_cfg)`), the shared scale of
-    a parallel adapter and every trainability flag. The featurizer never
-    trains and the head always does."""
+    (with `adapters.adapter_for(mode, adapter_cfg)`) and their shared scale.
+    A last pass sets every trainable flag: a param trains when its
+    component is in the row's `trains` or in `adapters.ALWAYS_TRAINED`."""
 
     def __init__(self, encoder_cfg: bb.EncoderConfig, embed_dim: int, mode: str,
                  adapter_cfg: ad.AdapterConfig | None, seed: int):
@@ -42,21 +42,24 @@ class SVModel:
         self.seed = seed
         self.embed_dim = embed_dim
         self.encoder = bb.Encoder(encoder_cfg)
-        self.encoder.set_trainable(spec.train_stack)
         self.scale_param = scale = None
         if adapter_cfg is not None and adapter_cfg.variant == "parallel":
-            scale = adapter_cfg.scale
-            if scale == ad.LEARNABLE:
+            if adapter_cfg.scale == ad.LEARNABLE:
                 scale = self.scale_param = Param(adapter_cfg.scale_init, name="adapters.scale")
+            else:
+                scale = Tensor(adapter_cfg.scale)
         self.ffn_adapters, self.mhsa_adapters = (
             [ad.BottleneckAdapter(d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
                                   seed, scale) for i in range(n)] if slot in spec.slots else None
             for slot in ("ffn", "mhsa")
         )
-        self.layer_logits = Param.zeros("layer_weights.logits", n, trainable=spec.train_logits)
-        self.bridge = ad.InterLayerAdapter(d, embed_dim, seed, trainable=spec.train_bridge)
+        self.layer_logits = Param.zeros("layer_weights.logits", n)
+        self.bridge = ad.InterLayerAdapter(d, embed_dim, seed)
         self.head = be.SVHead(embed_dim, seed)
         self.classifier = None
+        trained = spec.trains + ad.ALWAYS_TRAINED
+        for p in self.named_params():
+            p.trainable = ad.component_of(p.name) in trained
 
     def add_classifier(self, num_speakers: int) -> None:
         self.classifier = be.ClassifierHead(self.embed_dim, num_speakers, self.seed)
@@ -64,24 +67,23 @@ class SVModel:
     # -- forward ----------------------------------------------------------
 
     def embed(self, frames) -> Tensor:
-        """[e] speaker embedding: the softmax-weighted sum of every layer's
+        """[1, e] speaker embedding: the softmax-weighted sum of every layer's
         output, through the bridge, pooled over time and through the head."""
         outputs = bb.encode_collect(frames, self.encoder, self.ffn_adapters, self.mhsa_adapters)
         h = ad.inter_layer_forward(ad.weighted_sum(outputs, self.layer_logits), self.bridge)
         return be.pool_and_embed(h, self.head)
 
     def embed_np(self, frames) -> np.ndarray:
-        return self.embed(frames).data
+        """The [e] embedding vector."""
+        return self.embed(frames).data[0]
 
     # -- parameter bookkeeping ---------------------------------------------
 
     def named_params(self, include_classifier: bool = True):
         """All params in the canonical serialization order."""
         out = list(self.encoder.params())
-        for group in (self.ffn_adapters, self.mhsa_adapters):
-            if group:
-                for adapter in group:
-                    out.extend(adapter.params())
+        for adapter in (self.ffn_adapters or []) + (self.mhsa_adapters or []):
+            out.extend(adapter.params())
         if self.scale_param is not None:
             out.append(self.scale_param)
         out.append(self.layer_logits)

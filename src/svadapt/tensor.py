@@ -16,11 +16,12 @@ Tensors the caller holds, such as the loss and the embeddings, keep their
 gradients; `len(tape)` still counts the recorded ops, and a tape runs
 backward once.
 
-Primitive ops (each records one tape node): `matmul` and `vecmat`, both
-with an optional fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`,
-`softmax`, `softmax_cross_entropy`, `mean_rows`, `sum_all`, `lincomb`,
-`stack_rows`; and `attention`, which runs every head of scaled dot-product
-attention as one op.
+Primitive ops (each records one tape node): `matmul`, with an optional
+fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`, `softmax`,
+`softmax_cross_entropy`, `mean_rows`, `sum_all`, `lincomb`, `concat_rows`;
+and `attention`, which runs every head of scaled dot-product attention as
+one op. A single row is a [1, d] matrix: `mean_rows` returns one, and
+`concat_rows` stacks them.
 
 Gradient accumulation: the first gradient a non-`Param` tensor receives is
 assigned as is, without a copy, so its `grad` array may be shared with
@@ -103,26 +104,26 @@ class Param(Tensor):
         self.trainable = trainable
 
     @classmethod
-    def xavier(cls, name: str, shape: tuple, seed: int, trainable: bool = True) -> "Param":
+    def xavier(cls, name: str, shape: tuple, seed: int) -> "Param":
         """Xavier-uniform [fan_in, fan_out] weight drawn from the stream
         (seed, name)."""
-        return cls._make(name, shape, trainable, lambda: xavier_uniform(shape, *shape, seed, name))
+        return cls._make(name, shape, lambda: xavier_uniform(shape, *shape, seed, name))
 
     @classmethod
-    def zeros(cls, name: str, shape, trainable: bool = True) -> "Param":
-        return cls._make(name, shape, trainable, lambda: np.zeros(shape))
+    def zeros(cls, name: str, shape) -> "Param":
+        return cls._make(name, shape, lambda: np.zeros(shape))
 
     @classmethod
-    def ones(cls, name: str, shape, trainable: bool = True) -> "Param":
-        return cls._make(name, shape, trainable, lambda: np.ones(shape))
+    def ones(cls, name: str, shape) -> "Param":
+        return cls._make(name, shape, lambda: np.ones(shape))
 
     @classmethod
-    def _make(cls, name, shape, trainable, init) -> "Param":
+    def _make(cls, name, shape, init) -> "Param":
         if not _tls.shape_only:
-            return cls(init(), name=name, trainable=trainable)
+            return cls(init(), name=name)
         p = cls.__new__(cls)
         p.data = np.broadcast_to(np.float64(0.0), shape)
-        p.grad, p.needs_grad, p.name, p.trainable = None, False, name, trainable
+        p.grad, p.needs_grad, p.name, p.trainable = None, False, name, True
         return p
 
     def zero_grad(self):
@@ -223,11 +224,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _check_bias(op: str, bias, out_shape) -> None:
-    if bias is not None and bias.data.shape != out_shape[-1:]:
-        raise ValueError(f"{op}: bias shape {bias.shape} does not fit output {out_shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 
@@ -239,8 +235,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     y = ad @ bd
-    _check_bias("matmul", bias, y.shape)
     if bias is not None:
+        if bias.data.shape != y.shape[1:]:
+            raise ValueError(f"matmul: bias shape {bias.shape} does not fit output {y.shape}")
         y += bias.data
     out = Tensor(y)
 
@@ -253,29 +250,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             _accum(b, ad.T @ g)
 
     _record(out, bwd, (a, b) if bias is None else (a, b, bias))
-    return out
-
-
-def vecmat(v: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Vector-matrix product [k] @ [k, n] -> [n], plus an optional length-n
-    bias."""
-    if v.ndim != 1 or w.ndim != 2 or v.shape[0] != w.shape[0]:
-        raise ValueError(f"vecmat: incompatible shapes {v.shape} x {w.shape}")
-    y = v.data @ w.data
-    _check_bias("vecmat", bias, y.shape)
-    if bias is not None:
-        y += bias.data
-    out = Tensor(y)
-
-    def bwd(g):
-        if bias is not None and _wants(bias):
-            _accum(bias, g)
-        if _wants(v):
-            _accum(v, w.data @ g)
-        if _wants(w):
-            _accum(w, np.outer(v.data, g))
-
-    _record(out, bwd, (v, w) if bias is None else (v, w, bias))
     return out
 
 
@@ -311,29 +285,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s) -> Tensor:
-    """x scaled by a python float or a scalar Tensor/Param. A scalar tensor
-    receives sum(g * x) as its gradient, so a learnable factor trains."""
-    if isinstance(s, Tensor):
-        if s.data.size != 1:
-            raise ValueError(f"scale factor must be scalar, got shape {s.shape}")
-        out = Tensor(x.data * s.data.reshape(()))
+    """x scaled by a one-element Tensor/Param s, or by a python float, which
+    is wrapped as a constant 0-d Tensor. A factor that trains receives
+    sum(g * x) as its gradient."""
+    if not isinstance(s, Tensor):
+        s = Tensor(float(s))
+    if s.data.size != 1:
+        raise ValueError(f"scale factor must be scalar, got shape {s.shape}")
+    out = Tensor(x.data * s.data.reshape(()))
 
-        def bwd(g):
-            if _wants(x):
-                _accum(x, g * s.data.reshape(()))
-            if _wants(s):
-                _accum(s, np.asarray(np.sum(g * x.data)).reshape(s.data.shape))
+    def bwd(g):
+        if _wants(x):
+            _accum(x, g * s.data.reshape(()))
+        if _wants(s):
+            _accum(s, np.asarray(np.sum(g * x.data)).reshape(s.data.shape))
 
-        _record(out, bwd, (x, s))
-        return out
-
-    c = float(s)
-    out = Tensor(x.data * c)
-
-    def bwd_const(g):
-        _accum(x, g * c)
-
-    _record(out, bwd_const, (x,))
+    _record(out, bwd, (x, s))
     return out
 
 
@@ -489,12 +456,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
 
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Mean over the time (row) axis of a [T, d] matrix."""
+    """Mean over the time (row) axis of a [T, d] matrix, as a [1, d] row."""
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"mean_rows expects a non-empty [T, d] matrix, got {x.shape}")
     t = x.shape[0]
     # sum / t is bitwise what ndarray.mean computes, minus its Python wrapper
-    out = Tensor(x.data.sum(axis=0) / t)
+    out = Tensor(x.data.sum(axis=0, keepdims=True) / t)
 
     def bwd(g):
         _accum(x, np.broadcast_to(g / t, x.data.shape))
@@ -538,16 +505,16 @@ def lincomb(coeffs: Tensor, tensors: list) -> Tensor:
     return out
 
 
-def stack_rows(vectors: list) -> Tensor:
-    """Stack length-d vectors into a [B, d] matrix."""
-    out = Tensor(np.stack([v.data for v in vectors], axis=0))
+def concat_rows(rows: list) -> Tensor:
+    """Concatenate [1, d] rows into a [B, d] matrix."""
+    out = Tensor(np.concatenate([r.data for r in rows], axis=0))
 
     def bwd(g):
-        for i, v in enumerate(vectors):
-            if _wants(v):
-                _accum(v, g[i])
+        for i, r in enumerate(rows):
+            if _wants(r):
+                _accum(r, g[i : i + 1])
 
-    _record(out, bwd, vectors)
+    _record(out, bwd, rows)
     return out
 
 

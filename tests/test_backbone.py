@@ -1,10 +1,12 @@
 """Transformer encoder tests against loop-based reference computations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from svadapt import tensor as T
-from svadapt.adapters import BottleneckAdapter
+from svadapt.adapters import MODES, BottleneckAdapter, adapter_for
 from svadapt.backbone import (
     Encoder,
     EncoderConfig,
@@ -14,6 +16,7 @@ from svadapt.backbone import (
     mhsa,
 )
 from svadapt.errors import ConfigError
+from svadapt.model import SVModel
 from svadapt.tensor import Param, Tape, Tensor
 
 
@@ -53,6 +56,15 @@ def small_encoder(seed=0, **overrides):
     defaults = dict(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12, input_dim=5)
     defaults.update(overrides)
     return Encoder(EncoderConfig(seed=seed, **defaults))
+
+
+def small_model(mode, seed=0):
+    """An SVModel of `mode` around `small_encoder`'s config, with a
+    bottleneck narrower than its width."""
+    adapter = adapter_for(mode)
+    if adapter is not None:
+        adapter = replace(adapter, bottleneck_dim=4)
+    return SVModel(small_encoder(seed).cfg, 4, mode, adapter, seed)
 
 
 class TestConfig:
@@ -235,8 +247,7 @@ class TestEncodeCollect:
             encode_collect(np.zeros((0, 5)), enc)
 
     def test_frozen_backbone_gets_no_gradient(self):
-        enc = small_encoder(seed=8)
-        enc.set_trainable(False)
+        enc = small_model("linear-probe", seed=8).encoder
         probe = Param(np.zeros((5, 8)), name="probe")
         frames = np.random.default_rng(8).normal(size=(5, 5))
         with Tape() as tape:
@@ -248,27 +259,20 @@ class TestEncodeCollect:
 
 
 class TestSetTrainable:
+    """The encoder's trainable flags in a model built for each mode."""
+
     def test_frozen_mode_zeroes_trainable_count(self):
-        enc = small_encoder()
-        enc.set_trainable(False)
-        assert sum(p.data.size for p in enc.params() if p.trainable) == 0
+        for mode in MODES:
+            if mode != "full-finetune":
+                enc = small_model(mode).encoder
+                assert sum(p.data.size for p in enc.params() if p.trainable) == 0, mode
 
     def test_full_finetune_counts_stack_not_featurizer(self):
-        enc = small_encoder()
-        enc.set_trainable(True)
+        enc = small_model("full-finetune").encoder
         trainable = sum(p.data.size for p in enc.params() if p.trainable)
         stack = sum(p.data.size for l in enc.layers for p in l.params())
         assert trainable == stack
         assert all(not p.trainable for p in enc.featurizer.params())
-
-    def test_toggling_does_not_touch_values(self):
-        enc = small_encoder(seed=9)
-        before = [p.data.copy() for p in enc.params()]
-        enc.set_trainable(False)
-        enc.set_trainable(True)
-        enc.set_trainable(False)
-        for p, b in zip(enc.params(), before):
-            assert np.array_equal(p.data, b)
 
 
 class TestInitialization:

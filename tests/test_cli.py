@@ -389,6 +389,17 @@ class TestSweepScale:
         assert rc == 2
         assert "--scales" in capsys.readouterr().err
 
+    def test_empty_scales_exit_2_and_do_not_run_the_default_roster(self, tmp_path, capsys):
+        rc = main(
+            [
+                "sweep-scale", "--corpus", str(tmp_path / "missing.txt"),
+                "--trials", str(tmp_path / "missing_trials.txt"),
+                "--scales", "",
+            ]
+        )
+        assert rc == 2
+        assert "--scales" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -1087,6 +1098,54 @@ class TestFileFaults:
         }[command]
         assert main(argv) == 3
         assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
+
+    STEPS = ["--total-steps", "2", "--warmup-steps", "1", "--batch-size", "4", *ENCODER_FLAGS]
+    TRAIN = ["train", "--mode", "linear-probe", *STEPS]
+    EVAL = ["eval", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"]
+
+    @pytest.mark.parametrize("alias", [False, True])
+    @pytest.mark.parametrize(
+        "argv, first, second, content",
+        [
+            (["gen-data", "--speakers", "4", "--utts-per-speaker", "3", "--n-target", "2",
+              "--n-nontarget", "2", "--out", "{shared}", "--trials-out", "{target}"],
+             "--out", "--trials-out", None),
+            (["pretrain", *STEPS, "--corpus", "{shared}", "--out", "{target}"],
+             "--corpus", "--out", "corpus.txt"),
+            ([*TRAIN, "--corpus", "{shared}", "--out", "{target}"],
+             "--corpus", "--out", "corpus.txt"),
+            ([*TRAIN, "--config", "{shared}", "--corpus", "{corpus}", "--out", "{target}"],
+             "--config", "--out", "[run]\nmode = linear-probe\n"),
+            ([*TRAIN, "--config", "{conf}", "--out", "{target}"],  # [data] corpus = shared
+             "--corpus", "--out", "corpus.txt"),
+            ([*EVAL, "--trials", "{shared}", "--scores-out", "{target}"],
+             "--trials", "--scores-out", "trials.txt"),
+            ([*EVAL, "--trials", "{trials}", "--scores-out", "{shared}",
+              "--embeddings-out", "{target}"], "--scores-out", "--embeddings-out", None),
+        ],
+    )
+    def test_output_naming_an_input_or_output_exits_2_and_keeps_it(
+        self, workdir, tmp_path, capsys, argv, first, second, content, alias
+    ):
+        # `second` names the file `first` names, by the same path or by a symlink
+        shared = tmp_path / "shared"
+        if content and content.endswith(".txt"):
+            shared.write_bytes((workdir / content).read_bytes())
+        else:
+            shared.write_text(content or "kept\n")
+        before = shared.read_bytes()
+        target = tmp_path / "alias" if alias else shared
+        if alias:
+            target.symlink_to(shared)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"[data]\ncorpus = {shared}\n")
+        paths = {"shared": shared, "target": target, "conf": conf,
+                 "corpus": workdir / "corpus.txt", "trials": workdir / "trials.txt",
+                 "ckpt": workdir / "backbone.ckpt"}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{first} {shared} and {second} {target} name the same file" in err
+        assert shared.read_bytes() == before
 
 
 def test_closed_stdout_pipe_is_one_stderr_line():

@@ -261,7 +261,7 @@ class TestOpGradientsAgainstFiniteDifferences:
             hs = [T.layer_norm(T.relu(T.matmul(Tensor(x), w, b)), g, be) for x in xs]
             mix = T.lincomb(T.softmax(c), hs)
             pooled = T.mean_rows(T.scale(mix, s))
-            sm = T.softmax(T.stack_rows([pooled, T.mean_rows(hs[0])]))
+            sm = T.softmax(T.concat_rows([pooled, T.mean_rows(hs[0])]))
             return T.sum_all(T.mul(sm, sm))
 
         err = T.grad_check(f, [w, b, g, be, c, s], n_probes=60, seed=seed)
@@ -284,16 +284,18 @@ class TestOpGradientsAgainstFiniteDifferences:
         assert T.grad_check(f, [x], n_probes=24, seed=1) < 1e-4
 
     def test_vector_ops(self):
+        # a single [1, k] row through the fused-bias product, as the head runs
         rng = np.random.default_rng(11)
-        v = Param(rng.normal(size=5), name="v")
+        v = Param(rng.normal(size=(1, 5)), name="v")
         w = Param(rng.normal(size=(5, 4)), name="w")
         b = Param(rng.normal(size=4), name="b")
+        r = Param(rng.normal(size=(1, 4)), name="r")
 
         def f():
-            h = T.vecmat(v, w, b)
-            return T.sum_all(T.mul(T.add(h, T.scale(b, -1.0)), h))
+            h = T.matmul(v, w, b)
+            return T.sum_all(T.mul(T.add(h, T.scale(r, -1.0)), h))
 
-        assert T.grad_check(f, [v, w, b], n_probes=30, seed=2) < 1e-4
+        assert T.grad_check(f, [v, w, b, r], n_probes=30, seed=2) < 1e-4
 
 
 # every mix of trainable (True) and frozen (False) inputs, all-frozen aside
@@ -334,13 +336,15 @@ class TestFusedBias:
 
     @pytest.mark.parametrize("mix", MIXES3)
     def test_vecmat_with_bias_gradients(self, mix):
+        # the SV head's single [1, k] row through matmul, the product that
+        # replaced the 1-D vecmat
         rng = np.random.default_rng(21)
         v, w, b = _mixed_params(
-            [rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=4)], mix
+            [rng.normal(size=(1, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)], mix
         )
 
         def f():
-            y = T.vecmat(v, w, b)
+            y = T.matmul(v, w, b)
             return T.sum_all(T.mul(y, y))
 
         _assert_mix_gradients(f, [v, w, b])
@@ -361,27 +365,19 @@ class TestFusedBias:
         x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
         out = T.matmul(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, matmul_oracle(x, w) + b, atol=1e-12)
-        vec = T.vecmat(Tensor(x[0]), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(vec.data, matmul_oracle(x[:1], w)[0] + b, atol=1e-12)
+        row = T.matmul(Tensor(x[:1]), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(row.data, matmul_oracle(x[:1], w) + b, atol=1e-12)
 
     def test_linear_records_one_tape_op(self):
         w = Param(np.ones((3, 2)), name="w")
         with Tape() as tape:
             T.matmul(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
-            T.vecmat(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
+            T.matmul(Tensor(np.ones((1, 3))), w, Tensor(np.zeros(2)))
         assert len(tape) == 2
 
     def test_matmul_bias_length_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(3,\).*\(2, 4\)"):
             T.matmul(Tensor(np.zeros((2, 5))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)))
-
-    def test_vecmat_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(3,\).*\(4, 2\)"):
-            T.vecmat(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))))
-
-    def test_vecmat_bias_length_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(5,\).*\(2,\)"):
-            T.vecmat(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(5)))
 
     def test_add_rejects_bias_row(self):
         # a bias row goes through matmul's fused bias; add does not broadcast
@@ -484,7 +480,7 @@ class TestGradientAccumulation:
         # last consumer of x gives its first gradient, then two more arrive
         rng = np.random.default_rng(40)
         p = Param(rng.normal(size=(3, 4)), name="p")
-        w = Tensor(rng.normal(size=4))
+        w = Tensor(rng.normal(size=(1, 4)))
         with Tape() as tape:
             x = T.mul(p, p)
             scaled = T.sum_all(T.scale(x, 2.0))
@@ -655,7 +651,12 @@ def ref_relu(x, g):
 
 
 def ref_mean_rows(x, g):
-    return x.mean(axis=0), [np.broadcast_to(g / x.shape[0], x.shape)]
+    return x.mean(axis=0, keepdims=True), [np.broadcast_to(g / x.shape[0], x.shape)]
+
+
+def ref_vecmat(v, w, b, g):
+    """The 1-D product v @ w + b and its gradients w @ g, outer(v, g), g."""
+    return v @ w + b, [w @ g, np.outer(v, g), g]
 
 
 def ref_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.98, eps=1e-8):
@@ -733,12 +734,13 @@ class TestOpOutputs:
         rng = np.random.default_rng(3)
         m, v = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4))
         w, s = Tensor(rng.normal(size=(4, 2))), Tensor(np.array(0.5))
+        r = Tensor(rng.normal(size=(1, 4)))
         total = T.sum_all(m)
         outputs = [
-            T.matmul(m, w), T.vecmat(v, w), T.add(m, m), T.mul(v, v), T.scale(m, s),
+            T.matmul(m, w), T.matmul(r, w), T.add(m, m), T.mul(v, v), T.scale(m, s),
             T.scale(v, 2.0), T.relu(m), T.softmax(m), T.mean_rows(m),
             T.layer_norm(m, Tensor(np.ones(4)), Tensor(np.zeros(4))),
-            T.attention(m, m, m, 2)[0], T.lincomb(v, [m, m, m, m]), T.stack_rows([v, v]),
+            T.attention(m, m, m, 2)[0], T.lincomb(v, [m, m, m, m]), T.concat_rows([r, r]),
             total, T.softmax_cross_entropy(m, [0, 1, 3]),
             T.scale(total, 2.0), T.add(total, total), T.mul(total, total), T.relu(total),
         ]
@@ -807,11 +809,24 @@ class TestSameBitsAsPlainExpressions:
         np.testing.assert_array_equal(out.data[1:], [2.0, 0.0, 0.0])
         np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("mix", MIXES3)
+    def test_matmul_row_matches_vector_product(self, mix):
+        # a [1, k] row through matmul gives the bits of the 1-D product and
+        # its gradients, at the SV head's and classifier's shapes and more
+        rng = np.random.default_rng(57)
+        for k, n in itertools.product((1, 3, 8, 17, 32, 64), (1, 5, 8, 32, 40)):
+            v, w, b = rng.normal(size=k) * 3.0, rng.normal(size=(k, n)), rng.normal(size=n)
+            loss_of, g = weighted_upstream(rng, (1, n))
+            out, grads = run_op(T.matmul, [v[None, :], w, b], mix, loss_of)
+            want_out, want_grads = ref_vecmat(v, w, b, g[0])
+            assert_same_bits(out.data, want_out[None, :])
+            assert_grads(grads, [want_grads[0][None, :], *want_grads[1:]], mix)
+
     def test_mean_rows(self):
         rng = np.random.default_rng(54)
         for t in range(1, 71):
             x = rng.normal(size=(t, 8)) * 3.0
-            loss_of, g = weighted_upstream(rng, 8)
+            loss_of, g = weighted_upstream(rng, (1, 8))
             out, grads = run_op(T.mean_rows, [x], (True,), loss_of)
             want_out, want_grads = ref_mean_rows(x, g)
             assert_same_bits(out.data, want_out)
