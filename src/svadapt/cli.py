@@ -26,24 +26,24 @@ from .harness import (
     DEFAULT_SWEEP_SCALES,
     RunConfig,
     _check_frame_dim,
+    backbone_runs,
     buildable,
-    compare,
+    check_trials,
     compare_configs,
     config_from_file,
     config_from_text,
     config_settings,
     count_params_table,
     embed_trial_utterances,
-    format_compare_table,
     format_count_table,
-    format_sweep_table,
+    format_run_table,
     load_checkpoint,
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
+    run_reports,
     score_trials,
     sweep_configs,
-    sweep_scale,
     train as train_run,
 )
 from .metrics import write_scores
@@ -65,13 +65,16 @@ EXIT_NUMERIC = 4
 
 
 def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
-    """Register --encoder-preset and the flag of each of `settings`; when
-    they are not given, --config and the flag of every run setting."""
+    """Register the flag of each of `settings`, and --encoder-preset if one
+    of them is an encoder setting; when they are not given, --config and
+    the flag of every run setting."""
     if settings is None:
         p.add_argument("--config", help="key=value config file with [section] headers")
         settings = config_settings()
+    settings = list(settings)
     enc = p.add_argument_group("encoder")
-    enc.add_argument("--encoder-preset", choices=sorted(PRESETS))
+    if any(s.part == "encoder" for s in settings):
+        enc.add_argument("--encoder-preset", choices=sorted(PRESETS))
     for s in settings:
         if s.flag is not None:
             (enc if s.part == "encoder" else p).add_argument(
@@ -93,14 +96,15 @@ def _flag_values(args, part) -> dict:
 
 
 def _encoder_from_args(args, base: EncoderConfig) -> EncoderConfig:
-    if args.encoder_preset:
+    if getattr(args, "encoder_preset", None):
         base = PRESETS[args.encoder_preset]
     updates = _flag_values(args, "encoder")
     return replace(base, **updates) if updates else base
 
 
 def _run_config_from_args(args) -> RunConfig:
-    cfg = config_from_file(args.config) if args.config else RunConfig()
+    """The run flags over the --config file, where the subcommand takes one."""
+    cfg = config_from_file(args.config) if getattr(args, "config", None) else RunConfig()
     updates = _flag_values(args, None)
     updates["encoder"] = _encoder_from_args(args, cfg.encoder)
     mode = updates.get("mode", cfg.mode)
@@ -214,6 +218,7 @@ def cmd_train(args) -> int:
             f"loss {run.losses[0]:.4f} -> {run.losses[-1]:.4f}; saved {args.out}"
         )
         return EXIT_OK
+    check_trials(trials, corpus)
     run, result, report = run_and_report(cfg, backbone, corpus, trials, out_path=args.out)
     print(report.to_json())
     return EXIT_OK
@@ -229,6 +234,7 @@ def cmd_eval(args) -> int:
     # a corpus that does not fit the encoder is a config error, reported
     # before any fault in the checkpoint's params
     _check_frame_dim(corpus, config_from_text(checkpoint.config_text).encoder)
+    check_trials(trials, corpus)
     model = model_from_checkpoint(checkpoint)
     embs = embed_trial_utterances(model, corpus, trials)
     result, scores = score_trials(embs, trials, p_target=args.p_target)
@@ -259,42 +265,34 @@ def cmd_count_params(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_scale(args) -> int:
-    scales = DEFAULT_SWEEP_SCALES
-    if args.scales is not None:
-        words = args.scales.split(",")
-        try:
-            scales = [w if w in ("sequential", ad.LEARNABLE) else float(w) for w in words]
-        except ValueError as exc:
-            raise ConfigError(f"--scales entries must be numbers, 'sequential' or "
-                              f"'learnable': {args.scales!r}") from exc
+def _scales(text) -> tuple:
+    """The sweep rows of --scales: numbers, "sequential" or "learnable"."""
+    if text is None:
+        return DEFAULT_SWEEP_SCALES
+    try:
+        return tuple(w if w in ("sequential", ad.LEARNABLE) else float(w) for w in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--scales entries must be numbers, 'sequential' or "
+                          f"'learnable': {text!r}") from exc
+
+
+def cmd_runs(args) -> int:
+    """compare and sweep-scale: each row of the command's roster on each
+    backbone, with the encoder and seed the backbone records. Every row is
+    checked before a backbone is read, and every run and the trial list
+    before the first run starts."""
     cfg = _run_config_from_args(args)
-    runs = sweep_configs(cfg, scales)  # a bad mode or scale fails before any input is read
-    corpus = _read(read_corpus, _path(args.corpus, cfg.corpus_path, "corpus"), "corpus file")
-    backbone_path = args.backbone or cfg.backbone_path
-    backbone = load_checkpoint(backbone_path) if backbone_path else None
-    trials = _read(read_trials, _path(args.trials, cfg.trials_path, "trial list"), "trial list")
-    rows = sweep_scale(runs, backbone, corpus, trials)
-    if args.json:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        print(format_sweep_table(rows))
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    runs = compare_configs(
-        RunConfig(**_flag_values(args, None), encoder=_encoder_from_args(args, EncoderConfig()))
-    )
+    rows = compare_configs(cfg) if args.column == "mode" else sweep_configs(cfg, _scales(args.scales))
+    runs = backbone_runs(rows, args.backbone)
     corpus = _read(read_corpus, args.corpus, "corpus file")
     trials = _read(read_trials, args.trials, "trial list")
-    reports = compare(runs, [load_checkpoint(path) for path in args.backbone], corpus, trials)
+    check_trials(trials, corpus)
+    reports = run_reports(runs, corpus, trials)
     if args.json:
         for report in reports:
             print(report.to_json(), flush=True)
     else:
-        print(format_compare_table(reports))
+        print(format_run_table(reports, args.column))
     return EXIT_OK
 
 
@@ -367,26 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
                        if s.part == "encoder" or s.field.name in ("embed_dim", "bottleneck_dim")])
     p.set_defaults(func=cmd_count_params)
 
-    p = sub.add_parser("sweep-scale", help="train/evaluate over scaling factors")
-    p.add_argument("--corpus")
-    p.add_argument("--backbone")
-    p.add_argument("--trials")
-    p.add_argument(
-        "--scales", help="comma-separated sweep rows: numbers, 'sequential' or 'learnable'"
-    )
-    p.add_argument("--json", action="store_true")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_sweep_scale)
-
-    p = sub.add_parser("compare", help="train and evaluate every mode on each backbone")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--trials", required=True)
-    p.add_argument("--backbone", required=True, action="append",
-                   help="pretrained backbone checkpoint; repeat for one run per mode each")
-    p.add_argument("--json", action="store_true")
-    _add_run_flags(p, [s for s in config_settings()
-                       if s.part != "adapter" and s.field.name not in ("mode", "seed")])
-    p.set_defaults(func=cmd_compare)
+    # compare and sweep-scale: one roster of runs per backbone
+    for name, column, extra, help_text in (
+        ("sweep-scale", "scale", ("mode", "bottleneck_dim", "scale_init"),
+         "train/evaluate over scaling factors on each backbone"),
+        ("compare", "mode", (), "train and evaluate every mode on each backbone"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--trials", required=True)
+        p.add_argument("--backbone", required=True, action="append",
+                       help="pretrained backbone checkpoint, whose encoder and seed every "
+                            "run takes; repeat for one run per row each")
+        if column == "scale":
+            p.add_argument("--scales",
+                           help="comma-separated sweep rows: numbers, 'sequential' or 'learnable'")
+        p.add_argument("--json", action="store_true")
+        _add_run_flags(p, [s for s in config_settings() if s.field.name in extra or (
+            s.part is None and s.field.name not in ("mode", "seed"))])
+        p.set_defaults(func=cmd_runs, column=column)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--probes", type=int, default=100)

@@ -1,6 +1,6 @@
 """Run orchestration: configs, binary checkpoints, desk-scale backbone
-pre-training, tuning runs, evaluation, parameter-count reports, the
-scaling-factor sweep and the mode comparison.
+pre-training, tuning runs, evaluation, parameter-count reports, and the
+multi-run rosters (the scaling-factor sweep and the mode comparison).
 
 Checkpoint format (version 1, little-endian throughout):
 
@@ -492,18 +492,23 @@ def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
 # evaluation and reports
 
 
-def embed_trial_utterances(model: SVModel, corpus: Corpus, trials) -> dict:
-    _check_frame_dim(corpus, model.encoder.cfg)
+def check_trials(trials, corpus: Corpus) -> None:
+    """DataError unless every utterance id of `trials` is in `corpus` and
+    the list holds at least one target and one nontarget trial."""
     by_id = corpus.by_id()
-    embeddings = {}
     for t in trials:
         for utt in (t.enroll, t.test):
-            if utt in embeddings:
-                continue
             if utt not in by_id:
                 raise DataError(f"trial references unknown utterance id {utt!r}")
-            embeddings[utt] = model.embed_np(by_id[utt].frames)
-    return embeddings
+    if {t.target for t in trials} != {True, False}:
+        raise DataError("the trial list needs at least one target and one nontarget trial")
+
+
+def embed_trial_utterances(model: SVModel, corpus: Corpus, trials) -> dict:
+    _check_frame_dim(corpus, model.encoder.cfg)
+    check_trials(trials, corpus)
+    by_id, ids = corpus.by_id(), dict.fromkeys(u for t in trials for u in (t.enroll, t.test))
+    return {utt: model.embed_np(by_id[utt].frames) for utt in ids}
 
 
 def score_trials(embeddings: dict, trials, p_target: float = 0.05):
@@ -525,6 +530,7 @@ class MetricsReport:
     mode: str
     seed: int
     steps: int
+    adapter: dict | None  # the run's AdapterConfig as a dict
     counts: dict
     eer: float
     min_dcf: float
@@ -551,6 +557,7 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         mode=cfg.mode,
         seed=cfg.seed,
         steps=cfg.total_steps,
+        adapter=None if cfg.adapter is None else asdict(cfg.adapter),
         counts=ad.count_params(run.model),
         **asdict(result),
         wall_clock=time.perf_counter() - started,
@@ -592,45 +599,30 @@ def format_count_table(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scaling-factor sweep and mode comparison
+# multi-run rosters: the scaling-factor sweep and the mode comparison
 
 
 DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
 
 
 def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
-    """(label, run config) for each entry of `scales`: "sequential" runs
-    the sequential adapter, "learnable" the parallel one with a learnable
-    scale, and a number the parallel one at that fixed scale. A bad entry,
-    an unbuildable row or a mode without a parallel adapter is a ConfigError."""
+    """`cfg` for each entry of `scales`: "sequential" runs the sequential
+    adapter, "learnable" the parallel one with a learnable scale, and a
+    number the parallel one at that fixed scale. A bad entry or a mode
+    without a parallel adapter is a ConfigError."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
-    runs = []
-    for s in scales:
-        if s == "sequential":
-            acfg = replace(cfg.adapter, variant="sequential")
-        else:
-            acfg = replace(cfg.adapter, variant="parallel", scale=s)
-        runs.append((s if isinstance(s, str) else f"{s:g}", buildable(replace(cfg, adapter=acfg))))
-    return runs
+    sequential = replace(cfg.adapter, variant="sequential")
+    return [replace(cfg, adapter=sequential if s == "sequential"
+                    else replace(cfg.adapter, variant="parallel", scale=s)) for s in scales]
 
 
-def sweep_scale(runs, backbone_ckpt, corpus: Corpus, trials) -> list:
-    """Train and evaluate each (label, run config) of `runs`, the list
-    `sweep_configs` returns, so every row's config is checked before the
-    first run starts; each result is a row {"scale", "eer", "min_dcf"}."""
-    rows = []
-    for label, run_cfg in runs:
-        result, _scores = evaluate(train(run_cfg, backbone_ckpt, corpus).model, corpus, trials)
-        rows.append({"scale": label, "eer": result.eer, "min_dcf": result.min_dcf})
-    return rows
-
-
-def format_sweep_table(rows) -> str:
-    lines = [f"{'scale':<12} {'EER':>8} {'minDCF':>8}"]
-    for r in rows:
-        lines.append(f"{r['scale']:<12} {r['eer']:>8.4f} {r['min_dcf']:>8.4f}")
-    return "\n".join(lines)
+def sweep_label(adapter: dict) -> str:
+    """A sweep row's name, from its report's adapter: "sequential",
+    "learnable" or the fixed scale."""
+    if adapter["variant"] == "sequential":
+        return "sequential"
+    return adapter["scale"] if adapter["scale"] == ad.LEARNABLE else f"{adapter['scale']:g}"
 
 
 def compare_configs(cfg: RunConfig) -> list:
@@ -639,25 +631,40 @@ def compare_configs(cfg: RunConfig) -> list:
     return [buildable(replace(cfg, mode=mode, adapter=None)) for mode in ad.MODES]
 
 
-def compare(runs, backbones, corpus: Corpus, trials):
-    """Per backbone, then per run config of `runs` (from `compare_configs`):
-    the `run_and_report` report of that run with the seed in the backbone's
-    config text, yielded as the runs finish; every seed is read first."""
-    seeded = [(b, replace(run_cfg, seed=config_from_text(b.config_text).seed))
-              for b in backbones for run_cfg in runs]
-    return (run_and_report(run_cfg, b, corpus, trials)[2] for b, run_cfg in seeded)
+def backbone_runs(rows, backbone_paths) -> list:
+    """(backbone checkpoint, run config) for each backbone file, then each
+    run config of `rows`, with the encoder and seed the backbone's config
+    text records. Every backbone is read, and must record the same
+    encoder, its seed aside, before each run's model is built shape-only,
+    so a run that cannot start is a ConfigError before any of them does."""
+    backbones = [load_checkpoint(path) for path in backbone_paths]
+    recorded = [config_from_text(b.config_text, f"config of backbone {path}")
+                for path, b in zip(backbone_paths, backbones)]
+    for path, cfg in zip(backbone_paths, recorded):
+        if replace(cfg.encoder, seed=0) != replace(recorded[0].encoder, seed=0):
+            raise ConfigError(f"backbones {backbone_paths[0]} and {path} record different "
+                              f"encoders, seed aside: {recorded[0].encoder} and {cfg.encoder}")
+    return [(b, buildable(replace(row, encoder=cfg.encoder, seed=cfg.seed)))
+            for b, cfg in zip(backbones, recorded) for row in rows]
 
 
-def format_compare_table(reports) -> str:
-    """One row per mode, in first-report order: its trainable count and the
-    median EER and minDCF over its reports."""
-    by_mode = {}
+def run_reports(runs, corpus: Corpus, trials):
+    """The `run_and_report` report of each (backbone, run config) of
+    `runs`, yielded as the runs finish."""
+    return (run_and_report(cfg, backbone, corpus, trials)[2] for backbone, cfg in runs)
+
+
+def format_run_table(reports, column: str) -> str:
+    """One row per mode, or per sweep row when `column` is "scale", in
+    first-report order: its trainable count and the median EER and minDCF
+    over its reports."""
+    groups = {}
     for r in reports:
-        by_mode.setdefault(r.mode, []).append(r)
-    lines = [f"{'mode':<14} {'trainable':>12} {'pct':>7} {'EER':>7} {'minDCF':>8}"]
-    for mode, rs in by_mode.items():
+        groups.setdefault(r.mode if column == "mode" else sweep_label(r.adapter), []).append(r)
+    lines = [f"{column:<14} {'trainable':>12} {'pct':>7} {'EER':>7} {'minDCF':>8}"]
+    for label, rs in groups.items():
         c = rs[0].counts
         eer, dcf = (float(np.median([getattr(r, k) for r in rs])) for k in ("eer", "min_dcf"))
-        lines.append(f"{mode:<14} {c['pretrained_side_trainable']:>12,} "
+        lines.append(f"{label:<14} {c['pretrained_side_trainable']:>12,} "
                      f"{c['pct_of_backbone']:>6.2f}% {eer:>7.3f} {dcf:>8.3f}")
     return "\n".join(lines)

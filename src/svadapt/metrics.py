@@ -7,9 +7,10 @@ the fast ones:
 * a trial is accepted when its score is at-or-above the threshold, so
   P_miss(t) counts targets with score < t and P_fa(t) counts nontargets
   with score >= t;
-* the EER threshold sweep visits every distinct score in ascending order;
-  the miss rate minus false-alarm rate is non-decreasing along the sweep
-  and changes sign inside it, and the EER is read off by linear
+* the EER threshold sweep visits every distinct score in ascending order
+  and ends with the reject-all point (miss 1, false accept 0) at the top
+  score; the miss rate minus false-alarm rate is non-decreasing along the
+  sweep and changes sign inside it, and the EER is read off by linear
   interpolation between the two bracketing sweep points (ties broken toward
   the lower threshold);
 * the detection-cost sweep additionally includes -inf (accept everything)
@@ -93,14 +94,14 @@ def _interp_crossing(thresholds, p_miss, p_fa):
     """EER and threshold where the interpolated rate curves cross.
 
     The difference miss - fa starts at -1 (the lowest score misses nothing
-    and false-accepts everything), is non-decreasing, and reaches >= 0 by
-    the top of the sweep, so a bracketing pair always exists; the first one
-    is used, which breaks exact ties toward the lower threshold.
+    and false-accepts everything), is non-decreasing, and ends at 1 on the
+    reject-all point appended at the top score's threshold, so a
+    bracketing pair always exists; the first one is used, which breaks
+    exact ties toward the lower threshold.
     """
-    diff = p_miss - p_fa
-    k = int(np.argmax(diff >= 0.0))
-    if k == 0:  # defensive; unreachable for a valid ScoreSet
-        return float(p_miss[0]), float(thresholds[0])
+    thresholds = np.append(thresholds, thresholds[-1])
+    p_miss, p_fa = np.append(p_miss, 1.0), np.append(p_fa, 0.0)
+    k = int(np.argmax(p_miss - p_fa >= 0.0))
     m1, f1, t1 = p_miss[k - 1], p_fa[k - 1], thresholds[k - 1]
     m2, f2, t2 = p_miss[k], p_fa[k], thresholds[k]
     denom = (m2 - m1) - (f2 - f1)
@@ -164,20 +165,15 @@ def reference_eer(scores, labels):
     """Loop-based EER: same sweep and interpolation rule, derived from
     per-threshold counting rather than sorting."""
     candidates = sorted(set(float(s) for s in scores))
-    rates = [_rates_at(t, scores, labels) for t in candidates]
-    prev = None
-    for t, (miss, fa) in zip(candidates, rates):
+    points = [(t, *_rates_at(t, scores, labels)) for t in candidates]
+    points.append((candidates[-1], 1.0, 0.0))  # reject all, at the top score
+    for (t0, m0, f0), (t, miss, fa) in zip(points, points[1:]):
         if miss == fa:
             return miss, t
         if miss > fa:
-            if prev is None:
-                return miss, t
-            t0, m0, f0 = prev
             denom = (miss - m0) - (fa - f0)
             frac = 0.0 if denom == 0.0 else (f0 - m0) / denom
             return m0 + frac * (miss - m0), t0 + frac * (t - t0)
-        prev = (t, miss, fa)
-    raise AssertionError("EER sweep found no crossing")
 
 
 def reference_min_dcf(scores, labels, p_target=0.05, c_miss=1.0, c_fa=1.0):

@@ -51,7 +51,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .rng import xavier_uniform
+from .rng import Stream, xavier_uniform
 
 
 class _ThreadState(threading.local):
@@ -544,15 +544,12 @@ def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -
         tape.backward(loss)
     analytic = [np.array(p.grad, copy=True) for p in params]
 
-    gen = np.random.default_rng(seed)
+    stream = Stream(seed, "grad-check/probes")
+    draw = lambda n: int(stream.words(1)[0] % np.uint64(n))
     order = list(range(len(params)))
-    gen.shuffle(order)
-    probes = []
-    for i in order[: min(n_probes, len(order))]:
-        probes.append((i, int(gen.integers(params[i].data.size))))
-    while len(probes) < n_probes:
-        i = int(gen.integers(len(params)))
-        probes.append((i, int(gen.integers(params[i].data.size))))
+    stream.shuffle(order)
+    picks = order[:n_probes] + [draw(len(params)) for _ in range(n_probes - len(order))]
+    probes = [(i, draw(params[i].data.size)) for i in picks]
 
     worst = 0.0
     for i, idx in probes:

@@ -20,12 +20,14 @@ from svadapt.gradsuite import full_graph_grad_check
 from svadapt.harness import (
     RunConfig,
     backbone_checkpoint,
+    backbone_runs,
     count_params_table,
     evaluate,
     load_backbone_into,
     pretrain_backbone,
+    run_reports,
     sweep_configs,
-    sweep_scale,
+    sweep_label,
     train,
 )
 from svadapt.metrics import (
@@ -372,26 +374,24 @@ class TestCriterion7DeskScaleLearning:
 
 class TestCriterion8SweepProtocol:
     def test_full_roster_with_populated_metrics(self, tmp_path):
-        from svadapt.harness import load_checkpoint
-
         corpus = generate_corpus(TINY_CORPUS)
         trials = generate_trials(corpus.part("adapt"), 12, 12, seed=3)
         path = tmp_path / "bb.ckpt"
+        # the sweep runs take the encoder and the seed (2) of the backbone
         pre_cfg = RunConfig(
             mode="full-finetune", encoder=TINY_ENCODER, embed_dim=8,
-            total_steps=30, warmup_steps=6, batch_size=2, seed=0,
+            total_steps=30, warmup_steps=6, batch_size=2, seed=2,
         )
         pretrain_backbone(pre_cfg, corpus, out_path=path)
         cfg = RunConfig(
-            mode="inner-inter", encoder=TINY_ENCODER, embed_dim=8,
-            adapter=AdapterConfig(bottleneck_dim=4),
-            total_steps=40, warmup_steps=8, batch_size=2, seed=2,
+            mode="inner-inter", embed_dim=8, adapter=AdapterConfig(bottleneck_dim=4),
+            total_steps=40, warmup_steps=8, batch_size=2,
         )
-        rows = sweep_scale(sweep_configs(cfg), load_checkpoint(path), corpus, trials)
-        roster = [r["scale"] for r in rows]
+        reports = list(run_reports(backbone_runs(sweep_configs(cfg), [path]), corpus, trials))
+        roster = [sweep_label(r.adapter) for r in reports]
         expected = ["sequential", "learnable", "0.05", "0.1", "0.5", "1", "1.5", "2"]
         populated = all(
-            math.isfinite(r["eer"]) and math.isfinite(r["min_dcf"]) for r in rows
+            math.isfinite(r.eer) and math.isfinite(r.min_dcf) for r in reports
         )
         criterion(
             8,

@@ -360,22 +360,79 @@ class TestCountParams:
         assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.fixture(scope="module")
+def bad_trial_lists(workdir):
+    """(path, what the error names) of two trial lists that fail the trial
+    check: one of target trials only, one naming an unknown utterance."""
+    lines = (workdir / "trials.txt").read_text().splitlines(keepends=True)
+    targets = workdir / "targets-only.txt"
+    targets.write_text("".join(line for line in lines if line.endswith(" 1\n")))
+    unknown = workdir / "unknown-utt.txt"
+    unknown.write_text("".join(lines) + f"spk999_utt000 {lines[0].split()[1]} 0\n")
+    return {
+        "targets-only": (targets, "at least one target and one nontarget"),
+        "unknown-utterance": (unknown, "spk999_utt000"),
+    }
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+def untimed(out):
+    """The report lines of `out` without their wall-clock field."""
+    return [line.rsplit(', "wall_clock_s"', 1)[0] for line in out.splitlines()]
+
+
 class TestSweepScale:
+    ADAPTER_FLAGS = ["--mode", "inner-inter", "--bottleneck-dim", "4"]
+    RUN_FLAGS = ["--total-steps", "4", "--warmup-steps", "1", "--batch-size", "4"]
+
+    def inputs(self, workdir, backbones=("backbone.ckpt",)):
+        return [
+            "--corpus", str(workdir / "corpus.txt"), "--trials", str(workdir / "trials.txt"),
+            *(arg for name in backbones for arg in ("--backbone", str(workdir / name))),
+        ]
+
     def test_sweep_rows(self, workdir, capsys):
+        from svadapt.harness import sweep_label
+
         rc = main(
             [
-                "sweep-scale", "--corpus", str(workdir / "corpus.txt"),
-                "--backbone", str(workdir / "backbone.ckpt"),
-                "--trials", str(workdir / "trials.txt"),
-                "--scales", "sequential,0.5",
-                "--mode", "inner-inter", "--bottleneck-dim", "4",
-                "--total-steps", "4", "--warmup-steps", "1", "--batch-size", "4",
-                "--json", *ENCODER_FLAGS,
+                "sweep-scale", *self.inputs(workdir), "--scales", "sequential,0.5",
+                *self.ADAPTER_FLAGS, *self.RUN_FLAGS, "--json",
             ]
         )
         assert rc == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-        assert [r["scale"] for r in rows] == ["sequential", "0.5"]
+        assert [sweep_label(r["adapter"]) for r in rows] == ["sequential", "0.5"]
+
+    def test_json_rows_are_the_train_reports(self, workdir, tmp_path, capsys):
+        # the module backbone records seed 0; a second one records seed 1
+        rc = main(
+            ["pretrain", "--corpus", str(workdir / "corpus.txt"),
+             "--out", str(workdir / "sweep-backbone1.ckpt"), "--seed", "1",
+             "--total-steps", "2", "--warmup-steps", "1", "--batch-size", "4", *ENCODER_FLAGS]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        backbones = ("backbone.ckpt", "sweep-backbone1.ckpt")
+        assert main(["sweep-scale", *self.inputs(workdir, backbones),
+                     "--scales", "sequential,learnable,0.5", *self.ADAPTER_FLAGS,
+                     *self.RUN_FLAGS, "--json"]) == 0
+        rows = untimed(capsys.readouterr().out)
+        adapters = [["--adapter-variant", "sequential"], ["--adapter-scale", "learnable"],
+                    ["--adapter-scale", "0.5"]]
+        runs = [(seed, name, flags) for seed, name in enumerate(backbones) for flags in adapters]
+        assert len(rows) == len(runs) == 6
+        for row, (seed, name, flags) in zip(rows, runs):
+            rc = main(
+                ["train", *self.inputs(workdir, (name,)), "--seed", str(seed),
+                 "--out", str(tmp_path / "run.ckpt"), *self.ADAPTER_FLAGS, *flags,
+                 *self.RUN_FLAGS, *ENCODER_FLAGS]
+            )
+            assert rc == 0
+            assert untimed(capsys.readouterr().out) == [row]
 
     def test_bad_scales_exit_2_before_reading_inputs(self, tmp_path, capsys):
         # the corpus does not exist: checked first, it would be exit 3
@@ -383,6 +440,7 @@ class TestSweepScale:
             [
                 "sweep-scale", "--corpus", str(tmp_path / "missing.txt"),
                 "--trials", str(tmp_path / "missing_trials.txt"),
+                "--backbone", str(tmp_path / "missing.ckpt"),
                 "--scales", "0.5,x",
             ]
         )
@@ -394,6 +452,7 @@ class TestSweepScale:
             [
                 "sweep-scale", "--corpus", str(tmp_path / "missing.txt"),
                 "--trials", str(tmp_path / "missing_trials.txt"),
+                "--backbone", str(tmp_path / "missing.ckpt"),
                 "--scales", "",
             ]
         )
@@ -424,23 +483,39 @@ class TestSweepScale:
     def test_mode_without_parallel_adapter_exits_2_naming_it(self, workdir, mode, capsys):
         rc = main(
             [
-                "sweep-scale", "--corpus", str(workdir / "corpus.txt"),
-                "--backbone", str(workdir / "backbone.ckpt"),
-                "--trials", str(workdir / "trials.txt"), "--scales", "0.5",
+                "sweep-scale", *self.inputs(workdir), "--scales", "0.5",
                 "--mode", mode, "--total-steps", "2", "--warmup-steps", "1",
-                "--batch-size", "4", *ENCODER_FLAGS,
+                "--batch-size", "4",
             ]
         )
         assert rc == 2
         assert repr(mode) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["targets-only", "unknown-utterance"])
+    def test_bad_trial_list_exits_3_before_any_run(
+        self, workdir, bad_trial_lists, case, capsys, monkeypatch
+    ):
+        import svadapt.harness
+
+        monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
+        path, named = bad_trial_lists[case]
+        argv = self.inputs(workdir)
+        argv[argv.index("--trials") + 1] = str(path)
+        assert main(["sweep-scale", *argv, *self.ADAPTER_FLAGS, *self.RUN_FLAGS]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
+
 
 class TestCompare:
-    # wider than the default 16-unit bottleneck, which compare always uses
-    FLAGS = [
+    # wider than the default 16-unit bottleneck, which compare always uses;
+    # compare takes the encoder from the backbones, train and pretrain from
+    # these flags
+    ENCODER_FLAGS = [
         "--num-layers", "2", "--hidden-dim", "24", "--num-heads", "2", "--ffn-dim", "24",
-        "--input-dim", "10", "--embed-dim", "8", "--batch-size", "4",
-        "--total-steps", "2", "--warmup-steps", "1",
+        "--input-dim", "10",
+    ]
+    RUN_FLAGS = [
+        "--embed-dim", "8", "--batch-size", "4", "--total-steps", "2", "--warmup-steps", "1",
     ]
 
     @pytest.fixture(scope="class")
@@ -449,7 +524,7 @@ class TestCompare:
         for seed, path in enumerate(paths):
             rc = main(
                 ["pretrain", "--corpus", str(workdir / "corpus.txt"), "--out", str(path),
-                 "--seed", str(seed), *self.FLAGS]
+                 "--seed", str(seed), *self.ENCODER_FLAGS, *self.RUN_FLAGS]
             )
             assert rc == 0
         return paths
@@ -457,14 +532,11 @@ class TestCompare:
     def inputs(self, workdir, backbones):
         return [
             "--corpus", str(workdir / "corpus.txt"), "--trials", str(workdir / "trials.txt"),
-            *(arg for path in backbones for arg in ("--backbone", str(path))), *self.FLAGS,
+            *(arg for path in backbones for arg in ("--backbone", str(path))), *self.RUN_FLAGS,
         ]
 
     def test_json_rows_are_the_train_reports(self, workdir, backbones, tmp_path, capsys):
         from svadapt.adapters import MODES
-
-        def untimed(out):
-            return [line.rsplit(', "wall_clock_s"', 1)[0] for line in out.splitlines()]
 
         assert main(["compare", "--json", *self.inputs(workdir, backbones)]) == 0
         rows = untimed(capsys.readouterr().out)
@@ -476,7 +548,7 @@ class TestCompare:
             rc = main(
                 ["train", "--mode", mode, "--seed", str(seed), "--backbone", str(path),
                  "--corpus", str(workdir / "corpus.txt"), "--trials", str(workdir / "trials.txt"),
-                 "--out", str(tmp_path / "run.ckpt"), *self.FLAGS]
+                 "--out", str(tmp_path / "run.ckpt"), *self.ENCODER_FLAGS, *self.RUN_FLAGS]
             )
             assert rc == 0
             assert untimed(capsys.readouterr().out) == [row]
@@ -521,28 +593,31 @@ class TestCompare:
         # backbone of the module fixture
         import svadapt.harness
 
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
-
         monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
-        argv = [
-            "compare", "--json", "--corpus", str(workdir / "corpus.txt"),
-            "--trials", str(workdir / "trials.txt"), "--backbone", str(workdir / "backbone.ckpt"),
-            "--embed-dim", "8", "--batch-size", "4", "--total-steps", "2",
-            "--warmup-steps", "1", *ENCODER_FLAGS,
-        ]
-        assert main(argv) == 2
+        argv = self.inputs(workdir, [workdir / "backbone.ckpt"])
+        assert main(["compare", "--json", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "bottleneck 16 must be smaller than width 16" in err
+
+    @pytest.mark.parametrize("command", ["compare", "sweep-scale"])
+    def test_backbones_with_different_encoders_exit_2_before_any_run(
+        self, workdir, backbones, command, capsys, monkeypatch
+    ):
+        import svadapt.harness
+
+        monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
+        narrow, wide = workdir / "backbone.ckpt", backbones[0]
+        extra = ["--bottleneck-dim", "4"] if command == "sweep-scale" else []
+        assert main([command, "--json", *self.inputs(workdir, [wide, narrow]), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"backbones {wide} and {narrow} record different encoders" in err
 
     def test_missing_corpus_exits_3_before_any_training(
         self, workdir, backbones, tmp_path, capsys, monkeypatch
     ):
         import svadapt.harness
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
 
         monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
         argv = self.inputs(workdir, backbones)
@@ -550,11 +625,97 @@ class TestCompare:
         assert main(["compare", *argv]) == 3
         assert "missing.svc not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["targets-only", "unknown-utterance"])
+    def test_bad_trial_list_exits_3_before_any_run(
+        self, workdir, backbones, bad_trial_lists, case, capsys, monkeypatch
+    ):
+        import svadapt.harness
+
+        monkeypatch.setattr(svadapt.harness, "run_and_report", no_run)
+        path, named = bad_trial_lists[case]
+        argv = self.inputs(workdir, backbones)
+        argv[argv.index("--trials") + 1] = str(path)
+        assert main(["compare", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
+
+
+# flags compare and sweep-scale dropped: the encoder and seed of every run
+# come from its backbone, and a sweep row sets its own adapter variant and scale
+REMOVED_FLAGS = {
+    "compare": ["--encoder-preset", "--num-layers", "--hidden-dim", "--num-heads",
+                "--ffn-dim", "--input-dim"],
+    "sweep-scale": ["--encoder-preset", "--num-layers", "--hidden-dim", "--num-heads",
+                    "--ffn-dim", "--input-dim", "--encoder-seed", "--config", "--seed",
+                    "--adapter-variant", "--adapter-scale"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags]
+)
+def test_removed_multi_run_flag_is_a_usage_error(tmp_path, command, flag, capsys):
+    argv = [command, "--corpus", str(tmp_path / "c.svc"), "--trials", str(tmp_path / "t.txt"),
+            "--backbone", str(tmp_path / "b.ckpt"), flag, "1"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestBadTrialList:
+    """A trial list naming an utterance the corpus lacks, or holding one
+    class only, is a data error found before any model is built."""
+
+    @pytest.mark.parametrize("case", ["targets-only", "unknown-utterance"])
+    def test_train_exits_3_before_a_step_and_writes_no_checkpoint(
+        self, workdir, bad_trial_lists, case, tmp_path, capsys, monkeypatch
+    ):
+        import svadapt.harness
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(svadapt.harness, "_run_steps", no_step)
+        path, named = bad_trial_lists[case]
+        out = tmp_path / "run.ckpt"
+        rc = main(
+            ["train", "--corpus", str(workdir / "corpus.txt"),
+             "--backbone", str(workdir / "backbone.ckpt"), "--trials", str(path),
+             "--out", str(out), "--mode", "linear-probe", "--total-steps", "2",
+             "--warmup-steps", "1", "--batch-size", "4", *ENCODER_FLAGS]
+        )
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["targets-only", "unknown-utterance"])
+    def test_eval_exits_3_before_building_the_model(
+        self, workdir, bad_trial_lists, case, capsys, monkeypatch
+    ):
+        import svadapt.cli
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(svadapt.cli, "model_from_checkpoint", no_model)
+        path, named = bad_trial_lists[case]
+        rc = main(
+            ["eval", "--checkpoint", str(workdir / "backbone.ckpt"),
+             "--corpus", str(workdir / "corpus.txt"), "--trials", str(path)]
+        )
+        assert rc == 3
+        assert named in capsys.readouterr().err
+
 
 class TestGradCheck:
     def test_passes_at_default_tolerance(self, capsys):
         rc = main(["grad-check", "--probes", "40"])
         assert rc == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_negative_seed_runs(self, capsys):
+        assert main(["grad-check", "--probes", "10", "--seed", "-1"]) == 0
         assert "OK" in capsys.readouterr().out
 
     @pytest.mark.parametrize(

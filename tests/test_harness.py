@@ -20,25 +20,30 @@ from svadapt.harness import (
     DEFAULT_SWEEP_SCALES,
     MetricsReport,
     RunConfig,
+    backbone_runs,
+    check_trials,
+    compare_configs,
     config_from_file,
     config_from_text,
     config_to_text,
     count_params_table,
     evaluate,
     format_count_table,
-    format_sweep_table,
+    format_run_table,
     load_backbone_into,
     load_checkpoint,
     model_backbone_hash,
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
+    run_reports,
     save_checkpoint,
     save_model_checkpoint,
     sweep_configs,
-    sweep_scale,
+    sweep_label,
     train,
 )
+from svadapt.metrics import Trial
 from svadapt.model import SVModel
 from svadapt.optim import LrSchedule
 from svadapt.rng import fnv1a64
@@ -69,10 +74,15 @@ def tiny_cfg(mode="linear-probe", adapter=None, steps=25, seed=0, **kw):
 
 
 @pytest.fixture(scope="module")
-def backbone_ckpt(corpus, tmp_path_factory):
+def backbone_path(corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "backbone.ckpt"
     pretrain_backbone(tiny_cfg("full-finetune", steps=30), corpus, out_path=path)
-    return load_checkpoint(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def backbone_ckpt(backbone_path):
+    return load_checkpoint(backbone_path)
 
 
 class TestRunConfig:
@@ -742,8 +752,6 @@ class TestEvaluate:
         assert a == b and sa == sb
 
     def test_unknown_utterance_named_in_error(self, corpus, backbone_ckpt):
-        from svadapt.metrics import Trial
-
         run = train(tiny_cfg(steps=3), backbone_ckpt, corpus)
         ghost = [Trial("spk999_utt000", corpus.utterances[0].utt_id, False)]
         with pytest.raises(DataError, match="spk999_utt000"):
@@ -818,15 +826,16 @@ class TestCountParamsTable:
 
 
 class TestSweepScale:
-    def test_roster_and_populated_metrics(self, corpus, trials, backbone_ckpt):
+    def test_roster_and_populated_metrics(self, corpus, trials, backbone_path):
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=4)
-        runs = sweep_configs(cfg, scales=("sequential", "learnable", 0.5, 1.0))
-        rows = sweep_scale(runs, backbone_ckpt, corpus, trials)
-        assert [r["scale"] for r in rows] == ["sequential", "learnable", "0.5", "1"]
-        assert all(set(r) == {"scale", "eer", "min_dcf"} for r in rows)
-        for r in rows:
-            assert np.isfinite(r["eer"]) and np.isfinite(r["min_dcf"])
-        assert "sequential" in format_sweep_table(rows)
+        runs = backbone_runs(sweep_configs(cfg, scales=("sequential", "learnable", 0.5, 1.0)),
+                             [backbone_path])
+        reports = list(run_reports(runs, corpus, trials))
+        assert [sweep_label(r.adapter) for r in reports] == ["sequential", "learnable", "0.5", "1"]
+        assert all(r.mode == "inner-inter" and r.adapter["bottleneck_dim"] == 4 for r in reports)
+        for r in reports:
+            assert np.isfinite(r.eer) and np.isfinite(r.min_dcf)
+        assert "sequential" in format_run_table(reports, "scale")
 
     def test_default_roster(self):
         assert DEFAULT_SWEEP_SCALES == (
@@ -837,13 +846,65 @@ class TestSweepScale:
         with pytest.raises(ConfigError, match="inner-adapter mode"):
             sweep_configs(tiny_cfg("linear-probe"))
 
-    def test_scale_zero_row_equals_no_adapter_baseline(self, corpus, trials, backbone_ckpt):
+    def test_scale_zero_row_equals_no_adapter_baseline(self, corpus, trials, tmp_path):
         # with s=0 the adapter branch contributes nothing and receives no
         # gradient, so the run collapses onto the corresponding mode without
-        # bottleneck adapters (inter) step for step
-        cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20, seed=6)
-        rows = sweep_scale(sweep_configs(cfg, scales=(0.0,)), backbone_ckpt, corpus, trials)
-        baseline = train(tiny_cfg("inter", steps=20, seed=6), backbone_ckpt, corpus)
+        # bottleneck adapters (inter) step for step; the sweep run takes
+        # its seed from the backbone
+        path = tmp_path / "backbone6.ckpt"
+        pretrain_backbone(tiny_cfg("full-finetune", steps=30, seed=6), corpus, out_path=path)
+        cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20)
+        runs = backbone_runs(sweep_configs(cfg, scales=(0.0,)), [path])
+        (report,) = run_reports(runs, corpus, trials)
+        baseline = train(tiny_cfg("inter", steps=20, seed=6), load_checkpoint(path), corpus)
         res, _ = evaluate(baseline.model, corpus, trials)
-        assert rows[0]["eer"] == res.eer
-        assert rows[0]["min_dcf"] == res.min_dcf
+        assert report.eer == res.eer
+        assert report.min_dcf == res.min_dcf
+
+
+class TestBackboneRuns:
+    def test_runs_take_the_encoder_and_seed_of_each_backbone(
+        self, corpus, backbone_path, tmp_path
+    ):
+        other = tmp_path / "seed3.ckpt"
+        pretrain_backbone(tiny_cfg("full-finetune", steps=2, seed=3), corpus, out_path=other)
+        rows = sweep_configs(RunConfig(adapter=AdapterConfig(bottleneck_dim=4)), (0.5, 1.0))
+        runs = backbone_runs(rows, [backbone_path, other])
+        assert [cfg.seed for _b, cfg in runs] == [0, 0, 3, 3]
+        assert all(cfg.encoder == TINY_ENCODER for _b, cfg in runs)
+        assert [cfg.adapter.scale for _b, cfg in runs] == [0.5, 1.0, 0.5, 1.0]
+
+    def test_encoder_mismatch_names_both_files(self, corpus, backbone_path, tmp_path):
+        wide = tmp_path / "wide.ckpt"
+        cfg = replace(tiny_cfg("full-finetune", steps=2), encoder=replace(TINY_ENCODER, hidden_dim=24))
+        pretrain_backbone(cfg, corpus, out_path=wide)
+        with pytest.raises(ConfigError, match="record different encoders") as info:
+            backbone_runs(compare_configs(RunConfig(embed_dim=8)), [backbone_path, wide])
+        assert str(backbone_path) in str(info.value) and str(wide) in str(info.value)
+
+    def test_encoder_seed_may_differ(self, corpus, backbone_path, tmp_path):
+        other = tmp_path / "enc-seed.ckpt"
+        cfg = replace(tiny_cfg("full-finetune", steps=2), encoder=replace(TINY_ENCODER, seed=9))
+        pretrain_backbone(cfg, corpus, out_path=other)
+        rows = sweep_configs(RunConfig(adapter=AdapterConfig(bottleneck_dim=4)), (0.5,))
+        runs = backbone_runs(rows, [backbone_path, other])
+        assert [cfg.encoder.seed for _b, cfg in runs] == [0, 9]
+
+    def test_a_row_no_model_fits_is_a_config_error(self, backbone_path):
+        # houlsby's default 16-unit bottleneck is not narrower than the
+        # 16-unit tiny backbone
+        with pytest.raises(ConfigError, match="bottleneck 16 must be smaller than width 16"):
+            backbone_runs(compare_configs(RunConfig(embed_dim=8)), [backbone_path])
+
+
+class TestCheckTrials:
+    @pytest.mark.parametrize("targets", [(True, True), (False, False), ()])
+    def test_one_class_or_empty_list_is_a_data_error(self, corpus, targets):
+        ids = [u.utt_id for u in corpus.part("adapt")]
+        trials = [Trial(ids[0], ids[i + 1], t) for i, t in enumerate(targets)]
+        with pytest.raises(DataError, match="at least one target and one nontarget"):
+            check_trials(trials, corpus)
+
+    def test_unknown_utterance_is_named(self, corpus, trials):
+        with pytest.raises(DataError, match="spk999_utt000"):
+            check_trials([*trials, Trial("spk999_utt000", trials[0].test, True)], corpus)

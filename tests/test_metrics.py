@@ -67,6 +67,21 @@ class TestEer:
         assert eer == ref_eer
         assert thr == ref_thr
 
+    def test_equal_scores_give_one_half(self):
+        # the top score is a tie, so miss - fa stays below 0 at every score
+        # and the crossing lies on the way to the reject-all point
+        scores, labels = [1.0] * 4, [1, 1, 0, 0]
+        assert compute_eer(ScoreSet(scores, labels)) == (0.5, 1.0)
+        assert reference_eer(scores, labels) == (0.5, 1.0)
+
+    def test_tie_at_the_top_score_crosses_past_it(self):
+        # at 0.9: miss 1/2, fa 1; rejecting all: miss 1, fa 0
+        scores, labels = [0.5, 0.9, 0.9], [1, 1, 0]
+        eer, thr = compute_eer(ScoreSet(scores, labels))
+        assert (eer, thr) == reference_eer(scores, labels)
+        assert eer == pytest.approx(2 / 3, abs=1e-15)
+        assert thr == 0.9
+
     def test_rejects_single_class(self):
         with pytest.raises(DataError, match="at least one"):
             ScoreSet([0.1, 0.2], [1, 1])

@@ -236,6 +236,16 @@ class TestGradCheck:
 
         assert T.grad_check(f, [x], n_probes=5, seed=0) == 0.0
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_any_int_seed_draws_probes(self, seed):
+        # probes come from an rng.Stream, which takes any Python int
+        x = Param([1.0, 2.0, 3.0], name="x")
+
+        def f():
+            return T.sum_all(T.mul(x, x))
+
+        assert T.grad_check(f, [x], n_probes=5, seed=seed) < 1e-8
+
     def test_rejects_out_of_range_h(self):
         x = Param([1.0], name="x")
         with pytest.raises(ValueError, match="h must be"):
