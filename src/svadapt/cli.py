@@ -14,7 +14,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -83,42 +83,27 @@ def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
             )
 
 
-def _flag_values(args, part) -> dict:
-    """{field name: value} for each run flag given on the command line whose
-    setting belongs to `part`; a flag the subcommand lacks counts as unset."""
-    values = {}
-    for s in config_settings():
-        if s.part == part and s.flag is not None:
-            value = getattr(args, s.flag.replace("-", "_"), None)
-            if value is not None:
-                values[s.field.name] = value
-    return values
-
-
-def _encoder_from_args(args, base: EncoderConfig) -> EncoderConfig:
+def _settings_from_args(args) -> dict:
+    """{part: {field name: value}} of --encoder-preset's six encoder
+    settings, then of each run flag given on the command line; a flag the
+    subcommand lacks counts as unset."""
+    given = {}
     if getattr(args, "encoder_preset", None):
-        base = PRESETS[args.encoder_preset]
-    updates = _flag_values(args, "encoder")
-    return replace(base, **updates) if updates else base
+        given["encoder"] = asdict(PRESETS[args.encoder_preset])
+    for s in config_settings():
+        value = None if s.flag is None else getattr(args, s.flag.replace("-", "_"), None)
+        if value is not None:
+            given.setdefault(s.part, {})[s.field.name] = value
+    return given
 
 
 def _run_config_from_args(args) -> RunConfig:
-    """The run flags over the --config file, where the subcommand takes one."""
-    cfg = config_from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = _flag_values(args, None)
-    updates["encoder"] = _encoder_from_args(args, cfg.encoder)
-    mode = updates.get("mode", cfg.mode)
-    adapter = cfg.adapter
-    if adapter == ad.adapter_for(cfg.mode) or mode not in ad.INNER_MODES:
-        # the default adapter of the config's mode, or any adapter config
-        # when switching to a mode without adapters, gives way to the
-        # default of the mode the run uses (houlsby: sequential)
-        adapter = ad.adapter_for(mode)
-    adapter_flags = _flag_values(args, "adapter")
-    if adapter_flags:  # AdapterConfig validates/coerces the scale value itself
-        adapter = replace(adapter or ad.AdapterConfig(), **adapter_flags)
-    updates["adapter"] = adapter
-    return replace(cfg, **updates)
+    """The --config file's settings, where the subcommand takes one, with
+    --encoder-preset and the run flags laid over them setting by setting,
+    built once by `config_from_text`."""
+    if getattr(args, "config", None):
+        return config_from_file(args.config, _settings_from_args(args))
+    return config_from_text("", overrides=_settings_from_args(args))
 
 
 def _require(ok: bool, flag: str, rule: str, value) -> None:
@@ -251,12 +236,12 @@ def cmd_eval(args) -> int:
 
 def cmd_count_params(args) -> int:
     """A dim flag not given takes the default for the encoder's width."""
-    encoder = _encoder_from_args(args, EncoderConfig())
-    big = encoder.hidden_dim >= 512
-    adapter = replace(ad.AdapterConfig(256 if big else 16), **_flag_values(args, "adapter"))
-    cfg = RunConfig(**{"embed_dim": 512 if big else 32, **_flag_values(args, None)},
-                    encoder=encoder, adapter=adapter)
-    rows = count_params_table(encoder, cfg.embed_dim, adapter.bottleneck_dim)
+    given = _settings_from_args(args)
+    if given.get("encoder", {}).get("hidden_dim", EncoderConfig.hidden_dim) >= 512:
+        given[None] = {"embed_dim": 512, **given.get(None, {})}
+        given["adapter"] = {"bottleneck_dim": 256, **given.get("adapter", {})}
+    cfg = config_from_text("", overrides=given)
+    rows = count_params_table(cfg.encoder, cfg.embed_dim, cfg.adapter.bottleneck_dim)
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -339,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="pretrain the backbone on the pretrain split")
     p.add_argument("--corpus")
     p.add_argument("--out", required=True)
-    _add_run_flags(p)
+    p.add_argument("--config", help="key=value config file with [section] headers")
+    # the backbone trains in full-finetune mode, so no mode or adapter flag
+    _add_run_flags(p, [s for s in config_settings() if s.part != "adapter" and s.flag != "mode"])
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run one tuning mode on the adapt split")

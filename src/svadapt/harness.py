@@ -148,24 +148,29 @@ def config_to_text(cfg: RunConfig) -> str:
     return "".join(lines)
 
 
-def config_from_text(text: str, source: str = "config") -> RunConfig:
-    """RunConfig from config text. Every section and key must be one that
-    `config_to_text` can write; one left out takes its default. A nested
-    config whose default is None (the adapter's) is set only when its
-    section is present. `%` has no special meaning."""
+def config_from_text(text: str, source: str = "config", overrides=None) -> RunConfig:
+    """RunConfig from config text, with `overrides` ({part: {field name:
+    value}}, part as in `Setting`) laid over its values setting by setting
+    before anything is built. Every section and key must be one that
+    `config_to_text` can write; one left out takes its default. The
+    adapter is the run mode's default with each given adapter setting
+    applied over it; an [adapter] section, even an empty one, or an adapter
+    setting for a mode without adapter slots is a ConfigError. `%` has no
+    special meaning."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad {source}: {exc}") from exc
     settings = {(s.section, s.key): s for s in config_settings()}
-    sections = {section for section, _key in settings}
+    parts = {s.section: s.part for s in settings.values()}
     unknown = [f"[{parser.default_section}]"] if parser.defaults() else []
     values = {None: {}}
     for section in parser.sections():
-        if section not in sections:
+        if section not in parts:
             unknown.append(f"[{section}]")
             continue
+        given = values.setdefault(parts[section], {})
         for key, raw in parser[section].items():
             s = settings.get((section, key))
             if s is None:
@@ -174,20 +179,21 @@ def config_from_text(text: str, source: str = "config") -> RunConfig:
             if "\n" in raw:
                 raise ConfigError(f"config key {key!r}: a value must fit on one line")
             try:
-                value = raw if s.cast is None else s.cast(raw)
+                given[s.field.name] = raw if s.cast is None else s.cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-            values.setdefault(s.part, {})[s.field.name] = value
     if unknown:
         raise ConfigError(f"unknown config section or key: {', '.join(unknown)}")
-    for f in fields(RunConfig):
-        nested = f.metadata.get("fields_of")
-        if nested and (f.default is not None or parser.has_section(f.metadata["section"])):
-            values[None][f.name] = nested(**values.get(f.name, {}))
-    return RunConfig(**values[None])
+    for part, updates in (overrides or {}).items():
+        values.setdefault(part, {}).update(updates)
+    if "adapter" in values:
+        base = ad.adapter_for(values[None].get("mode", RunConfig.mode)) or ad.AdapterConfig()
+        values[None]["adapter"] = replace(base, **values["adapter"])
+    return RunConfig(**values[None], encoder=EncoderConfig(**values.get("encoder", {})))
 
 
-def config_from_file(path) -> RunConfig:
+def config_from_file(path, overrides=None) -> RunConfig:
+    """`config_from_text` of the file at `path`, with `overrides`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -197,7 +203,7 @@ def config_from_file(path) -> RunConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    return config_from_text(text, f"config file {path}")
+    return config_from_text(text, f"config file {path}", overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,6 @@ def config_from_file(path) -> RunConfig:
 
 @dataclass
 class Checkpoint:
-    version: int
     config_text: str
     step: int
     params: list  # ordered (name, trainable, array)
@@ -232,9 +237,7 @@ def model_backbone_hash(model: SVModel) -> int:
 def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
     """In-memory backbone-only checkpoint (no file round trip)."""
     params = [(p.name, p.trainable, p.data.copy()) for p in model.backbone_params()]
-    return Checkpoint(
-        CHECKPOINT_VERSION, "", step, params, backbone_hash_of(params)
-    )
+    return Checkpoint("", step, params, backbone_hash_of(params))
 
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
@@ -340,7 +343,7 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
             f"{path}: backbone hash mismatch "
             f"(stored {stored_hash:#018x}, computed {actual:#018x})"
         )
-    return Checkpoint(version, config_text, step, params, stored_hash)
+    return Checkpoint(config_text, step, params, stored_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,6 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
 @dataclass
 class TrainedRun:
     model: SVModel
-    config: RunConfig
     losses: list
     backbone_hash: int
 
@@ -448,7 +450,7 @@ def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
     else:
         params = [(p.name, p.trainable, p.data) for p in model.backbone_params()]
         h = save_checkpoint(out_path, config_to_text(cfg), params, cfg.total_steps)
-    return TrainedRun(model, cfg, losses, h)
+    return TrainedRun(model, losses, h)
 
 
 def load_backbone_into(model: SVModel, checkpoint: Checkpoint) -> None:
@@ -471,7 +473,7 @@ def train(cfg: RunConfig, backbone_ckpt: Checkpoint | None, corpus: Corpus, out_
         h = model_backbone_hash(model)
     else:
         h = save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
-    return TrainedRun(model, cfg, losses, h)
+    return TrainedRun(model, losses, h)
 
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
@@ -627,8 +629,8 @@ def sweep_label(adapter: dict) -> str:
 
 def compare_configs(cfg: RunConfig) -> list:
     """`cfg` in each mode of `MODES`, in order, with the mode's default
-    adapter; a mode whose model cannot be built is a ConfigError."""
-    return [buildable(replace(cfg, mode=mode, adapter=None)) for mode in ad.MODES]
+    adapter."""
+    return [replace(cfg, mode=mode, adapter=None) for mode in ad.MODES]
 
 
 def backbone_runs(rows, backbone_paths) -> list:

@@ -128,11 +128,12 @@ class TestTrainEval:
 
         part = "adapt" if command == "train" else "pretrain"
         n = len(read_corpus(workdir / "corpus.txt").part(part))
+        adapter = ["--bottleneck-dim", "4"] if command == "train" else []
         rc = main(
             [
                 command, "--corpus", str(workdir / "corpus.txt"),
                 "--out", str(tmp_path / "run.ckpt"), "--total-steps", "1",
-                "--warmup-steps", "1", "--batch-size", str(n + 1), "--bottleneck-dim", "4",
+                "--warmup-steps", "1", "--batch-size", str(n + 1), *adapter,
                 *ENCODER_FLAGS,
             ]
         )
@@ -737,6 +738,22 @@ class TestGradCheck:
         assert f"config error: {flag} must be" in capsys.readouterr().err
 
 
+# the backbone pretrains in full-finetune mode with no adapter, so pretrain
+# takes neither a mode nor an adapter flag
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--mode", "inner"), ("--bottleneck-dim", "4"), ("--adapter-variant", "sequential"),
+     ("--adapter-scale", "0.25"), ("--scale-init", "2.0")],
+)
+def test_pretrain_mode_or_adapter_flag_is_a_usage_error(tmp_path, flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["pretrain", "--corpus", str(tmp_path / "c.svc"),
+              "--out", str(tmp_path / "b.ckpt"), flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMalformedRunNumbers:
     """A malformed number in a run config is a config error naming the key,
     raised before any input is read (the corpus does not exist: read
@@ -776,6 +793,25 @@ class TestMalformedRunNumbers:
         )
         assert rc == 2
         assert "adam_beta2 must be" in capsys.readouterr().err
+
+    def test_config_file_value_a_flag_replaces_is_not_checked(self, tmp_path):
+        from svadapt.cli import _run_config_from_args, build_parser
+
+        conf = tmp_path / "run.conf"
+        conf.write_text("[optim]\nadam_beta2 = 1.5\n")
+        args = build_parser().parse_args(
+            ["train", "--out", "x.ckpt", "--config", str(conf), "--adam-beta2", "0.5"])
+        assert _run_config_from_args(args).adam_beta2 == 0.5
+
+    def test_config_file_value_that_does_not_parse_exits_2_under_a_flag(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[optim]\nadam_beta2 = x\n")
+        rc = main(
+            ["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
+             "--out", str(tmp_path / "run.ckpt"), "--adam-beta2", "0.5"]
+        )
+        assert rc == 2
+        assert "config key 'adam_beta2'" in capsys.readouterr().err
 
     def test_gen_data_nan_noise_scale_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "corpus.svc"
@@ -958,6 +994,9 @@ class TestHoulsbyDefaults:
         conf.write_text("[run]\nmode = inter\n")
         flags = ("--config", str(conf), "--mode", "houlsby")
         assert self._cfg(*flags).adapter == AdapterConfig(variant="sequential")
+        # a file's adapter settings stand under the flag's mode
+        conf.write_text("[run]\nmode = inner\n[adapter]\nbottleneck_dim = 8\n")
+        assert self._cfg(*flags).adapter == AdapterConfig(bottleneck_dim=8, variant="sequential")
 
     def test_other_modes_keep_their_defaults(self, tmp_path):
         from svadapt.adapters import AdapterConfig
@@ -969,6 +1008,46 @@ class TestHoulsbyDefaults:
         conf.write_text("[run]\nmode = inner\n[adapter]\nbottleneck_dim = 8\n")
         flags = ("--config", str(conf), "--mode", "inner-inter")
         assert self._cfg(*flags).adapter == AdapterConfig(bottleneck_dim=8)
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("[run]\nmode = houlsby\n[adapter]\nbottleneck_dim = 4\n",
+             ["--mode", "houlsby", "--bottleneck-dim", "4"]),
+            ("[run]\nmode = houlsby\n[adapter]\nscale_init = 2.0\n",
+             ["--mode", "houlsby", "--scale-init", "2.0"]),
+            ("[run]\nmode = inner\n[adapter]\nvariant = sequential\nscale_init = 2.0\n",
+             ["--mode", "inner", "--adapter-variant", "sequential", "--scale-init", "2.0"]),
+        ],
+        ids=["houlsby-bottleneck-dim", "houlsby-scale-init", "sequential-scale-init"],
+    )
+    def test_a_file_and_flags_with_the_same_settings_agree(self, tmp_path, text, flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        assert self._cfg("--config", str(conf)) == self._cfg(*flags)
+
+    # the default run's config text holds the inner-inter default adapter
+    DEFAULT_ADAPTER_TEXT = ("[run]\nmode = inner-inter\n[adapter]\nbottleneck_dim = 16\n"
+                            "variant = parallel\nscale = 0.5\nscale_init = 1.0\n")
+
+    @pytest.mark.parametrize(
+        "text, flags, named",
+        [
+            (DEFAULT_ADAPTER_TEXT, ["--mode", "linear-probe"],
+             "mode 'linear-probe' takes no bottleneck adapter"),
+            (DEFAULT_ADAPTER_TEXT, ["--mode", "houlsby"], "sequential adapters only"),
+            ("[run]\nmode = linear-probe\n[adapter]\n", [],
+             "mode 'linear-probe' takes no bottleneck adapter"),
+        ],
+        ids=["adapter-under-probe-flag", "parallel-under-houlsby-flag", "empty-adapter-section"],
+    )
+    def test_file_adapter_the_mode_cannot_take_exits_2(self, tmp_path, text, flags, named, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        rc = main(["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
+                   "--out", str(tmp_path / "run.ckpt"), *flags])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_houlsby_trains_from_the_cli(self, workdir, tmp_path):
         from svadapt.harness import config_from_text, load_checkpoint
