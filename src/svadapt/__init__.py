@@ -12,7 +12,7 @@ references), `synthdata` (deterministic synthetic speaker corpus), and
 
 from .adapters import AdapterConfig, BottleneckAdapter, InterLayerAdapter
 from .backbone import Encoder, EncoderConfig, PRESETS
-from .backend import ClassifierHead, SVHead, SpeakerEmbedding, cosine_score
+from .backend import ClassifierHead, SVHead, cosine_score
 from .errors import ConfigError, DataError, NumericError, ParseError
 from .harness import Checkpoint, MetricsReport, RunConfig, evaluate, pretrain_backbone, train
 from .metrics import EvalResult, ScoreSet, Trial, compute_eer, compute_min_dcf
@@ -47,7 +47,6 @@ __all__ = [
     "SVHead",
     "SVModel",
     "ScoreSet",
-    "SpeakerEmbedding",
     "Tape",
     "Tensor",
     "Trial",

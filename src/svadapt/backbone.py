@@ -98,9 +98,6 @@ class TransformerLayer:
 def mhsa(x: Tensor, layer: TransformerLayer, num_heads: int) -> Tensor:
     """Scaled dot-product multi-head self-attention, fully bidirectional,
     with per-head scale 1/sqrt(head_dim)."""
-    d = x.shape[1]
-    if layer.wq.shape[0] != d:
-        raise ValueError(f"mhsa: input width {d} does not match layer {layer.wq.shape}")
     q = tt.matmul(x, layer.wq, layer.bq)
     k = tt.matmul(x, layer.wk, layer.bk)
     v = tt.matmul(x, layer.wv, layer.bv)

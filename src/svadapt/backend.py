@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +15,6 @@ from .tensor import Param, Tensor
 
 class DegenerateEmbeddingWarning(UserWarning):
     """A trial embedding had (near-)zero norm; its scores are defined as 0."""
-
-
-@dataclass
-class SpeakerEmbedding:
-    utterance: str
-    vector: np.ndarray
 
 
 class SVHead:
@@ -77,10 +70,10 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(a.dot(b) / (na * nb))
 
 
-def write_embeddings(path, embeddings) -> None:
-    """Text rows 'utterance_id v1 v2 ... ve' for debugging, written
-    atomically."""
+def write_embeddings(path, embeddings: dict) -> None:
+    """Text rows 'utterance_id v1 v2 ... ve' of {utterance id: vector}, in
+    id order, for debugging, written atomically."""
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        for emb in embeddings:
-            values = " ".join(f"{v:.17e}" for v in emb.vector)
-            fh.write(f"{emb.utterance} {values}\n")
+        for utt, vector in sorted(embeddings.items()):
+            values = " ".join(f"{v:.17e}" for v in vector)
+            fh.write(f"{utt} {values}\n")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import adapters as ad
 from .backbone import EncoderConfig, PRESETS
-from .backend import SpeakerEmbedding, write_embeddings
+from .backend import write_embeddings
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
     DEFAULT_SWEEP_SCALES,
@@ -67,31 +67,32 @@ EXIT_NUMERIC = 4
 def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
     """Register the flag of each of `settings`, and --encoder-preset if one
     of them is an encoder setting; when they are not given, --config and
-    the flag of every run setting."""
+    the flag of every run setting. The parsed args keep the settings as
+    `run_settings`."""
     if settings is None:
         p.add_argument("--config", help="key=value config file with [section] headers")
         settings = config_settings()
     settings = list(settings)
+    p.set_defaults(run_settings=settings)
     enc = p.add_argument_group("encoder")
     if any(s.part == "encoder" for s in settings):
         enc.add_argument("--encoder-preset", choices=sorted(PRESETS))
     for s in settings:
-        if s.flag is not None:
-            (enc if s.part == "encoder" else p).add_argument(
-                f"--{s.flag}", type=s.cast, choices=s.field.metadata.get("choices"),
-                help=s.field.metadata.get("help"),
-            )
+        (enc if s.part == "encoder" else p).add_argument(
+            f"--{s.flag}", type=s.cast, choices=s.field.metadata.get("choices"),
+            help=s.field.metadata.get("help"),
+        )
 
 
 def _settings_from_args(args) -> dict:
     """{part: {field name: value}} of --encoder-preset's six encoder
-    settings, then of each run flag given on the command line; a flag the
-    subcommand lacks counts as unset."""
+    settings, then of each of the subcommand's run flags given on the
+    command line."""
     given = {}
     if getattr(args, "encoder_preset", None):
         given["encoder"] = asdict(PRESETS[args.encoder_preset])
-    for s in config_settings():
-        value = None if s.flag is None else getattr(args, s.flag.replace("-", "_"), None)
+    for s in args.run_settings:
+        value = getattr(args, s.flag.replace("-", "_"))
         if value is not None:
             given.setdefault(s.part, {})[s.field.name] = value
     return given
@@ -112,15 +113,6 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise ConfigError(f"--{flag} must be {rule}, got {value!r}")
 
 
-def _read(reader, path, what: str):
-    try:
-        return reader(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"{what} {path} not found") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-
-
 def _check_paths(outputs: dict, inputs: dict) -> None:
     """Refuse, before any data file is read or any work is done, an output
     whose directory is missing (with the error a failed write would give)
@@ -137,11 +129,10 @@ def _check_paths(outputs: dict, inputs: dict) -> None:
             seen[real] = f"{flag} {path}"
 
 
-def _path(flag_value, cfg_value, what):
-    path = flag_value or cfg_value
+def _path(path, what: str) -> None:
+    """Refuse a run whose `what` path neither a flag nor [data] gives."""
     if not path:
         raise ConfigError(f"no {what} given (flag or [data] section)")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +165,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _run_config_from_args(args)
-    corpus_path = _path(args.corpus, cfg.corpus_path, "corpus")
-    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": corpus_path})
-    corpus = _read(read_corpus, corpus_path, "corpus file")
+    _path(cfg.corpus_path, "corpus")
+    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": cfg.corpus_path})
+    corpus = read_corpus(cfg.corpus_path)
     run = pretrain_backbone(cfg, corpus, out_path=args.out)
     print(
         f"pretrained backbone for {cfg.total_steps} steps: "
@@ -188,14 +179,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = buildable(_run_config_from_args(args))
-    corpus_path = _path(args.corpus, cfg.corpus_path, "corpus")
-    backbone_path = args.backbone or cfg.backbone_path
-    trials_path = args.trials or cfg.trials_path
-    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": corpus_path,
-                                       "--backbone": backbone_path, "--trials": trials_path})
-    corpus = _read(read_corpus, corpus_path, "corpus file")
-    backbone = load_checkpoint(backbone_path) if backbone_path else None
-    trials = _read(read_trials, trials_path, "trial list") if trials_path else None
+    _path(cfg.corpus_path, "corpus")
+    _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": cfg.corpus_path,
+                                       "--backbone": cfg.backbone_path, "--trials": cfg.trials_path})
+    corpus = read_corpus(cfg.corpus_path)
+    backbone = load_checkpoint(cfg.backbone_path) if cfg.backbone_path else None
+    trials = read_trials(cfg.trials_path) if cfg.trials_path else None
     if trials is None:
         run = train_run(cfg, backbone, corpus, out_path=args.out)
         print(
@@ -213,8 +202,8 @@ def cmd_eval(args) -> int:
     _require(0.0 < args.p_target < 1.0, "p-target", "in (0, 1)", args.p_target)
     _check_paths({"--scores-out": args.scores_out, "--embeddings-out": args.embeddings_out},
                  {f"--{flag}": getattr(args, flag) for flag in ("checkpoint", "corpus", "trials")})
-    corpus = _read(read_corpus, args.corpus, "corpus file")
-    trials = _read(read_trials, args.trials, "trial list")
+    corpus = read_corpus(args.corpus)
+    trials = read_trials(args.trials)
     checkpoint = load_checkpoint(args.checkpoint)
     # a corpus that does not fit the encoder is a config error, reported
     # before any fault in the checkpoint's params
@@ -226,10 +215,7 @@ def cmd_eval(args) -> int:
     if args.scores_out:
         write_scores(args.scores_out, trials, scores)
     if args.embeddings_out:
-        write_embeddings(
-            args.embeddings_out,
-            [SpeakerEmbedding(utt, vec) for utt, vec in sorted(embs.items())],
-        )
+        write_embeddings(args.embeddings_out, embs)
     print(json.dumps(asdict(result), sort_keys=True))
     return EXIT_OK
 
@@ -269,8 +255,8 @@ def cmd_runs(args) -> int:
     cfg = _run_config_from_args(args)
     rows = compare_configs(cfg) if args.column == "mode" else sweep_configs(cfg, _scales(args.scales))
     runs = backbone_runs(rows, args.backbone)
-    corpus = _read(read_corpus, args.corpus, "corpus file")
-    trials = _read(read_trials, args.trials, "trial list")
+    corpus = read_corpus(args.corpus)
+    trials = read_trials(args.trials)
     check_trials(trials, corpus)
     reports = run_reports(runs, corpus, trials)
     if args.json:
@@ -322,18 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="pretrain the backbone on the pretrain split")
-    p.add_argument("--corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value config file with [section] headers")
-    # the backbone trains in full-finetune mode, so no mode or adapter flag
-    _add_run_flags(p, [s for s in config_settings() if s.part != "adapter" and s.flag != "mode"])
+    # the backbone trains in full-finetune mode from its own init and is not
+    # evaluated, so no mode, adapter, backbone or trials flag
+    _add_run_flags(p, [s for s in config_settings() if s.part != "adapter"
+                       and s.field.name not in ("mode", "trials_path", "backbone_path")])
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run one tuning mode on the adapt split")
-    p.add_argument("--corpus")
-    p.add_argument("--backbone", help="pretrained backbone checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", help="evaluate after training and print a report")
     _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -369,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated sweep rows: numbers, 'sequential' or 'learnable'")
         p.add_argument("--json", action="store_true")
         _add_run_flags(p, [s for s in config_settings() if s.field.name in extra or (
-            s.part is None and s.field.name not in ("mode", "seed"))])
+            s.part is None and s.section != "data" and s.field.name not in ("mode", "seed"))])
         p.set_defaults(func=cmd_runs, column=column)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")

@@ -1,8 +1,10 @@
 """File helpers shared by the readers and writers.
 
-Atomic writes: a writer fills a temp file beside the target, and only a
-write that completes replaces the target, in one `os.replace`. Line-record
-reads: a malformed or non-UTF-8 line raises ParseError naming it."""
+Reads: every reader opens its file through `reading`, so a missing or
+unreadable file raises DataError naming it, and in a line-record file a
+malformed or non-UTF-8 line raises ParseError naming it. Atomic writes: a
+writer fills a temp file beside the target, and only a write that
+completes replaces the target, in one `os.replace`."""
 
 from __future__ import annotations
 
@@ -10,7 +12,21 @@ import io
 import os
 from contextlib import contextmanager
 
-from .errors import ParseError
+from .errors import DataError, ParseError
+
+
+@contextmanager
+def reading(path, what: str, mode: str = "rb", **open_kwargs):
+    """The file at `path`, open for reading. A missing file raises
+    DataError "{what} {path} not found", and any other OSError from opening
+    or reading it DataError "cannot read {what} {path}: {strerror}"."""
+    try:
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} {path} not found") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -42,8 +58,9 @@ def text_records(path, n_fields: int, what: str):
     """(line number, fields) of each line of a UTF-8 text file, split on
     whitespace, with line breaks as text mode reads them: "\n", "\r\n"
     and a lone "\r". A byte that is not UTF-8, or a line without exactly
-    `n_fields` fields, raises ParseError naming its line."""
-    with open(path, "rb") as fh:
+    `n_fields` fields, raises ParseError naming its line; a file that
+    cannot be read raises DataError naming `what` and `path`."""
+    with reading(path, what) as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

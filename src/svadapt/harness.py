@@ -37,7 +37,7 @@ from . import tensor as tt
 from .backbone import EncoderConfig
 from .backend import cosine_score, train_loss
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write
+from .fileio import atomic_write, reading
 from .metrics import ScoreSet, evaluate_scores
 from .model import SVModel
 from .optim import Adam, LrSchedule
@@ -48,17 +48,17 @@ MAGIC = b"SVADCKPT"
 CHECKPOINT_VERSION = 1
 
 
-RUN, OPTIM = {"section": "run"}, {"section": "optim"}
-DATA = {"section": "data", "flag": None}  # each subcommand has its own data-path flags
+RUN, OPTIM, DATA = {"section": "run"}, {"section": "optim"}, {"section": "data"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings, in the order of its config text. Each field's
-    metadata names its [section], and its config key and CLI flag where
-    they differ from the field name. `fields_of` marks a nested config
-    whose own fields fill the section; `flag: None` marks a setting with no
-    run flag (each subcommand that reads a data path has its own flag)."""
+    metadata names its [section], its config key where that differs from
+    the field name, and its CLI flag where that differs from the key; a
+    data path's key drops the `_path`, so `corpus_path` is `[data] corpus`
+    and `--corpus`. `fields_of` marks a nested config whose own fields fill
+    the section."""
 
     mode: str = field(default="inner-inter", metadata={**RUN, "choices": ad.MODES})
     seed: int = field(default=0, metadata=RUN)
@@ -80,8 +80,10 @@ class RunConfig:
     adam_eps: float = field(default=1e-8, metadata=OPTIM)
     lr_floor_ratio: float = field(default=0.05, metadata=OPTIM)
     corpus_path: str = field(default="", metadata={**DATA, "key": "corpus"})
-    trials_path: str = field(default="", metadata={**DATA, "key": "trials"})
-    backbone_path: str = field(default="", metadata={**DATA, "key": "backbone"})
+    trials_path: str = field(default="", metadata={
+        **DATA, "key": "trials", "help": "evaluate after training and print a report"})
+    backbone_path: str = field(default="", metadata={
+        **DATA, "key": "backbone", "help": "pretrained backbone checkpoint"})
 
     def __post_init__(self):
         object.__setattr__(self, "adapter", ad.adapter_for(self.mode, self.adapter))
@@ -105,12 +107,12 @@ class Setting(NamedTuple):
     """One config setting: a field of RunConfig or of a config nested in it
     (`part` names the RunConfig field holding it, None for RunConfig's own).
     `cast` is int or float for a field annotated so, else None: the raw
-    string is kept and the config class checks it. `flag` is None for a
-    setting with no run flag."""
+    string is kept and the config class checks it. `flag` is the run flag
+    without its leading dashes."""
 
     section: str
     key: str
-    flag: str | None
+    flag: str
     cast: object
     part: str | None
     field: Field
@@ -121,10 +123,11 @@ def config_settings():
     for f in fields(RunConfig):
         nested = f.metadata.get("fields_of")
         for g in fields(nested) if nested else (f,):
+            key = g.metadata.get("key", g.name)
             yield Setting(
                 f.metadata["section"],
-                g.metadata.get("key", g.name),
-                g.metadata.get("flag", g.name.replace("_", "-")),
+                key,
+                g.metadata.get("flag", key.replace("_", "-")),
                 {"int": int, "float": float}.get(g.type),
                 f.name if nested else None,
                 g,
@@ -193,16 +196,13 @@ def config_from_text(text: str, source: str = "config", overrides=None) -> RunCo
 
 
 def config_from_file(path, overrides=None) -> RunConfig:
-    """`config_from_text` of the file at `path`, with `overrides`."""
+    """`config_from_text` of the file at `path`, with `overrides`; a file
+    that is not UTF-8 text is a ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with reading(path, "config file", "r", encoding="utf-8") as fh:
             text = fh.read()
-    except FileNotFoundError as exc:
-        raise DataError(f"config file {path} not found") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     return config_from_text(text, f"config file {path}", overrides)
 
 
@@ -216,9 +216,6 @@ class Checkpoint:
     step: int
     params: list  # ordered (name, trainable, array)
     backbone_hash: int
-
-    def values(self) -> dict:
-        return {name: arr for name, trainable, arr in self.params}
 
 
 def backbone_hash_of(params) -> int:
@@ -271,12 +268,8 @@ def save_model_checkpoint(path, model: SVModel, config_text: str, step: int) -> 
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    return _parse_checkpoint(blob, path)
+    with reading(path, "checkpoint") as fh:
+        return _parse_checkpoint(fh.read(), path)
 
 
 class _CheckpointReader:
@@ -324,10 +317,13 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     config_text = r.text(conf_len, "config block")
     (step,) = r.unpack("<Q", "step")
     (nparams,) = r.unpack("<I", "param count")
-    params = []
+    params, names = [], set()
     for i in range(nparams):
         (name_len,) = r.unpack("<H", f"param {i} name length")
         name = r.text(name_len, f"param {i} name")
+        if name in names:
+            raise DataError(f"{path}: param {name!r} appears twice")
+        names.add(name)
         trainable, rank = r.unpack("<BB", f"param {name!r} flags")
         shape = r.unpack(f"<{rank}I", f"param {name!r} shape")
         count = math.prod(shape)
@@ -374,7 +370,7 @@ def _batches(utterances, labels, batch_size: int, total_steps: int, seed: int):
 
 def _optimizer(model: SVModel, cfg: RunConfig) -> Adam:
     head_params, other = [], []
-    for p in model.trainable_params():
+    for p in model.named_params():
         (head_params if ad.component_of(p.name) in ad.HEAD_COMPONENTS else other).append(p)
     mk = lambda peak: LrSchedule(peak, cfg.warmup_steps, cfg.total_steps, cfg.lr_floor_ratio)
     return Adam(
@@ -482,7 +478,7 @@ def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
     DataError, never left at its random init."""
     cfg = config_from_text(checkpoint.config_text)
     model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-    values = checkpoint.values()
+    values = {name: arr for name, _t, arr in checkpoint.params}
     missing = [p.name for p in model.named_params() if p.name not in values]
     if missing:
         raise DataError(f"checkpoint lacks {len(missing)} model params: {', '.join(missing)}")

@@ -117,24 +117,16 @@ def compute_eer(scores: ScoreSet):
     return _interp_crossing(thresholds, p_miss, p_fa)
 
 
-def compute_min_dcf(
-    scores: ScoreSet,
-    p_target: float = 0.05,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
-) -> float:
-    """Minimum normalized detection cost over all thresholds including the
-    accept-all and reject-all extremes."""
+def compute_min_dcf(scores: ScoreSet, p_target: float = 0.05) -> float:
+    """Minimum normalized detection cost, at unit costs, over all thresholds
+    including the accept-all and reject-all extremes."""
     if not (0.0 < p_target < 1.0):
         raise DataError(f"p_target must lie in (0, 1), got {p_target}")
-    if c_miss <= 0.0 or c_fa <= 0.0:
-        raise DataError("detection costs must be positive")
     thresholds, p_miss, p_fa = _sweep_rates(scores)
     p_miss = np.concatenate([[0.0], p_miss, [1.0]])  # -inf, scores..., +inf
     p_fa = np.concatenate([[1.0], p_fa, [0.0]])
-    dcf = c_miss * p_miss * p_target + c_fa * p_fa * (1.0 - p_target)
-    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
-    return float(dcf.min() / norm)
+    dcf = p_miss * p_target + p_fa * (1.0 - p_target)
+    return float(dcf.min() / min(p_target, 1.0 - p_target))
 
 
 def evaluate_scores(scores: ScoreSet, p_target: float = 0.05) -> EvalResult:
@@ -176,8 +168,8 @@ def reference_eer(scores, labels):
             return m0 + frac * (miss - m0), t0 + frac * (t - t0)
 
 
-def reference_min_dcf(scores, labels, p_target=0.05, c_miss=1.0, c_fa=1.0):
-    """Loop-based minDCF over all thresholds plus the two infinities."""
+def reference_min_dcf(scores, labels, p_target=0.05):
+    """Loop-based minDCF, at unit costs, over all thresholds and the two infinities."""
     candidates = [-math.inf] + sorted(set(float(s) for s in scores)) + [math.inf]
     best = math.inf
     for t in candidates:
@@ -187,9 +179,8 @@ def reference_min_dcf(scores, labels, p_target=0.05, c_miss=1.0, c_fa=1.0):
             miss, fa = 1.0, 0.0
         else:
             miss, fa = _rates_at(t, scores, labels)
-        cost = c_miss * miss * p_target + c_fa * fa * (1.0 - p_target)
-        best = min(best, cost)
-    return best / min(c_miss * p_target, c_fa * (1.0 - p_target))
+        best = min(best, miss * p_target + fa * (1.0 - p_target))
+    return best / min(p_target, 1.0 - p_target)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +198,7 @@ def read_scores(path) -> ScoreSet:
     not finite or a label other than 0 or 1 raises ParseError naming it,
     and so does a file without both a target and a nontarget line."""
     scores, labels = [], []
-    for lineno, (_enroll, _test, score, label) in text_records(path, 4, "score"):
+    for lineno, (_enroll, _test, score, label) in text_records(path, 4, "score file"):
         try:
             scores.append(float(score))
         except ValueError as exc:

@@ -93,9 +93,6 @@ class SVModel:
             out.extend(self.classifier.params())
         return out
 
-    def trainable_params(self, include_classifier: bool = True):
-        return [p for p in self.named_params(include_classifier) if p.trainable]
-
     def backbone_params(self):
         return self.encoder.params()
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write, text_records
+from .fileio import atomic_write, reading, text_records
 from .metrics import Trial
 from .rng import Stream, gaussians, randints
 
@@ -268,7 +268,7 @@ def read_corpus(path) -> Corpus:
     ParseError (or ConfigError for a bad config), naming the header line
     at fault. The payload is read with one `readinto`, and each
     utterance's frames are a writable view of that buffer."""
-    with open(path, "rb") as fh:
+    with reading(path, "corpus file") as fh:
         lines = _header_lines(fh, path)
         _, header = next(lines, (0, None))
         if header is None:
@@ -370,9 +370,9 @@ def write_trials(path, trials) -> None:
 
 def read_trials(path) -> list:
     """Parse a trial list; a malformed or non-UTF-8 line raises ParseError
-    naming it."""
+    naming it, and a file that cannot be read DataError."""
     trials = []
-    for lineno, (enroll, test, label) in text_records(path, 3, "trial"):
+    for lineno, (enroll, test, label) in text_records(path, 3, "trial list"):
         if label not in ("0", "1"):
             raise ParseError(f"{path}:{lineno}: trial label must be 0 or 1, got {label!r}")
         try:

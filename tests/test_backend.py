@@ -11,7 +11,6 @@ from svadapt.backend import (
     ClassifierHead,
     DegenerateEmbeddingWarning,
     SVHead,
-    SpeakerEmbedding,
     cosine_score,
     pool_and_embed,
     train_loss,
@@ -137,10 +136,7 @@ class TestCosineScore:
 
 class TestEmbeddingExport:
     def test_rows_round_trip(self, tmp_path):
-        embs = [
-            SpeakerEmbedding("u1", np.array([1.25, -2.5])),
-            SpeakerEmbedding("u2", np.array([0.0, 3.75])),
-        ]
+        embs = {"u2": np.array([0.0, 3.75]), "u1": np.array([1.25, -2.5])}
         path = tmp_path / "emb.txt"
         write_embeddings(path, embs)
         lines = path.read_text().splitlines()

@@ -155,7 +155,8 @@ class TestTrainEval:
             "--total-steps", "6", "--warmup-steps", "2", "--batch-size", "4", *ENCODER_FLAGS,
         ]
         assert main(train_argv) == 0
-        assert load_checkpoint(run).values()["adapters.scale"].shape == ()
+        values = {name: arr for name, _t, arr in load_checkpoint(run).params}
+        assert values["adapters.scale"].shape == ()
         capsys.readouterr()
         rc = main(
             [
@@ -259,6 +260,36 @@ class TestTrainEval:
             ]
         )
         assert rc == 0
+
+
+class TestDataPaths:
+    """A data path is a run setting like any other: given by flag or in a
+    --config [data] section, it makes the same run, and the checkpoint
+    records it either way."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_flag_and_file_write_the_same_checkpoint(self, workdir, tmp_path, command, capsys):
+        from svadapt.harness import config_from_text, load_checkpoint
+
+        paths = {"corpus": workdir / "corpus.txt"}
+        extra = []
+        if command == "train":
+            paths |= {"trials": workdir / "trials.txt", "backbone": workdir / "backbone.ckpt"}
+            extra = ["--bottleneck-dim", "4"]
+        conf = tmp_path / "data.conf"
+        conf.write_text("[data]\n" + "".join(f"{key} = {path}\n" for key, path in paths.items()))
+        steps = ["--total-steps", "3", "--warmup-steps", "1", "--batch-size", "4",
+                 *extra, *ENCODER_FLAGS]
+        flags = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
+        by_flag, by_file = tmp_path / "flag.ckpt", tmp_path / "file.ckpt"
+        assert main([command, "--out", str(by_flag), *flags, *steps]) == 0
+        assert main([command, "--out", str(by_file), "--config", str(conf), *steps]) == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
+        recorded = config_from_text(load_checkpoint(by_flag).config_text)
+        assert recorded.corpus_path == str(paths["corpus"])
+        if command == "train":
+            assert recorded.trials_path == str(paths["trials"])
+            assert recorded.backbone_path == str(paths["backbone"])
 
 
 class TestFrameDimMismatch:
@@ -738,12 +769,14 @@ class TestGradCheck:
         assert f"config error: {flag} must be" in capsys.readouterr().err
 
 
-# the backbone pretrains in full-finetune mode with no adapter, so pretrain
-# takes neither a mode nor an adapter flag
+# the backbone pretrains in full-finetune mode with no adapter, from its own
+# init, and is not evaluated, so pretrain takes neither a mode nor an adapter
+# flag, and no backbone or trial list
 @pytest.mark.parametrize(
     "flag, value",
     [("--mode", "inner"), ("--bottleneck-dim", "4"), ("--adapter-variant", "sequential"),
-     ("--adapter-scale", "0.25"), ("--scale-init", "2.0")],
+     ("--adapter-scale", "0.25"), ("--scale-init", "2.0"), ("--trials", "t.txt"),
+     ("--backbone", "b.ckpt")],
 )
 def test_pretrain_mode_or_adapter_flag_is_a_usage_error(tmp_path, flag, value, capsys):
     with pytest.raises(SystemExit) as info:
@@ -893,7 +926,7 @@ class TestEmbeddingExport:
     def test_eval_embeds_each_utterance_once_with_unchanged_outputs(
         self, workdir, tmp_path, monkeypatch, capsys
     ):
-        from svadapt.backend import SpeakerEmbedding, write_embeddings
+        from svadapt.backend import write_embeddings
         from svadapt.harness import (
             embed_trial_utterances, evaluate, load_checkpoint, model_from_checkpoint,
         )
@@ -918,10 +951,7 @@ class TestEmbeddingExport:
         _, scores = evaluate(model, corpus, trials)
         write_scores(tmp_path / "want_scores.txt", trials, scores)
         embs = embed_trial_utterances(model, corpus, trials)
-        write_embeddings(
-            tmp_path / "want_embs.txt",
-            [SpeakerEmbedding(utt, vec) for utt, vec in sorted(embs.items())],
-        )
+        write_embeddings(tmp_path / "want_embs.txt", embs)
 
         seen = []
         original = SVModel.embed_np
@@ -1141,8 +1171,7 @@ def test_count_params_stdout_is_pinned(flags, capsys):
 
 class TestEveryRunSetting:
     """Every field of RunConfig, and of the encoder and adapter configs in
-    it, can be set by a config key and by a CLI flag. A data path's flag
-    belongs to each subcommand that reads it (here `train`)."""
+    it, can be set by a config key and by a `train` flag."""
 
     # (section, key, flag, field path, a value unlike the default)
     SETTINGS = [
@@ -1204,10 +1233,7 @@ class TestEveryRunSetting:
         from svadapt.cli import _run_config_from_args, build_parser
 
         args = build_parser().parse_args(["train", "--out", "x.ckpt", flag, str(value)])
-        if section == "data":
-            assert getattr(args, flag[2:]) == value
-        else:
-            assert self.get(_run_config_from_args(args), path) == value
+        assert self.get(_run_config_from_args(args), path) == value
 
 
 class TestConfigFileFaults:

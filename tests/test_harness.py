@@ -43,11 +43,13 @@ from svadapt.harness import (
     sweep_label,
     train,
 )
-from svadapt.metrics import Trial
+from svadapt.metrics import Trial, read_scores
 from svadapt.model import SVModel
 from svadapt.optim import LrSchedule
 from svadapt.rng import fnv1a64
-from svadapt.synthdata import CorpusConfig, generate_corpus, generate_trials
+from svadapt.synthdata import (
+    CorpusConfig, generate_corpus, generate_trials, read_corpus, read_trials,
+)
 
 TINY_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=10)
 TINY_CORPUS = CorpusConfig(
@@ -513,6 +515,32 @@ class TestCheckpoints:
         save_checkpoint(path, ck.config_text, kept, ck.step)
         with pytest.raises(DataError, match=r"lacks 1 model params: adapters\.layer01\.ffn\.w_up$"):
             model_from_checkpoint(load_checkpoint(path))
+
+    def test_param_named_twice_is_a_data_error(self, corpus, tmp_path):
+        # loaded, the second copy would be the one installed, and a re-save
+        # would not give the file's bytes
+        path = tmp_path / "run.ckpt"
+        train(tiny_cfg("inner", AdapterConfig(bottleneck_dim=4), steps=2), None, corpus,
+              out_path=path)
+        ck = load_checkpoint(path)
+        twice = ck.params + [("head.fc2.b", True, -ck.params[-1][2])]
+        assert ck.params[-1][0] == "head.fc2.b"
+        save_checkpoint(path, ck.config_text, twice, ck.step)
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: param 'head.fc2.b' appears twice"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "reader", [read_corpus, read_trials, read_scores, load_checkpoint, config_from_file],
+    ids=lambda reader: reader.__name__,
+)
+def test_every_reader_refuses_a_missing_or_unreadable_file(tmp_path, reader, kind):
+    path = tmp_path / "missing.txt" if kind == "missing" else tmp_path
+    where = re.escape(str(path))
+    with pytest.raises(DataError, match=f"{where} not found" if kind == "missing"
+                       else f"cannot read .* {where}: "):
+        reader(path)
 
 
 class TestCheckpointCorruption:
