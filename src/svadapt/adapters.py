@@ -168,11 +168,11 @@ class InterLayerAdapter:
     """FC + ReLU + LN bridge from the hidden width to the embedding width,
     applied to the weighted sum of all layer outputs."""
 
-    def __init__(self, d: int, embed_dim: int, seed: int, name: str = "bridge"):
-        self.w = Param.xavier(f"{name}.w", (d, embed_dim), seed)
-        self.b = Param.zeros(f"{name}.b", embed_dim)
-        self.ln_g = Param.ones(f"{name}.ln.gamma", embed_dim)
-        self.ln_b = Param.zeros(f"{name}.ln.beta", embed_dim)
+    def __init__(self, d: int, embed_dim: int, seed: int):
+        self.w = Param.xavier("bridge.w", (d, embed_dim), seed)
+        self.b = Param.zeros("bridge.b", embed_dim)
+        self.ln_g = Param.ones("bridge.ln.gamma", embed_dim)
+        self.ln_b = Param.zeros("bridge.ln.beta", embed_dim)
 
     def params(self):
         return [self.w, self.b, self.ln_g, self.ln_b]

@@ -46,7 +46,7 @@ from .harness import (
     sweep_configs,
     train as train_run,
 )
-from .metrics import write_scores
+from .metrics import P_TARGET, write_scores
 from .synthdata import (
     CorpusConfig,
     generate_corpus,
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--p-target", type=float, default=0.05)
+    p.add_argument("--p-target", type=float, default=P_TARGET)
     p.add_argument("--scores-out")
     p.add_argument("--embeddings-out", help="dump trial-utterance embeddings as text")
     p.set_defaults(func=cmd_eval)

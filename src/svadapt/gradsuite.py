@@ -58,7 +58,6 @@ def full_graph_grad_check(
     n_probes: int = 100,
     h: float = 1e-5,
     seed: int = 0,
-    weight_decay: float = 0.05,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
     over every trainable parameter of a full forward+loss graph.
@@ -78,7 +77,7 @@ def full_graph_grad_check(
         embs = [model.embed(fr) for fr in frames]
         loss = train_loss(embs, labels, model.classifier)
         for p in params:
-            loss = tt.add(loss, tt.scale(tt.sum_all(tt.mul(p, p)), weight_decay))
+            loss = tt.add(loss, tt.scale(tt.sum_all(tt.mul(p, p)), 0.05))
         return loss
 
     return grad_check(f, params, h=h, n_probes=n_probes, seed=seed)

@@ -18,6 +18,8 @@ Checkpoint format (version 1, little-endian throughout):
 
 Loading verifies the trailing hash and re-saving reproduces the bytes.
 Saving is atomic: a save that raises leaves any earlier file at the path.
+`checkpoint_params` and `load_params` are the one path between a model and
+a checkpoint. A run hashes its backbone only when it saves or is asked.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .backbone import EncoderConfig
 from .backend import cosine_score, train_loss
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write, reading
-from .metrics import ScoreSet, evaluate_scores
+from .metrics import P_TARGET, ScoreSet, evaluate_scores
 from .model import SVModel
 from .optim import Adam, LrSchedule
 from .rng import Stream, fnv1a64
@@ -227,22 +229,31 @@ def backbone_hash_of(params) -> int:
     return fnv1a64(memoryview(values.view(np.uint8)))
 
 
-def model_backbone_hash(model: SVModel) -> int:
-    return backbone_hash_of([(p.name, p.trainable, p.data) for p in model.backbone_params()])
+def checkpoint_params(model: SVModel, backbone_only: bool = False) -> list:
+    """The (name, trainable, array) rows a checkpoint of `model` holds, in
+    serialized order: all but the training-only classifier, or the backbone
+    (featurizer + transformer stack) alone. The arrays are the params' own."""
+    params = model.encoder.params() if backbone_only else model.named_params(include_classifier=False)
+    return [(p.name, p.trainable, p.data) for p in params]
 
 
 def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
     """In-memory backbone-only checkpoint (no file round trip)."""
-    params = [(p.name, p.trainable, p.data.copy()) for p in model.backbone_params()]
+    params = [(name, t, arr.copy()) for name, t, arr in checkpoint_params(model, backbone_only=True)]
     return Checkpoint("", step, params, backbone_hash_of(params))
 
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
     """Write the versioned binary checkpoint; returns the backbone hash. A
-    0-d param (the learnable adapter scale) is written with rank 0. The
-    file is one `writelines` of the packed headers and the arrays' own
-    buffers."""
+    name given twice is a DataError before the file is opened. A 0-d param
+    (the learnable adapter scale) is written with rank 0. The file is one
+    `writelines` of the packed headers and the arrays' own buffers."""
     payload = [(name, trainable, np.asarray(arr, "<f8", order="C")) for name, trainable, arr in params]
+    names = set()
+    for name, _t, _a in payload:
+        if name in names:
+            raise DataError(f"{path}: param {name!r} appears twice")
+        names.add(name)
     h = backbone_hash_of(payload)
     conf = config_text.encode("utf-8")
     pieces = [MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(conf)), conf,
@@ -260,11 +271,7 @@ def save_checkpoint(path, config_text: str, params, step: int) -> int:
 
 def save_model_checkpoint(path, model: SVModel, config_text: str, step: int) -> int:
     """Checkpoint every model param except the training-only classifier."""
-    params = [
-        (p.name, p.trainable, p.data)
-        for p in model.named_params(include_classifier=False)
-    ]
-    return save_checkpoint(path, config_text, params, step)
+    return save_checkpoint(path, config_text, checkpoint_params(model), step)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -348,9 +355,14 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
 
 @dataclass
 class TrainedRun:
+    """A finished run's model and per-step losses. `backbone_hash` hashes
+    the model's backbone each time it is read, and only then."""
     model: SVModel
     losses: list
-    backbone_hash: int
+
+    @property
+    def backbone_hash(self) -> int:
+        return backbone_hash_of(checkpoint_params(self.model, backbone_only=True))
 
 
 def _batches(utterances, labels, batch_size: int, total_steps: int, seed: int):
@@ -429,7 +441,7 @@ def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
         )
     model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
     if backbone_ckpt is not None:
-        load_backbone_into(model, backbone_ckpt)
+        load_params(model, backbone_ckpt, backbone_only=True)
     speakers = corpus.speakers(part)
     model.add_classifier(len(speakers))
     index = {s: i for i, s in enumerate(speakers)}
@@ -438,38 +450,44 @@ def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
 
 def pretrain_backbone(cfg: RunConfig, corpus: Corpus, out_path=None):
     """Train the backbone (featurizer frozen) plus a throwaway classifier on
-    the pre-training speakers; checkpoint holds backbone params only."""
+    the pre-training speakers; a checkpoint at `out_path` holds backbone only."""
     cfg = replace(cfg, mode="full-finetune", adapter=None)
     model, losses = _fit(cfg, corpus, "pretrain")
-    if out_path is None:
-        h = model_backbone_hash(model)
-    else:
-        params = [(p.name, p.trainable, p.data) for p in model.backbone_params()]
-        h = save_checkpoint(out_path, config_to_text(cfg), params, cfg.total_steps)
-    return TrainedRun(model, losses, h)
-
-
-def load_backbone_into(model: SVModel, checkpoint: Checkpoint) -> None:
-    """Install pretrained featurizer + transformer weights by name."""
-    backbone = {
-        name: arr for name, _t, arr in checkpoint.params if name.startswith(ad.BACKBONE_PREFIXES)
-    }
-    own = {p.name for p in model.backbone_params()}
-    missing = own - set(backbone)
-    if missing:
-        raise DataError(f"checkpoint lacks backbone params: {sorted(missing)[:3]} ...")
-    model.load_param_values(backbone)
+    if out_path is not None:
+        save_checkpoint(out_path, config_to_text(cfg), checkpoint_params(model, backbone_only=True),
+                        cfg.total_steps)
+    return TrainedRun(model, losses)
 
 
 def train(cfg: RunConfig, backbone_ckpt: Checkpoint | None, corpus: Corpus, out_path=None):
     """One tuning run on the adaptation speakers, starting from a pretrained
-    backbone when given."""
+    backbone when given, and checkpointed when `out_path` is given."""
     model, losses = _fit(cfg, corpus, "adapt", backbone_ckpt)
-    if out_path is None:
-        h = model_backbone_hash(model)
-    else:
-        h = save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
-    return TrainedRun(model, losses, h)
+    if out_path is not None:
+        save_model_checkpoint(out_path, model, config_to_text(cfg), cfg.total_steps)
+    return TrainedRun(model, losses)
+
+
+def load_params(model: SVModel, checkpoint: Checkpoint, backbone_only: bool = False) -> None:
+    """Copy a checkpoint's values into `model`'s `checkpoint_params` rows in
+    place, by name; a backbone load ignores the checkpoint's other params. A
+    row the checkpoint lacks, then a name the model lacks or a shape
+    mismatch, is a DataError raised before any value is copied."""
+    own = {name: arr for name, _t, arr in checkpoint_params(model, backbone_only)}
+    values = {name: arr for name, _t, arr in checkpoint.params
+              if not backbone_only or name.startswith(ad.BACKBONE_PREFIXES)}
+    missing = [name for name in own if name not in values]
+    if missing:
+        raise DataError(f"checkpoint lacks {len(missing)} {'backbone' if backbone_only else 'model'} "
+                        f"params: {', '.join(missing)}")
+    for name, arr in values.items():
+        if name not in own:
+            raise DataError(f"checkpoint parameter {name!r} not present in model")
+        if own[name].shape != arr.shape:
+            raise DataError(f"shape mismatch for {name!r}: model {own[name].shape} "
+                            f"vs checkpoint {arr.shape}")
+    for name, arr in values.items():
+        own[name][...] = arr
 
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
@@ -478,11 +496,7 @@ def model_from_checkpoint(checkpoint: Checkpoint) -> SVModel:
     DataError, never left at its random init."""
     cfg = config_from_text(checkpoint.config_text)
     model = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-    values = {name: arr for name, _t, arr in checkpoint.params}
-    missing = [p.name for p in model.named_params() if p.name not in values]
-    if missing:
-        raise DataError(f"checkpoint lacks {len(missing)} model params: {', '.join(missing)}")
-    model.load_param_values(values)
+    load_params(model, checkpoint)
     return model
 
 
@@ -509,7 +523,7 @@ def embed_trial_utterances(model: SVModel, corpus: Corpus, trials) -> dict:
     return {utt: model.embed_np(by_id[utt].frames) for utt in ids}
 
 
-def score_trials(embeddings: dict, trials, p_target: float = 0.05):
+def score_trials(embeddings: dict, trials, p_target: float = P_TARGET):
     """Cosine-score every trial from precomputed embeddings (utterance id ->
     vector) and compute EER / minDCF."""
     scores = [cosine_score(embeddings[t.enroll], embeddings[t.test]) for t in trials]
@@ -517,10 +531,10 @@ def score_trials(embeddings: dict, trials, p_target: float = 0.05):
     return evaluate_scores(ScoreSet(scores, labels), p_target), scores
 
 
-def evaluate(model: SVModel, corpus: Corpus, trials, p_target: float = 0.05):
+def evaluate(model: SVModel, corpus: Corpus, trials):
     """Embed every trial utterance once, cosine-score every trial and
-    compute EER / minDCF."""
-    return score_trials(embed_trial_utterances(model, corpus, trials), trials, p_target)
+    compute EER / minDCF at the default target prior."""
+    return score_trials(embed_trial_utterances(model, corpus, trials), trials)
 
 
 @dataclass

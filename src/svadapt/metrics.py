@@ -28,6 +28,8 @@ import numpy as np
 from .errors import DataError, ParseError
 from .fileio import atomic_write, text_records
 
+P_TARGET = 0.05  # the target prior of every minDCF unless a caller sets one
+
 
 @dataclass(frozen=True)
 class Trial:
@@ -117,7 +119,7 @@ def compute_eer(scores: ScoreSet):
     return _interp_crossing(thresholds, p_miss, p_fa)
 
 
-def compute_min_dcf(scores: ScoreSet, p_target: float = 0.05) -> float:
+def compute_min_dcf(scores: ScoreSet, p_target: float = P_TARGET) -> float:
     """Minimum normalized detection cost, at unit costs, over all thresholds
     including the accept-all and reject-all extremes."""
     if not (0.0 < p_target < 1.0):
@@ -129,7 +131,7 @@ def compute_min_dcf(scores: ScoreSet, p_target: float = 0.05) -> float:
     return float(dcf.min() / min(p_target, 1.0 - p_target))
 
 
-def evaluate_scores(scores: ScoreSet, p_target: float = 0.05) -> EvalResult:
+def evaluate_scores(scores: ScoreSet, p_target: float = P_TARGET) -> EvalResult:
     eer, thr = compute_eer(scores)
     return EvalResult(
         eer=eer,
@@ -168,7 +170,7 @@ def reference_eer(scores, labels):
             return m0 + frac * (miss - m0), t0 + frac * (t - t0)
 
 
-def reference_min_dcf(scores, labels, p_target=0.05):
+def reference_min_dcf(scores, labels, p_target=P_TARGET):
     """Loop-based minDCF, at unit costs, over all thresholds and the two infinities."""
     candidates = [-math.inf] + sorted(set(float(s) for s in scores)) + [math.inf]
     best = math.inf

@@ -13,7 +13,7 @@ trainable and which adapter branches (exact no-ops at init) are inserted.
 
 Built inside `tensor.shape_only()`, a model holds shape-only params, which
 lets the harness count the params of arbitrarily large presets without
-allocating a single weight.
+allocating a single weight. `harness` owns checkpoint rows and loading.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from . import adapters as ad
 from . import backbone as bb
 from . import backend as be
-from .errors import DataError
 from .tensor import Param, Tensor
 
 
@@ -32,7 +31,8 @@ class SVModel:
     built from the mode's `MODE_SPECS` row: the row's bottleneck adapters
     (with `adapters.adapter_for(mode, adapter_cfg)`) and their shared scale.
     A last pass sets every trainable flag: a param trains when its
-    component is in the row's `trains` or in `adapters.ALWAYS_TRAINED`."""
+    component is in the row's `trains` or in `adapters.ALWAYS_TRAINED`.
+    The backbone is `encoder`; its params are `encoder.params()`."""
 
     def __init__(self, encoder_cfg: bb.EncoderConfig, embed_dim: int, mode: str,
                  adapter_cfg: ad.AdapterConfig | None, seed: int):
@@ -92,19 +92,3 @@ class SVModel:
         if include_classifier and self.classifier is not None:
             out.extend(self.classifier.params())
         return out
-
-    def backbone_params(self):
-        return self.encoder.params()
-
-    def load_param_values(self, values: dict) -> None:
-        """Overwrite params by name from {name: array}; shapes must match."""
-        own = {p.name: p for p in self.named_params()}
-        for name, arr in values.items():
-            if name not in own:
-                raise DataError(f"checkpoint parameter {name!r} not present in model")
-            if own[name].data.shape != arr.shape:
-                raise DataError(
-                    f"shape mismatch for {name!r}: model {own[name].data.shape} "
-                    f"vs checkpoint {arr.shape}"
-                )
-            own[name].data[...] = arr

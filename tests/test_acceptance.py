@@ -23,7 +23,7 @@ from svadapt.harness import (
     backbone_runs,
     count_params_table,
     evaluate,
-    load_backbone_into,
+    load_params,
     pretrain_backbone,
     run_reports,
     sweep_configs,
@@ -94,7 +94,7 @@ def step0_score_report(corpus, backbone_ckpt) -> str:
 
     def scores_for(mode, acfg):
         model = SVModel(EncoderConfig(), 32, mode, acfg, seed=11)
-        load_backbone_into(model, backbone_ckpt)
+        load_params(model, backbone_ckpt, backbone_only=True)
         embs = {}
         out = []
         for t in trials:

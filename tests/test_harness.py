@@ -18,10 +18,12 @@ from svadapt.backend import train_loss
 from svadapt.errors import ConfigError, DataError, NumericError
 from svadapt.harness import (
     DEFAULT_SWEEP_SCALES,
+    Checkpoint,
     MetricsReport,
     RunConfig,
     backbone_runs,
     check_trials,
+    checkpoint_params,
     compare_configs,
     config_from_file,
     config_from_text,
@@ -30,9 +32,8 @@ from svadapt.harness import (
     evaluate,
     format_count_table,
     format_run_table,
-    load_backbone_into,
     load_checkpoint,
-    model_backbone_hash,
+    load_params,
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
@@ -525,9 +526,47 @@ class TestCheckpoints:
         ck = load_checkpoint(path)
         twice = ck.params + [("head.fc2.b", True, -ck.params[-1][2])]
         assert ck.params[-1][0] == "head.fc2.b"
-        save_checkpoint(path, ck.config_text, twice, ck.step)
+        path.write_bytes(reference_checkpoint_bytes(ck.config_text, twice, ck.step))
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: param 'head.fc2.b' appears twice"):
             load_checkpoint(path)
+
+    def test_writer_refuses_a_param_named_twice_and_keeps_the_file(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        params = [("encoder.w", False, np.arange(4.0)), ("head.w", True, np.ones(3))]
+        save_checkpoint(path, "[run]\n", params, 1)
+        before = path.read_bytes()
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: param 'encoder.w' appears twice"):
+            save_checkpoint(path, "[run]\n", params + [("encoder.w", False, np.zeros(4))], 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+
+
+def _fault_checkpoint(fault, rows):
+    """`checkpoint_params` rows with one fault in their second row, a
+    backbone one, and the message a load of them must raise."""
+    name, trainable, arr = rows[1]
+    if fault == "missing":
+        return rows[:1] + rows[2:], rf"lacks 1 {{what}} params: {re.escape(name)}$"
+    if fault == "unknown":
+        return rows + [("encoder.extra.w", True, np.ones(2))], \
+            r"checkpoint parameter 'encoder\.extra\.w' not present in model"
+    wide = np.zeros((*arr.shape[:-1], arr.shape[-1] + 1))
+    return rows[:1] + [(name, trainable, wide)] + rows[2:], (
+        rf"shape mismatch for '{re.escape(name)}': model {re.escape(str(arr.shape))} "
+        rf"vs checkpoint {re.escape(str(wide.shape))}")
+
+
+@pytest.mark.parametrize("backbone_only", [False, True], ids=["model", "backbone"])
+@pytest.mark.parametrize("fault", ["missing", "unknown", "shape"])
+def test_load_params_refuses_a_faulty_checkpoint_and_copies_nothing(fault, backbone_only):
+    source = randomized_model("inner-inter", adapter_for("inner-inter"), seed=1)
+    rows, message = _fault_checkpoint(fault, checkpoint_params(source))
+    model = randomized_model("inner-inter", adapter_for("inner-inter"), seed=0)
+    before = [p.data.copy() for p in model.named_params()]
+    with pytest.raises(DataError, match=message.format(what="backbone" if backbone_only else "model")):
+        load_params(model, Checkpoint("", 0, rows, 0), backbone_only=backbone_only)
+    for p, data in zip(model.named_params(), before):
+        assert p.data.tobytes() == data.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -634,13 +673,13 @@ class TestPretrain:
 
     def test_featurizer_stays_frozen(self, corpus):
         run = pretrain_backbone(tiny_cfg(steps=4), corpus)
-        feat = [p for p in run.model.backbone_params() if p.name.startswith("featurizer.")]
+        feat = [p for p in run.model.encoder.params() if p.name.startswith("featurizer.")]
         assert all(not p.trainable for p in feat)
         fresh = SVModel(TINY_ENCODER, 8, "linear-probe", None, seed=0)
         for p, q in zip(
             sorted(feat, key=lambda p: p.name),
             sorted(
-                (p for p in fresh.backbone_params() if p.name.startswith("featurizer.")),
+                (p for p in fresh.encoder.params() if p.name.startswith("featurizer.")),
                 key=lambda p: p.name,
             ),
         ):
@@ -670,7 +709,7 @@ class TestTrain:
         def scores_at_step0(mode, acfg):
             cfg = tiny_cfg(mode, acfg, seed=3)
             model = SVModel(cfg.encoder, cfg.embed_dim, mode, cfg.adapter, cfg.seed)
-            load_backbone_into(model, backbone_ckpt)
+            load_params(model, backbone_ckpt, backbone_only=True)
             _res, scores = evaluate(model, corpus, trials)
             return np.array(scores)
 
@@ -692,7 +731,7 @@ class TestTrain:
         )
         run = train(cfg, backbone_ckpt, corpus)
         fresh = SVModel(cfg.encoder, cfg.embed_dim, cfg.mode, cfg.adapter, cfg.seed)
-        load_backbone_into(fresh, backbone_ckpt)
+        load_params(fresh, backbone_ckpt, backbone_only=True)
         fresh_by_name = {p.name: p for p in fresh.named_params()}
         for p in run.model.named_params(include_classifier=False):
             same = np.array_equal(p.data, fresh_by_name[p.name].data)
@@ -725,8 +764,10 @@ class TestTrain:
         run = train(replace(tiny_cfg(steps=1), batch_size=n), None, corpus)
         assert len(run.losses) == 1
 
-    def test_checkpointed_run_hashes_the_backbone_once(
-        self, corpus, backbone_ckpt, tmp_path, monkeypatch
+    @pytest.mark.parametrize("saved", [False, True], ids=["unsaved", "saved"])
+    @pytest.mark.parametrize("entry", ["pretrain", "train"])
+    def test_a_run_hashes_its_backbone_only_when_it_saves(
+        self, corpus, backbone_ckpt, tmp_path, monkeypatch, entry, saved
     ):
         import svadapt.harness as harness
 
@@ -737,11 +778,17 @@ class TestTrain:
             return fnv1a64(data)
 
         monkeypatch.setattr(harness, "fnv1a64", counting_fnv1a64)
-        path = tmp_path / "run.ckpt"
-        run = train(tiny_cfg(steps=2), backbone_ckpt, corpus, out_path=path)
-        assert len(hashed) == 1
-        assert run.backbone_hash == backbone_ckpt.backbone_hash
-        assert run.backbone_hash == load_checkpoint(path).backbone_hash
+        path = tmp_path / "run.ckpt" if saved else None
+        if entry == "pretrain":
+            run = pretrain_backbone(tiny_cfg("full-finetune", steps=2), corpus, out_path=path)
+        else:
+            run = train(tiny_cfg(steps=2), backbone_ckpt, corpus, out_path=path)
+        assert len(hashed) == int(saved)
+        if entry == "train":
+            assert run.backbone_hash == backbone_ckpt.backbone_hash
+        if saved:
+            assert run.backbone_hash == int.from_bytes(path.read_bytes()[-8:], "little")
+            assert run.backbone_hash == load_checkpoint(path).backbone_hash
 
 
 class TestNonFiniteGradientInTraining:

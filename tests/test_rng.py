@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt.backbone import EncoderConfig
-from svadapt.harness import model_backbone_hash
+from svadapt.harness import backbone_checkpoint
 from svadapt.model import SVModel
 from svadapt.rng import Stream, fnv1a64, gaussians, randints
 
@@ -72,8 +72,8 @@ def test_desk_backbone_hash_is_pinned():
     # computed by the byte loop over these 1,081,856 bytes; a checkpoint
     # trailer written before the numpy hash must still verify
     model = SVModel(EncoderConfig(), 32, "inter", None, 0)
-    assert sum(p.data.nbytes for p in model.backbone_params()) == 1_081_856
-    assert model_backbone_hash(model) == 0xB0204ECD6A0993BB
+    assert sum(p.data.nbytes for p in model.encoder.params()) == 1_081_856
+    assert backbone_checkpoint(model).backbone_hash == 0xB0204ECD6A0993BB
 
 
 @pytest.mark.parametrize(
