@@ -142,10 +142,6 @@ def _path(path, what: str) -> None:
 def cmd_gen_data(args) -> int:
     """Generate the corpus and, when asked, its trial list; both are built
     and checked before either file is written."""
-    if args.trials_out:
-        for flag in ("n-target", "n-nontarget"):
-            value = getattr(args, flag.replace("-", "_"))
-            _require(value >= 0, flag, "non-negative", value)
     _check_paths({"--out": args.out, "--trials-out": args.trials_out}, {})
     cfg = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
     corpus = generate_corpus(cfg)
@@ -193,8 +189,7 @@ def cmd_train(args) -> int:
         )
         return EXIT_OK
     check_trials(trials, corpus)
-    run, result, report = run_and_report(cfg, backbone, corpus, trials, out_path=args.out)
-    print(report.to_json())
+    print(run_and_report(cfg, backbone, corpus, trials, out_path=args.out).to_json())
     return EXIT_OK
 
 

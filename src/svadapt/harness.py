@@ -561,11 +561,11 @@ class MetricsReport:
 
 
 def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
-                   out_path=None) -> tuple:
+                   out_path=None) -> MetricsReport:
     started = time.perf_counter()
     run = train(cfg, backbone_ckpt, corpus, out_path=out_path)
     result, _scores = evaluate(run.model, corpus, trials)
-    report = MetricsReport(
+    return MetricsReport(
         mode=cfg.mode,
         seed=cfg.seed,
         steps=cfg.total_steps,
@@ -574,7 +574,6 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         **asdict(result),
         wall_clock=time.perf_counter() - started,
     )
-    return run, result, report
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +662,7 @@ def backbone_runs(rows, backbone_paths) -> list:
 def run_reports(runs, corpus: Corpus, trials):
     """The `run_and_report` report of each (backbone, run config) of
     `runs`, yielded as the runs finish."""
-    return (run_and_report(cfg, backbone, corpus, trials)[2] for backbone, cfg in runs)
+    return (run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs)
 
 
 def format_run_table(reports, column: str) -> str:

@@ -2,8 +2,9 @@
 
 The schedule ramps linearly from zero to the peak rate over the warm-up
 steps, then decays linearly to a floor of `floor_ratio * peak` (1/20th by
-default) at the final step. Frozen params are never touched. A step whose
-gradients hold a NaN or inf raises `NumericError` before any param moves.
+default) at the final step. Frozen params are never touched. A NaN or inf
+in a gradient raises `NumericError` before any param moves, and one in an
+updated param raises it after the step; either names the param and step.
 """
 
 from __future__ import annotations
@@ -35,50 +36,58 @@ class LrSchedule:
 
 
 class Adam:
-    """Adam over named parameter groups, each with its own schedule."""
+    """Adam over named parameter groups, each with its own schedule. Building
+    it rebinds each group's trainable `data` and `grad` to the two rows of one
+    flat (2, n) buffer, so a step and `zero_grad` work on whole rows."""
 
     def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8):
         # groups: list of (params, LrSchedule)
         self.groups = [([p for p in ps if p.trainable], sched) for ps, sched in groups]
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = {}
-        self._v = {}
-        for ps, _ in self.groups:
-            for p in ps:
-                self._m[id(p)] = np.zeros_like(p.data)
-                self._v[id(p)] = np.zeros_like(p.data)
+        self._buffers = [_flatten(ps) for ps, _ in self.groups]
+        self._moments = [np.zeros_like(buf) for buf in self._buffers]
+
+    def _check(self, row: int, what: str, step: int) -> None:
+        """NumericError naming the first param with a NaN or inf in `row` (values 0, grads 1)."""
+        for (params, _), buf in zip(self.groups, self._buffers):
+            if not np.isfinite(buf[row]).all():
+                bad = next(p for p in params if not np.isfinite((p.data, p.grad)[row]).all())
+                raise NumericError(f"non-finite {what} for {bad.name!r} at step {step}")
 
     def step(self) -> None:
-        bad = next((p for ps, _ in self.groups for p in ps if not np.isfinite(p.grad).all()), None)
-        if bad is not None:
-            raise NumericError(f"non-finite gradient for {bad.name!r} at step {self.t + 1}")
+        self._check(1, "gradient", self.t + 1)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
-        for params, sched in self.groups:
-            lr = sched.at(self.t)
-            for p in params:
-                g, m, v = p.grad, self._m[id(p)], self._v[id(p)]
-                # the plain expressions' order in two scratch arrays; out=,
-                # because g * c is a numpy scalar, not an array, for a 0-d g
-                s = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
-                m *= b1
-                m += s
-                np.multiply(g, 1.0 - b2, out=s)
-                s *= g
-                v *= b2
-                v += s
-                np.sqrt(np.divide(v, c2, out=s), out=s)
-                s += self.eps
-                u = np.divide(m, c1, out=np.empty_like(m))
-                u *= lr
-                u /= s
-                p.data -= u
+        for (_, sched), (w, g), (m, v) in zip(self.groups, self._buffers, self._moments):
+            # the plain expressions' order in two scratch rows
+            s = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += self.eps
+            u = np.divide(m, c1)
+            u *= sched.at(self.t)
+            u /= s
+            w -= u
+        self._check(0, "value", self.t)
 
     def zero_grad(self) -> None:
-        for params, _ in self.groups:
-            for p in params:
-                p.zero_grad()
+        for buf in self._buffers:
+            buf[1] = 0.0
+
+
+def _flatten(params) -> np.ndarray:
+    """A (2, n) buffer of `params`' values and gradients, rebound to views of it."""
+    ends = np.cumsum([0] + [p.data.size for p in params])
+    buf = np.empty((2, ends[-1]))
+    for p, start, end in zip(params, ends, ends[1:]):
+        views = buf[:, start:end].reshape(2, *p.data.shape)
+        views[0], views[1] = p.data, p.grad
+        p.data, p.grad = views[0, ...], views[1, ...]
+    return buf

@@ -155,10 +155,13 @@ def generate_corpus(cfg: CorpusConfig) -> Corpus:
 
 def generate_trials(utterances, n_target: int, n_nontarget: int, seed: int) -> list:
     """Exact counts of same-speaker and cross-speaker unordered pairs, no
-    duplicates, no self-pairs, deterministic in the seed."""
+    duplicates, no self-pairs, deterministic in the seed. Each count must be
+    at least 1, as every reader of a trial list requires."""
     if n_target < 0 or n_nontarget < 0:
         raise ConfigError(f"trial counts must be non-negative, got {n_target} target "
                           f"and {n_nontarget} nontarget")
+    if n_target == 0 or n_nontarget == 0:
+        raise ConfigError("the trial list needs at least one target and one nontarget trial")
     by_speaker = {}
     for u in utterances:
         by_speaker.setdefault(u.speaker, []).append(u.utt_id)

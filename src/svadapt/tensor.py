@@ -28,7 +28,8 @@ assigned as is, without a copy, so its `grad` array may be shared with
 another tensor's gradient or be a read-only broadcast view. Later
 contributions therefore rebind it (`t.grad = t.grad + g`) and never write
 into it. A `Param` owns its gradient buffer and accumulates into it in
-place, so `Param.grad` stays the same array across steps.
+place, so `Param.grad` stays the same array across steps; an optimizer
+rebinds it, and `data`, once, when built, to views of its flat buffer.
 
 Ops compute in place only in arrays they allocated, never in an input's
 `data` or the `g` a backward receives (either may be shared or a read-only
@@ -125,9 +126,6 @@ class Param(Tensor):
         p.data = np.broadcast_to(np.float64(0.0), shape)
         p.grad, p.needs_grad, p.name, p.trainable = None, False, name, True
         return p
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def __repr__(self):
         flag = "" if self.trainable else ", frozen"

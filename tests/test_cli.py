@@ -83,6 +83,22 @@ class TestGenData:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("counts", [("0", "5"), ("5", "0")], ids=["no-target", "no-nontarget"])
+    def test_trial_list_without_both_labels_is_refused_before_any_write(
+        self, tmp_path, capsys, counts
+    ):
+        # every reader refuses such a list, so gen-data must not write one
+        rc = main(
+            [
+                "gen-data", "--out", str(tmp_path / "c.svc"), "--speakers", "6",
+                "--utts-per-speaker", "4", "--trials-out", str(tmp_path / "t.txt"),
+                "--n-target", counts[0], "--n-nontarget", counts[1],
+            ]
+        )
+        assert rc == 2
+        assert "needs at least one target and one nontarget trial" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_trial_counts_are_unused_without_trials_out(self, tmp_path):
         out = tmp_path / "c.svc"
         rc = main(

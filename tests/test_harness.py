@@ -351,6 +351,67 @@ class TestAdam:
         for p, q in zip(params, fresh):
             assert p.data.tobytes() == q.data.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_updated_value_names_the_param_and_step(self, bad, which):
+        # a bad element written into the 0-d, 1-d or 2-d param through its
+        # view, with finite gradients: only the check on updated values sees it
+        from svadapt.optim import Adam
+        from svadapt.tensor import Param
+
+        params = [Param(0.5, name="s"), Param([1.0, -2.0], name="v"),
+                  Param(np.arange(6.0).reshape(2, 3), name="w")]
+        opt = Adam([(params[:1], LrSchedule(0.1, 1, 10)), (params[1:], LrSchedule(0.2, 1, 10))])
+        for p in params:
+            p.grad[...] = 0.25
+        params[which].data.reshape(-1)[-1] = bad
+        with pytest.raises(NumericError, match=rf"value for '{params[which].name}' at step 1"):
+            opt.step()
+
+    def test_build_moves_trainable_params_into_one_buffer_per_group(self):
+        # values and gradients keep their bits; frozen params keep their
+        # arrays; zero_grad clears every trainable gradient; and a load
+        # after the build reaches the buffer, so the next step updates the
+        # loaded values exactly as if they had been loaded before it
+        from svadapt.optim import Adam
+
+        acfg = adapter_for("inner-inter")
+        loaded = Checkpoint("", 0, checkpoint_params(randomized_model("inner-inter", acfg, 4)), 0)
+
+        def build(load_first):
+            model = randomized_model("inner-inter", acfg, seed=3)
+            params = model.named_params()
+            for i, p in enumerate(params):
+                p.grad[...] = np.random.default_rng(i).normal(size=p.shape)
+            if load_first:
+                load_params(model, loaded)
+            before = [(p.data, p.shape, p.data.tobytes(), p.grad.tobytes()) for p in params]
+            head, other = LrSchedule(0.1, 1, 10), LrSchedule(0.02, 1, 10)
+            return model, params, before, Adam([(params[::2], head), (params[1::2], other)])
+
+        model, params, before, opt = build(load_first=False)
+        assert any(not p.trainable for p in params)
+        for p, (data, shape, values, grads) in zip(params, before):
+            assert (p.data.shape, p.grad.shape) == (shape, shape), p.name
+            assert (p.data.tobytes(), p.grad.tobytes()) == (values, grads), p.name
+            assert (p.data is data) == (not p.trainable), p.name
+        for (ps, _), buf in zip(opt.groups, opt._buffers):
+            assert buf.shape == (2, sum(p.data.size for p in ps))
+            for p in ps:
+                assert np.shares_memory(p.data, buf[0]) and np.shares_memory(p.grad, buf[1]), p.name
+        opt.zero_grad()
+        for p, (*_, grads) in zip(params, before):
+            assert (not p.grad.any()) if p.trainable else p.grad.tobytes() == grads, p.name
+
+        load_params(model, loaded)
+        for i, p in enumerate(params):
+            p.grad[...] = np.random.default_rng(i).normal(size=p.shape)
+        opt.step()
+        _model, ref_params, _before, ref_opt = build(load_first=True)
+        ref_opt.step()
+        for p, q in zip(params, ref_params):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+
 
 def fnv1a64_loop(data: bytes) -> int:
     h = 0xCBF29CE484222325
@@ -849,8 +910,8 @@ class TestEvaluate:
 class TestReports:
     def test_report_json_is_deterministic_without_timing(self, corpus, trials, backbone_ckpt):
         cfg = tiny_cfg("inner", AdapterConfig(bottleneck_dim=4), steps=6)
-        _, _, r1 = run_and_report(cfg, backbone_ckpt, corpus, trials)
-        _, _, r2 = run_and_report(cfg, backbone_ckpt, corpus, trials)
+        r1 = run_and_report(cfg, backbone_ckpt, corpus, trials)
+        r2 = run_and_report(cfg, backbone_ckpt, corpus, trials)
         assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)
 
     def test_report_numbers_recomputable_from_checkpoint(
@@ -858,7 +919,7 @@ class TestReports:
     ):
         cfg = tiny_cfg("inter", steps=6)
         path = tmp_path / "run.ckpt"
-        _, result, report = run_and_report(cfg, backbone_ckpt, corpus, trials, out_path=path)
+        report = run_and_report(cfg, backbone_ckpt, corpus, trials, out_path=path)
         again, _ = evaluate(model_from_checkpoint(load_checkpoint(path)), corpus, trials)
         assert (again.eer, again.min_dcf) == (report.eer, report.min_dcf)
 

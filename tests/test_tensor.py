@@ -508,8 +508,8 @@ class TestGradientAccumulation:
         from svadapt.optim import Adam, LrSchedule
 
         p = Param([1.0, 2.0], name="p")
-        buffer = p.grad
         opt = Adam([([p], LrSchedule(0.1, 0, 10))])
+        buffer = p.grad
         for _ in range(2):
             with Tape() as tape:
                 tape.backward(T.sum_all(T.add(p, p)))
