@@ -27,22 +27,22 @@ checkpoint layouts follow from the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .errors import ConfigError
 from .tensor import Param, Tensor
 
-VARIANTS = ("sequential", "parallel")
+VARIANTS = ("parallel", "sequential")
 LEARNABLE = "learnable"
 
 
 @dataclass(frozen=True)
 class ModeSpec:
     """One tuning mode. `slots` names the per-layer adapter positions it
-    inserts ("ffn", "mhsa"); `variants` are the adapter variants it accepts;
-    `trains` names the components of the pretrained side that train
-    ("backbone", "layer_weights", "inter_adapter"). Every component in
+    inserts ("ffn", "mhsa"); `variants` are the adapter variants it accepts,
+    its default first; `trains` names the components of the pretrained side
+    that train ("backbone", "layer_weights", "inter_adapter"). Every component in
     `ALWAYS_TRAINED` trains too; the featurizer never does."""
 
     slots: tuple = ()
@@ -68,17 +68,15 @@ INNER_MODES = tuple(mode for mode, spec in MODE_SPECS.items() if spec.slots)
 @dataclass(frozen=True)
 class AdapterConfig:
     """Hyperparameters of the per-layer bottleneck adapters. Field metadata
-    gives the CLI flag where it differs from the field name."""
+    gives the CLI flag where it differs from the field name. A sequential
+    adapter has no scale; a parallel one without a scale takes 0.5."""
 
     bottleneck_dim: int = 16
     variant: str = field(
         default="parallel", metadata={"flag": "adapter-variant", "choices": VARIANTS}
     )
-    scale: object = field(  # a float, or the string "learnable"
-        default=0.5, metadata={"flag": "adapter-scale", "help": "a number or 'learnable'"}
-    )
-    scale_init: float = field(
-        default=1.0, metadata={"help": "start value for a learnable scale"}
+    scale: object = field(  # None, a float, or the string "learnable"
+        default=None, metadata={"flag": "adapter-scale", "help": "a number or 'learnable'"}
     )
 
     def __post_init__(self):
@@ -86,31 +84,32 @@ class AdapterConfig:
             raise ConfigError("bottleneck_dim must be positive")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown adapter variant {self.variant!r}")
-        if self.scale != LEARNABLE:
+        if self.variant == "sequential" and self.scale is not None:
+            raise ConfigError(f"a sequential adapter takes no scale, got {self.scale}")
+        if self.variant == "parallel" and self.scale != LEARNABLE:
             try:
-                object.__setattr__(self, "scale", float(self.scale))
+                object.__setattr__(self, "scale", float(0.5 if self.scale is None else self.scale))
             except (TypeError, ValueError):
                 raise ConfigError(f"scale must be a number or {LEARNABLE!r}, got {self.scale!r}")
             if not math.isfinite(self.scale):
                 raise ConfigError(f"adapter scale must be finite, got {self.scale!r}")
-        if not math.isfinite(self.scale_init):
-            raise ConfigError(f"adapter scale_init must be finite, got {self.scale_init!r}")
 
 
-def adapter_for(mode: str, cfg: AdapterConfig | None = None) -> AdapterConfig | None:
-    """`cfg`, or when none is given the mode's default: none for a mode
-    without adapter slots, else `AdapterConfig()` in the mode's first
-    variant if it does not take the default's (houlsby: sequential). An
-    unknown mode, a config for a mode without slots, or a variant the mode
+def adapter_for(mode: str, cfg: AdapterConfig | None = None,
+                settings: dict | None = None) -> AdapterConfig | None:
+    """`cfg`, or when none is given the mode's adapter: `AdapterConfig` in
+    the mode's default variant (houlsby: sequential, else parallel) with
+    the `settings` ({field name: value}) given over it, or none for a mode
+    without adapter slots and no `settings`. An unknown mode, an adapter
+    (even empty `settings`) for a mode without slots, or a variant the mode
     does not take is a ConfigError."""
     if mode not in MODE_SPECS:
         raise ConfigError(f"unknown tuning mode {mode!r}; expected one of {MODES}")
     spec = MODE_SPECS[mode]
+    if cfg is None and (spec.slots or settings is not None):
+        cfg = AdapterConfig(**{"variant": (spec.variants or VARIANTS)[0], **(settings or {})})
     if cfg is None:
-        if not spec.slots:
-            return None
-        cfg = AdapterConfig()
-        return cfg if cfg.variant in spec.variants else replace(cfg, variant=spec.variants[0])
+        return None
     if not spec.slots:
         raise ConfigError(f"mode {mode!r} takes no bottleneck adapter: it has no adapter slots")
     if cfg.variant not in spec.variants:

@@ -178,8 +178,9 @@ def cmd_train(args) -> int:
     _path(cfg.corpus_path, "corpus")
     _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": cfg.corpus_path,
                                        "--backbone": cfg.backbone_path, "--trials": cfg.trials_path})
+    runs = backbone_runs([cfg], [cfg.backbone_path], cfg.encoder) if cfg.backbone_path else []
+    backbone = runs[0][0] if runs else None
     corpus = read_corpus(cfg.corpus_path)
-    backbone = load_checkpoint(cfg.backbone_path) if cfg.backbone_path else None
     trials = read_trials(cfg.trials_path) if cfg.trials_path else None
     if trials is None:
         run = train_run(cfg, backbone, corpus, out_path=args.out)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # compare and sweep-scale: one roster of runs per backbone
     for name, column, extra, help_text in (
-        ("sweep-scale", "scale", ("mode", "bottleneck_dim", "scale_init"),
+        ("sweep-scale", "scale", ("mode", "bottleneck_dim"),
          "train/evaluate over scaling factors on each backbone"),
         ("compare", "mode", (), "train and evaluate every mode on each backbone"),
     ):

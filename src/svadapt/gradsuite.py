@@ -29,10 +29,11 @@ def build_check_model(mode: str = "inner-inter", seed: int = 0):
     encoder_cfg = EncoderConfig(
         num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=8, seed=seed
     )
-    # the mode's default adapter (parallel where the mode takes it), learnable scale
+    # the mode's default adapter, with a learnable scale where it is parallel
     adapter_cfg = adapter_for(mode)
     if adapter_cfg is not None:
-        adapter_cfg = replace(adapter_cfg, bottleneck_dim=4, scale=LEARNABLE)
+        scale = LEARNABLE if adapter_cfg.variant == "parallel" else None
+        adapter_cfg = replace(adapter_cfg, bottleneck_dim=4, scale=scale)
     model = SVModel(encoder_cfg, 8, mode, adapter_cfg, seed=seed + 1)
     model.add_classifier(3)
     # give zero-initialized params small random values so every gradient

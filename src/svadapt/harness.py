@@ -2,7 +2,7 @@
 pre-training, tuning runs, evaluation, parameter-count reports, and the
 multi-run rosters (the scaling-factor sweep and the mode comparison).
 
-Checkpoint format (version 1, little-endian throughout):
+Checkpoint format (version 2, little-endian throughout):
 
     magic   8 bytes  b"SVADCKPT"
     version u32
@@ -15,8 +15,10 @@ Checkpoint format (version 1, little-endian throughout):
                      (featurizer + transformer stack) in serialized order;
                      `rng.fnv1a64` computes it in numpy, with the values of
                      the plain byte loop
+    sha256  32 bytes sha256 over every preceding byte
 
-Loading verifies the trailing hash and re-saving reproduces the bytes.
+A load checks the version and the sha256 before it parses anything, then
+verifies the backbone hash; re-saving reproduces the bytes.
 Saving is atomic: a save that raises leaves any earlier file at the path.
 `checkpoint_params` and `load_params` are the one path between a model and
 a checkpoint. A run hashes its backbone only when it saves or is asked.
@@ -25,6 +27,7 @@ a checkpoint. A run hashes its backbone only when it saves or is asked.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import json
 import math
 import struct
@@ -47,7 +50,7 @@ from .rng import Stream, fnv1a64
 from .synthdata import Corpus
 
 MAGIC = b"SVADCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 RUN, OPTIM, DATA = {"section": "run"}, {"section": "optim"}, {"section": "data"}
@@ -77,10 +80,6 @@ class RunConfig:
     )
     lr_head: float = field(default=5e-4, metadata=OPTIM)
     lr_other: float = field(default=1e-5, metadata=OPTIM)
-    adam_beta1: float = field(default=0.9, metadata=OPTIM)
-    adam_beta2: float = field(default=0.98, metadata=OPTIM)
-    adam_eps: float = field(default=1e-8, metadata=OPTIM)
-    lr_floor_ratio: float = field(default=0.05, metadata=OPTIM)
     corpus_path: str = field(default="", metadata={**DATA, "key": "corpus"})
     trials_path: str = field(default="", metadata={
         **DATA, "key": "trials", "help": "evaluate after training and print a report"})
@@ -96,10 +95,6 @@ class RunConfig:
             ("warmup_steps", 0 <= self.warmup_steps <= self.total_steps, "in [0, total_steps]"),
             ("lr_head", 0.0 <= self.lr_head < math.inf, "finite and >= 0"),
             ("lr_other", 0.0 <= self.lr_other < math.inf, "finite and >= 0"),
-            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-            ("adam_eps", 0.0 < self.adam_eps < math.inf, "finite and > 0"),
-            ("lr_floor_ratio", 0.0 <= self.lr_floor_ratio <= 1.0, "in [0, 1]"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -158,10 +153,10 @@ def config_from_text(text: str, source: str = "config", overrides=None) -> RunCo
     value}}, part as in `Setting`) laid over its values setting by setting
     before anything is built. Every section and key must be one that
     `config_to_text` can write; one left out takes its default. The
-    adapter is the run mode's default with each given adapter setting
-    applied over it; an [adapter] section, even an empty one, or an adapter
-    setting for a mode without adapter slots is a ConfigError. `%` has no
-    special meaning."""
+    adapter is built in the run mode's default variant from the given
+    adapter settings (`adapters.adapter_for`); an [adapter] section, even
+    an empty one, for a mode without adapter slots is a ConfigError. `%` has
+    no special meaning."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -191,9 +186,8 @@ def config_from_text(text: str, source: str = "config", overrides=None) -> RunCo
         raise ConfigError(f"unknown config section or key: {', '.join(unknown)}")
     for part, updates in (overrides or {}).items():
         values.setdefault(part, {}).update(updates)
-    if "adapter" in values:
-        base = ad.adapter_for(values[None].get("mode", RunConfig.mode)) or ad.AdapterConfig()
-        values[None]["adapter"] = replace(base, **values["adapter"])
+    values[None]["adapter"] = ad.adapter_for(values[None].get("mode", RunConfig.mode),
+                                             settings=values.get("adapter"))
     return RunConfig(**values[None], encoder=EncoderConfig(**values.get("encoder", {})))
 
 
@@ -264,6 +258,10 @@ def save_checkpoint(path, config_text: str, params, step: int) -> int:
                                   int(trainable), arr.ndim, *arr.shape))
         pieces.append(arr)
     pieces.append(struct.pack("<Q", h))
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    pieces.append(digest.digest())
     with atomic_write(path, "wb") as fh:
         fh.writelines(pieces)
     return h
@@ -293,7 +291,7 @@ class _CheckpointReader:
         if end > len(self.view):
             raise DataError(
                 f"truncated checkpoint {self.path}: {what} needs {n} bytes at "
-                f"offset {self.off}, but the file has {len(self.view)}"
+                f"offset {self.off}, but its body ends at {len(self.view)}"
             )
         chunk = self.view[self.off : end]
         self.off = end
@@ -316,10 +314,12 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     r.take(8, "magic")
     (version,) = r.unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {version}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
+        raise DataError(f"{path}: unsupported checkpoint version {version}, "
+                        f"expected {CHECKPOINT_VERSION}; re-run to regenerate it")
+    body = r.view[: len(blob) - 32]
+    if len(body) < r.off or hashlib.sha256(body).digest() != blob[len(body):]:
+        raise DataError(f"{path}: sha256 mismatch: the file is truncated or corrupt")
+    r.view = body
     (conf_len,) = r.unpack("<I", "config length")
     config_text = r.text(conf_len, "config block")
     (step,) = r.unpack("<Q", "step")
@@ -338,8 +338,8 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
         params.append((name, bool(trainable), arr.copy()))
     (stored_hash,) = r.unpack("<Q", "backbone hash")
-    if r.off != len(blob):
-        raise DataError(f"{path}: {len(blob) - r.off} bytes follow the backbone hash")
+    if r.off != len(body):
+        raise DataError(f"{path}: {len(body) - r.off} bytes follow the backbone hash")
     actual = backbone_hash_of(params)
     if stored_hash != actual:
         raise DataError(
@@ -384,13 +384,8 @@ def _optimizer(model: SVModel, cfg: RunConfig) -> Adam:
     head_params, other = [], []
     for p in model.named_params():
         (head_params if ad.component_of(p.name) in ad.HEAD_COMPONENTS else other).append(p)
-    mk = lambda peak: LrSchedule(peak, cfg.warmup_steps, cfg.total_steps, cfg.lr_floor_ratio)
-    return Adam(
-        [(head_params, mk(cfg.lr_head)), (other, mk(cfg.lr_other))],
-        beta1=cfg.adam_beta1,
-        beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps,
-    )
+    mk = lambda peak: LrSchedule(peak, cfg.warmup_steps, cfg.total_steps)
+    return Adam([(head_params, mk(cfg.lr_head)), (other, mk(cfg.lr_other))])
 
 
 def _run_steps(model: SVModel, utterances, labels, cfg: RunConfig) -> list:
@@ -623,9 +618,9 @@ def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
     without a parallel adapter is a ConfigError."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
-    sequential = replace(cfg.adapter, variant="sequential")
-    return [replace(cfg, adapter=sequential if s == "sequential"
-                    else replace(cfg.adapter, variant="parallel", scale=s)) for s in scales]
+    dim = cfg.adapter.bottleneck_dim
+    return [replace(cfg, adapter=ad.AdapterConfig(dim, "sequential") if s == "sequential"
+                    else ad.AdapterConfig(dim, "parallel", s)) for s in scales]
 
 
 def sweep_label(adapter: dict) -> str:
@@ -642,19 +637,22 @@ def compare_configs(cfg: RunConfig) -> list:
     return [replace(cfg, mode=mode, adapter=None) for mode in ad.MODES]
 
 
-def backbone_runs(rows, backbone_paths) -> list:
+def backbone_runs(rows, backbone_paths, encoder: EncoderConfig | None = None) -> list:
     """(backbone checkpoint, run config) for each backbone file, then each
     run config of `rows`, with the encoder and seed the backbone's config
-    text records. Every backbone is read, and must record the same
-    encoder, its seed aside, before each run's model is built shape-only,
-    so a run that cannot start is a ConfigError before any of them does."""
+    text records. Every backbone is read, and must record `encoder` (the
+    first backbone's when None), its seed aside, before each run's model
+    is built shape-only, so a run that cannot start is a ConfigError
+    before any of them does."""
     backbones = [load_checkpoint(path) for path in backbone_paths]
     recorded = [config_from_text(b.config_text, f"config of backbone {path}")
                 for path, b in zip(backbone_paths, backbones)]
+    named = f"backbones {backbone_paths[0]} and" if encoder is None else "the run and backbone"
+    encoder = encoder or recorded[0].encoder
     for path, cfg in zip(backbone_paths, recorded):
-        if replace(cfg.encoder, seed=0) != replace(recorded[0].encoder, seed=0):
-            raise ConfigError(f"backbones {backbone_paths[0]} and {path} record different "
-                              f"encoders, seed aside: {recorded[0].encoder} and {cfg.encoder}")
+        if replace(cfg.encoder, seed=0) != replace(encoder, seed=0):
+            raise ConfigError(f"{named} {path} record different encoders, seed aside: "
+                              f"{encoder} and {cfg.encoder}")
     return [(b, buildable(replace(row, encoder=cfg.encoder, seed=cfg.seed)))
             for b, cfg in zip(backbones, recorded) for row in rows]
 

@@ -42,12 +42,11 @@ class SVModel:
         self.seed = seed
         self.embed_dim = embed_dim
         self.encoder = bb.Encoder(encoder_cfg)
-        self.scale_param = scale = None
-        if adapter_cfg is not None and adapter_cfg.variant == "parallel":
-            if adapter_cfg.scale == ad.LEARNABLE:
-                scale = self.scale_param = Param(adapter_cfg.scale_init, name="adapters.scale")
-            else:
-                scale = Tensor(adapter_cfg.scale)
+        self.scale_param = scale = None  # a sequential adapter has no scale
+        if adapter_cfg is not None and adapter_cfg.scale == ad.LEARNABLE:
+            scale = self.scale_param = Param(1.0, name="adapters.scale")  # starts at 1
+        elif adapter_cfg is not None and adapter_cfg.scale is not None:
+            scale = Tensor(adapter_cfg.scale)
         self.ffn_adapters, self.mhsa_adapters = (
             [ad.BottleneckAdapter(d, adapter_cfg.bottleneck_dim, f"adapters.layer{i:02d}.{slot}",
                                   seed, scale) for i in range(n)] if slot in spec.slots else None

@@ -1,10 +1,11 @@
 """Adam with per-group learning-rate schedules.
 
 The schedule ramps linearly from zero to the peak rate over the warm-up
-steps, then decays linearly to a floor of `floor_ratio * peak` (1/20th by
-default) at the final step. Frozen params are never touched. A NaN or inf
-in a gradient raises `NumericError` before any param moves, and one in an
-updated param raises it after the step; either names the param and step.
+steps, then decays linearly to a floor of `FLOOR_RATIO * peak` (1/20th) at
+the final step; Adam runs at (`BETA1`, `BETA2`, `EPS`). Frozen params are
+never touched. A NaN or inf in a gradient raises `NumericError` before any
+param moves, and one in an updated param raises it after the step; either
+names the param and step.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ import numpy as np
 
 from .errors import NumericError
 
+BETA1, BETA2, EPS = 0.9, 0.98, 1e-8
+FLOOR_RATIO = 0.05
+
 
 @dataclass(frozen=True)
 class LrSchedule:
     peak: float
     warmup_steps: int
     total_steps: int
-    floor_ratio: float = 0.05
 
     def at(self, step: int) -> float:
         """Learning rate for 1-based update index `step`."""
         if step <= self.warmup_steps:
             return self.peak * step / max(self.warmup_steps, 1)
-        floor = self.peak * self.floor_ratio
+        floor = self.peak * FLOOR_RATIO
         if step >= self.total_steps:
             return floor
         span = self.total_steps - self.warmup_steps
@@ -40,10 +43,9 @@ class Adam:
     it rebinds each group's trainable `data` and `grad` to the two rows of one
     flat (2, n) buffer, so a step and `zero_grad` work on whole rows."""
 
-    def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8):
+    def __init__(self, groups):
         # groups: list of (params, LrSchedule)
         self.groups = [([p for p in ps if p.trainable], sched) for ps, sched in groups]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._buffers = [_flatten(ps) for ps, _ in self.groups]
         self._moments = [np.zeros_like(buf) for buf in self._buffers]
@@ -58,7 +60,7 @@ class Adam:
     def step(self) -> None:
         self._check(1, "gradient", self.t + 1)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for (_, sched), (w, g), (m, v) in zip(self.groups, self._buffers, self._moments):
             # the plain expressions' order in two scratch rows
@@ -70,7 +72,7 @@ class Adam:
             v *= b2
             v += s
             np.sqrt(np.divide(v, c2, out=s), out=s)
-            s += self.eps
+            s += EPS
             u = np.divide(m, c1)
             u *= sched.at(self.t)
             u /= s

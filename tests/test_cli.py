@@ -138,6 +138,26 @@ class TestTrainEval:
         assert 0.0 <= payload["min_dcf"] <= 1.0
         assert (workdir / "scores.txt").exists()
 
+    def test_a_backbone_with_another_encoder_exits_2_before_the_corpus_is_read(
+        self, workdir, tmp_path, capsys
+    ):
+        # 4 heads fit the 2-head backbone's shapes, so the load alone would
+        # not catch it; the corpus does not exist: read first, it would be exit 3
+        rc = main(["train", "--corpus", str(tmp_path / "missing.svc"),
+                   "--backbone", str(workdir / "backbone.ckpt"), "--out", str(tmp_path / "run.ckpt"),
+                   "--bottleneck-dim", "4", *ENCODER_FLAGS, "--num-heads", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"the run and backbone {workdir / 'backbone.ckpt'} record different encoders" in err
+        assert "num_heads=4" in err and "num_heads=2" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_backbone_with_another_encoder_seed_trains(self, workdir, tmp_path):
+        assert main(["train", "--corpus", str(workdir / "corpus.txt"),
+                     "--backbone", str(workdir / "backbone.ckpt"), "--out", str(tmp_path / "r.ckpt"),
+                     "--bottleneck-dim", "4", "--total-steps", "1", "--warmup-steps", "1",
+                     "--batch-size", "4", *ENCODER_FLAGS, "--encoder-seed", "5"]) == 0
+
     @pytest.mark.parametrize("command", ["train", "pretrain"])
     def test_batch_larger_than_the_part_exits_2(self, workdir, tmp_path, capsys, command):
         from svadapt.synthdata import read_corpus
@@ -454,6 +474,11 @@ class TestSweepScale:
         assert rc == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert [sweep_label(r["adapter"]) for r in rows] == ["sequential", "0.5"]
+        # each row records only the adapter settings that took effect
+        assert [r["adapter"] for r in rows] == [
+            {"bottleneck_dim": 4, "variant": "sequential", "scale": None},
+            {"bottleneck_dim": 4, "variant": "parallel", "scale": 0.5},
+        ]
 
     def test_json_rows_are_the_train_reports(self, workdir, tmp_path, capsys):
         # the module backbone records seed 0; a second one records seed 1
@@ -791,7 +816,7 @@ class TestGradCheck:
 @pytest.mark.parametrize(
     "flag, value",
     [("--mode", "inner"), ("--bottleneck-dim", "4"), ("--adapter-variant", "sequential"),
-     ("--adapter-scale", "0.25"), ("--scale-init", "2.0"), ("--trials", "t.txt"),
+     ("--adapter-scale", "0.25"), ("--trials", "t.txt"),
      ("--backbone", "b.ckpt")],
 )
 def test_pretrain_mode_or_adapter_flag_is_a_usage_error(tmp_path, flag, value, capsys):
@@ -814,13 +839,8 @@ class TestMalformedRunNumbers:
             (["--lr-head", "nan"], "lr_head"),
             (["--lr-head", "inf"], "lr_head"),
             (["--lr-head", "-1"], "lr_head"),
-            (["--adam-beta1", "1"], "adam_beta1"),
-            (["--adam-beta2", "1.5"], "adam_beta2"),
-            (["--adam-eps", "-1"], "adam_eps"),
-            (["--lr-floor-ratio", "-2"], "lr_floor_ratio"),
             (["--adapter-scale", "nan"], "scale"),
             (["--adapter-scale", "inf"], "scale"),
-            (["--adapter-scale", "learnable", "--scale-init", "nan"], "scale_init"),
             (["--embed-dim", "-2"], "embed_dim"),
             (["--embed-dim", "0"], "embed_dim"),
         ],
@@ -835,32 +855,32 @@ class TestMalformedRunNumbers:
 
     def test_config_file_value_is_checked_too(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("[optim]\nadam_beta2 = 1.5\n")
+        conf.write_text("[optim]\nlr_other = -1\n")
         rc = main(
             ["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
              "--out", str(tmp_path / "run.ckpt")]
         )
         assert rc == 2
-        assert "adam_beta2 must be" in capsys.readouterr().err
+        assert "lr_other must be" in capsys.readouterr().err
 
     def test_config_file_value_a_flag_replaces_is_not_checked(self, tmp_path):
         from svadapt.cli import _run_config_from_args, build_parser
 
         conf = tmp_path / "run.conf"
-        conf.write_text("[optim]\nadam_beta2 = 1.5\n")
+        conf.write_text("[optim]\nlr_other = -1\n")
         args = build_parser().parse_args(
-            ["train", "--out", "x.ckpt", "--config", str(conf), "--adam-beta2", "0.5"])
-        assert _run_config_from_args(args).adam_beta2 == 0.5
+            ["train", "--out", "x.ckpt", "--config", str(conf), "--lr-other", "0.5"])
+        assert _run_config_from_args(args).lr_other == 0.5
 
     def test_config_file_value_that_does_not_parse_exits_2_under_a_flag(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("[optim]\nadam_beta2 = x\n")
+        conf.write_text("[optim]\nlr_other = x\n")
         rc = main(
             ["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
-             "--out", str(tmp_path / "run.ckpt"), "--adam-beta2", "0.5"]
+             "--out", str(tmp_path / "run.ckpt"), "--lr-other", "0.5"]
         )
         assert rc == 2
-        assert "config key 'adam_beta2'" in capsys.readouterr().err
+        assert "config key 'lr_other'" in capsys.readouterr().err
 
     def test_gen_data_nan_noise_scale_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "corpus.svc"
@@ -1060,12 +1080,8 @@ class TestHoulsbyDefaults:
         [
             ("[run]\nmode = houlsby\n[adapter]\nbottleneck_dim = 4\n",
              ["--mode", "houlsby", "--bottleneck-dim", "4"]),
-            ("[run]\nmode = houlsby\n[adapter]\nscale_init = 2.0\n",
-             ["--mode", "houlsby", "--scale-init", "2.0"]),
-            ("[run]\nmode = inner\n[adapter]\nvariant = sequential\nscale_init = 2.0\n",
-             ["--mode", "inner", "--adapter-variant", "sequential", "--scale-init", "2.0"]),
         ],
-        ids=["houlsby-bottleneck-dim", "houlsby-scale-init", "sequential-scale-init"],
+        ids=["houlsby-bottleneck-dim"],
     )
     def test_a_file_and_flags_with_the_same_settings_agree(self, tmp_path, text, flags):
         conf = tmp_path / "run.conf"
@@ -1074,7 +1090,7 @@ class TestHoulsbyDefaults:
 
     # the default run's config text holds the inner-inter default adapter
     DEFAULT_ADAPTER_TEXT = ("[run]\nmode = inner-inter\n[adapter]\nbottleneck_dim = 16\n"
-                            "variant = parallel\nscale = 0.5\nscale_init = 1.0\n")
+                            "variant = parallel\nscale = 0.5\n")
 
     @pytest.mark.parametrize(
         "text, flags, named",
@@ -1094,6 +1110,20 @@ class TestHoulsbyDefaults:
                    "--out", str(tmp_path / "run.ckpt"), *flags])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [("", ["--mode", "houlsby", "--adapter-scale", "0.25"]),
+         ("[adapter]\nvariant = sequential\nscale = 0.25\n", [])],
+        ids=["houlsby-flag", "sequential-file"],
+    )
+    def test_a_scale_for_a_sequential_adapter_exits_2(self, tmp_path, text, flags, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        rc = main(["train", "--config", str(conf), "--corpus", str(tmp_path / "missing.svc"),
+                   "--out", str(tmp_path / "run.ckpt"), *flags])
+        assert rc == 2
+        assert "a sequential adapter takes no scale, got 0.25" in capsys.readouterr().err
 
     def test_houlsby_trains_from_the_cli(self, workdir, tmp_path):
         from svadapt.harness import config_from_text, load_checkpoint
@@ -1146,7 +1176,7 @@ class TestCorruptCheckpoint:
             ]
         )
         assert rc == 3
-        assert "truncated checkpoint" in capsys.readouterr().err
+        assert "truncated or corrupt" in capsys.readouterr().err
 
     def test_bytes_after_the_hash_exit_3(self, workdir, tmp_path, capsys):
         run = tmp_path / "run.ckpt"
@@ -1161,7 +1191,18 @@ class TestCorruptCheckpoint:
              "--trials", str(workdir / "trials.txt")]
         )
         assert rc == 3
-        assert "28 bytes follow the backbone hash" in capsys.readouterr().err
+        assert "sha256 mismatch" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_exits_3(self, workdir, tmp_path, capsys):
+        # version 1 wrote no sha256 trailer
+        blob = bytearray((workdir / "backbone.ckpt").read_bytes()[:-32])
+        blob[8:12] = (1).to_bytes(4, "little")
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(blob))
+        rc = main(["eval", "--checkpoint", str(old), "--corpus", str(workdir / "corpus.txt"),
+                   "--trials", str(workdir / "trials.txt")])
+        assert rc == 3
+        assert "re-run to regenerate" in capsys.readouterr().err
 
 
 # sha256 of `svadapt count-params` stdout, taken before the count moved
@@ -1206,13 +1247,8 @@ class TestEveryRunSetting:
         ("adapter", "bottleneck_dim", "--bottleneck-dim", "adapter.bottleneck_dim", 5),
         ("adapter", "variant", "--adapter-variant", "adapter.variant", "sequential"),
         ("adapter", "scale", "--adapter-scale", "adapter.scale", 0.25),
-        ("adapter", "scale_init", "--scale-init", "adapter.scale_init", 2.0),
         ("optim", "lr_head", "--lr-head", "lr_head", 0.25),
         ("optim", "lr_other", "--lr-other", "lr_other", 0.125),
-        ("optim", "adam_beta1", "--adam-beta1", "adam_beta1", 0.5),
-        ("optim", "adam_beta2", "--adam-beta2", "adam_beta2", 0.75),
-        ("optim", "adam_eps", "--adam-eps", "adam_eps", 1e-3),
-        ("optim", "lr_floor_ratio", "--lr-floor-ratio", "lr_floor_ratio", 0.5),
         ("data", "corpus", "--corpus", "corpus_path", "c.txt"),
         ("data", "trials", "--trials", "trials_path", "t.txt"),
         ("data", "backbone", "--backbone", "backbone_path", "b.ckpt"),
@@ -1250,6 +1286,29 @@ class TestEveryRunSetting:
 
         args = build_parser().parse_args(["train", "--out", "x.ckpt", flag, str(value)])
         assert self.get(_run_config_from_args(args), path) == value
+
+    def test_there_are_twenty_settings(self):
+        from svadapt.harness import config_settings
+
+        assert len(list(config_settings())) == len(self.SETTINGS) == 20
+
+    # settings that took one value in every run: the optimizer's and the
+    # learnable scale's start value are constants, with no key or flag
+    @pytest.mark.parametrize("section,key", [
+        ("optim", "adam_beta1"), ("optim", "adam_beta2"), ("optim", "adam_eps"),
+        ("optim", "lr_floor_ratio"), ("adapter", "scale_init")])
+    def test_a_constant_has_no_key_or_flag(self, section, key, tmp_path, capsys):
+        from svadapt.errors import ConfigError
+        from svadapt.harness import config_from_text
+
+        with pytest.raises(ConfigError, match=f"unknown config section or key: \\[{section}\\] {key}"):
+            config_from_text(f"[run]\nmode = inner\n[{section}]\n{key} = 0.5\n")
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--corpus", str(tmp_path / "c.svc"), "--out", str(tmp_path / "r.ckpt"),
+                  flag, "0.5"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestConfigFileFaults:

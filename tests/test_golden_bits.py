@@ -53,16 +53,16 @@ CONFIGS = {
 # name -> (losses, scores, EvalResult, checkpoint); the pretrain run has no
 # evaluation
 PINNED = {
-    "pretrain": ("70046e8cd56e7b6d", "c57f74a78b1087dc"),
-    "full-finetune": ("1244f0eea8c585f8", "e5e77895a11fb313", "eb5dcf9d13399280", "f87f2678f4a1ff88"),
-    "houlsby": ("f261299c5a32266b", "4bcc6737144f7f25", "54689547ace8aaf9", "0ba65d2c92488743"),
-    "inner": ("b3c2b68884446639", "870fb5b4cb960105", "81fe27ce784e8db5", "f94344da3a3f96b6"),
-    "inner-inter": ("c80b49d0617b76f4", "2c5d5563b74b1e28", "4b71ccc600f9233a", "18aac887dc80b824"),
-    "inner-inter-learnable": ("3733b4cc0a2ebf75", "ca223b2773fc881c", "73ceb69d981baa92", "a67c7276b7f9f4e6"),
-    "inner-inter-sequential": ("a1c5a7a5f651829b", "70df7df4222664f6", "7097fc3e6407757d", "347bed06f578dba7"),
-    "inter": ("34435e9ab859809c", "3aa3a713899b9cd9", "067fe14e29951752", "48022c71605a6c99"),
-    "linear-probe": ("d14a9be925a9c5eb", "b96cbe032c1f9d08", "f277108852ffe215", "de3d6bfad5ec3b73"),
-    "weighted-sum": ("d0b8eb7ff6188739", "fa889f1fa4c86e5a", "d9db3085ad1e4cfd", "2f852034e54ea3d1"),
+    "pretrain": ("70046e8cd56e7b6d", "6ed40028a5751541"),
+    "full-finetune": ("1244f0eea8c585f8", "e5e77895a11fb313", "eb5dcf9d13399280", "5eec173ced4e4f71"),
+    "houlsby": ("f261299c5a32266b", "4bcc6737144f7f25", "54689547ace8aaf9", "1618d810ee3dd6b1"),
+    "inner": ("b3c2b68884446639", "870fb5b4cb960105", "81fe27ce784e8db5", "e71f022ffe677e67"),
+    "inner-inter": ("c80b49d0617b76f4", "2c5d5563b74b1e28", "4b71ccc600f9233a", "cb78a050d18d1221"),
+    "inner-inter-learnable": ("3733b4cc0a2ebf75", "ca223b2773fc881c", "73ceb69d981baa92", "bd1ebc766a2306ca"),
+    "inner-inter-sequential": ("a1c5a7a5f651829b", "70df7df4222664f6", "7097fc3e6407757d", "5c97e6fb930fabed"),
+    "inter": ("34435e9ab859809c", "3aa3a713899b9cd9", "067fe14e29951752", "2f0546c76e750e88"),
+    "linear-probe": ("d14a9be925a9c5eb", "b96cbe032c1f9d08", "f277108852ffe215", "f028da7ea98e9f42"),
+    "weighted-sum": ("d0b8eb7ff6188739", "fa889f1fa4c86e5a", "d9db3085ad1e4cfd", "14fdba8fd1fecd64"),
 }
 
 

@@ -1,5 +1,6 @@
 """Harness: configs, checkpoints, training procedures, reports."""
 
+import hashlib
 import io
 import itertools
 import re
@@ -103,6 +104,16 @@ class TestRunConfig:
         for mode in ("inner", "inner-inter"):
             assert RunConfig(mode=mode).adapter == AdapterConfig()
 
+    def test_a_sequential_adapter_has_no_scale(self):
+        assert AdapterConfig().scale == 0.5
+        assert AdapterConfig(variant="sequential").scale is None
+        with pytest.raises(ConfigError, match="a sequential adapter takes no scale"):
+            AdapterConfig(variant="sequential", scale=0.25)
+        for mode, acfg in [("houlsby", None), ("inner", AdapterConfig(variant="sequential"))]:
+            text = config_to_text(RunConfig(mode=mode, adapter=acfg))
+            assert "variant = sequential\n" in text and "scale" not in text
+            assert config_from_text(text).adapter.scale is None
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown tuning mode"):
             RunConfig(mode="prefix-tuning")
@@ -132,8 +143,6 @@ class TestRunConfig:
     def test_default_hyperparameters(self):
         cfg = RunConfig()
         assert cfg.lr_head / cfg.lr_other == pytest.approx(50.0)
-        assert cfg.lr_floor_ratio == pytest.approx(1.0 / 20.0)
-        assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.98, 1e-8)
         assert (cfg.warmup_steps, cfg.total_steps) == (200, 2000)
 
     def test_non_numeric_adapter_scale_is_config_error(self):
@@ -147,18 +156,8 @@ class TestRunConfig:
             ("optim", "lr_head", "inf"),
             ("optim", "lr_head", "-1"),
             ("optim", "lr_other", "-1e-05"),
-            ("optim", "adam_beta1", "1"),
-            ("optim", "adam_beta1", "-0.1"),
-            ("optim", "adam_beta2", "1.5"),
-            ("optim", "adam_eps", "-1"),
-            ("optim", "adam_eps", "0"),
-            ("optim", "adam_eps", "inf"),
-            ("optim", "lr_floor_ratio", "-2"),
-            ("optim", "lr_floor_ratio", "1.5"),
-            ("optim", "lr_floor_ratio", "nan"),
             ("adapter", "scale", "nan"),
             ("adapter", "scale", "-inf"),
-            ("adapter", "scale_init", "nan"),
             ("head", "embed_dim", "0"),
             ("head", "embed_dim", "-2"),
         ],
@@ -168,10 +167,8 @@ class TestRunConfig:
             config_from_text(f"[{section}]\n{key} = {value}\n")
 
     def test_range_ends_are_accepted(self):
-        cfg = RunConfig(lr_head=0.0, lr_other=0.0, adam_beta1=0.0, adam_beta2=0.0,
-                        lr_floor_ratio=1.0)
+        cfg = RunConfig(lr_head=0.0, lr_other=0.0)
         assert config_from_text(config_to_text(cfg)) == cfg
-        assert RunConfig(lr_floor_ratio=0.0).lr_floor_ratio == 0.0
 
     def test_text_bytes_are_pinned(self):
         # the serializer's exact output; parsing it and writing it again
@@ -181,9 +178,7 @@ class TestRunConfig:
             "total_steps = 2000\n[encoder]\nnum_layers = 4\nhidden_dim = 64\n"
             "num_heads = 4\nffn_dim = 128\ninput_dim = 20\nseed = 0\n[head]\n"
             "embed_dim = 32\n[adapter]\nbottleneck_dim = 8\nvariant = parallel\n"
-            "scale = 0.25\nscale_init = 1.0\n[optim]\nlr_head = 0.0005\n"
-            "lr_other = 1e-05\nadam_beta1 = 0.9\nadam_beta2 = 0.98\nadam_eps = 1e-08\n"
-            "lr_floor_ratio = 0.05\n"
+            "scale = 0.25\n[optim]\nlr_head = 0.0005\nlr_other = 1e-05\n"
         )
         cfg = RunConfig(mode="inner-inter", adapter=AdapterConfig(bottleneck_dim=8, scale=0.25))
         assert config_to_text(cfg) == text
@@ -290,7 +285,7 @@ class TestConfigReaderFuzz:
 
 class TestLrSchedule:
     def test_warmup_then_decay_to_floor(self):
-        s = LrSchedule(peak=1e-3, warmup_steps=10, total_steps=110, floor_ratio=0.05)
+        s = LrSchedule(peak=1e-3, warmup_steps=10, total_steps=110)
         assert s.at(1) == pytest.approx(1e-4)
         assert s.at(10) == pytest.approx(1e-3)
         assert s.at(110) == pytest.approx(5e-5)
@@ -420,16 +415,29 @@ def fnv1a64_loop(data: bytes) -> int:
     return h
 
 
+def sealed(body: bytes) -> bytes:
+    """`body` with its sha256 trailer: the bytes a checkpoint file holds."""
+    return body + hashlib.sha256(body).digest()
+
+
+def resealed(blob) -> bytes:
+    """A checkpoint blob whose body was edited, with its sha256 trailer
+    made to match again, so a load gets past the sha256 to the check
+    under test."""
+    return sealed(bytes(blob[:-32]))
+
+
 def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
     """A checkpoint laid out by a per-param writer: one `write` per field,
-    one `tobytes` per array, the hash by the FNV-1a byte loop."""
+    one `tobytes` per array, the backbone hash by the FNV-1a byte loop,
+    then the sha256 of all of it."""
     payload = [(name, t, np.asarray(arr, "<f8", order="C")) for name, t, arr in params]
     backbone = b"".join(
         arr.tobytes() for name, _t, arr in payload if name.startswith(("featurizer.", "encoder."))
     )
     fh = io.BytesIO()
     fh.write(b"SVADCKPT")
-    fh.write(struct.pack("<I", 1))
+    fh.write(struct.pack("<I", 2))
     conf = config_text.encode("utf-8")
     fh.write(struct.pack("<I", len(conf)))
     fh.write(conf)
@@ -443,7 +451,7 @@ def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         fh.write(arr.tobytes())
     fh.write(struct.pack("<Q", fnv1a64_loop(backbone)))
-    return fh.getvalue()
+    return sealed(fh.getvalue())
 
 
 CHECKPOINT_MODES = [(mode, adapter_for(mode)) for mode in MODE_SPECS] + [
@@ -472,7 +480,7 @@ class TestCheckpointBytes:
         params = [(p.name, p.trainable, p.data) for p in model.named_params(include_classifier=False)]
         want = reference_checkpoint_bytes("[run]\nmode = x\n", params, 9)
         assert path.read_bytes() == want
-        assert h == int.from_bytes(want[-8:], "little")
+        assert h == int.from_bytes(want[-40:-32], "little")
 
     def test_odd_params_keep_the_per_param_layout(self, tmp_path):
         # a 0-d, an empty, an integer and a transposed (not C-order) array;
@@ -530,11 +538,11 @@ class TestCheckpoints:
         path = tmp_path / "run.ckpt"
         train(tiny_cfg(steps=4), None, corpus, out_path=path)
         blob = bytearray(path.read_bytes())
-        # flip one bit somewhere inside the parameter payload
+        # flip one bit somewhere inside the backbone values
         blob[len(blob) // 2] ^= 0x01
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="hash mismatch"):
+        bad.write_bytes(resealed(blob))
+        with pytest.raises(DataError, match="backbone hash mismatch"):
             load_checkpoint(bad)
 
     def test_failed_save_leaves_existing_file(self, tmp_path):
@@ -644,9 +652,9 @@ def test_every_reader_refuses_a_missing_or_unreadable_file(tmp_path, reader, kin
 
 
 class TestCheckpointCorruption:
-    """Any truncation, byte past the hash trailer or undecodable text block
-    is a DataError, never a bare ValueError or UnicodeDecodeError or a
-    silent load."""
+    """Any truncation, byte past the hash trailers, flipped bit or
+    undecodable text block is a DataError, never a bare ValueError or
+    UnicodeDecodeError or a silent load."""
 
     @pytest.fixture()
     def tiny_ckpt(self, tmp_path):
@@ -672,6 +680,10 @@ class TestCheckpointCorruption:
     def test_bytes_after_the_hash_are_a_data_error(self, tiny_ckpt, tmp_path, junk):
         padded = tmp_path / "padded.ckpt"
         padded.write_bytes(tiny_ckpt.read_bytes() + junk)
+        with pytest.raises(DataError, match="sha256 mismatch"):
+            load_checkpoint(padded)
+        # between the backbone hash and a sha256 that covers them
+        padded.write_bytes(resealed(tiny_ckpt.read_bytes()[:-32] + junk + bytes(32)))
         with pytest.raises(DataError, match=f"{len(junk)} bytes follow the backbone hash"):
             load_checkpoint(padded)
 
@@ -679,6 +691,10 @@ class TestCheckpointCorruption:
         blob = tiny_ckpt.read_bytes()
         cut = tmp_path / "half.ckpt"
         cut.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(DataError, match="truncated or corrupt"):
+            load_checkpoint(cut)
+        # a length field that runs past the end, under a matching sha256
+        cut.write_bytes(resealed(blob[: len(blob) // 2] + bytes(32)))
         with pytest.raises(DataError, match="truncated checkpoint"):
             load_checkpoint(cut)
 
@@ -691,9 +707,47 @@ class TestCheckpointCorruption:
         at = 16 if field == "config block" else 16 + conf_len + 8 + 4 + 2
         blob[at] = 0xFF
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
+        bad.write_bytes(resealed(blob))
         with pytest.raises(DataError, match=f"{field} is not valid UTF-8"):
             load_checkpoint(bad)
+
+    def test_version_1_file_asks_for_a_rerun(self, tiny_ckpt, tmp_path):
+        # version 1 had no sha256 trailer
+        blob = bytearray(tiny_ckpt.read_bytes()[:-32])
+        blob[8:12] = struct.pack("<I", 1)
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="unsupported checkpoint version 1, expected 2; "
+                                            "re-run to regenerate"):
+            load_checkpoint(old)
+
+    def test_corruption_fuzz_never_loads(self, tmp_path):
+        # 300 corrupt copies of an inner-inter checkpoint with a learnable
+        # scale: 100 truncations, 100 appended byte runs and 100 single-bit
+        # flips, each anywhere in the file, adapters, head and config too
+        model = randomized_model("inner-inter", CHECKPOINT_MODES[-1][1])
+        path = tmp_path / "run.ckpt"
+        save_model_checkpoint(path, model, config_to_text(tiny_cfg("inner-inter")), 5)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(21)
+        loaded = []
+        for i in range(300):
+            kind = ("truncate", "append", "flip")[i % 3]
+            if kind == "truncate":
+                bad = blob[: rng.integers(len(blob))]
+            elif kind == "append":
+                bad = blob + rng.bytes(rng.integers(1, 65))
+            else:
+                at = rng.integers(len(blob))
+                bad = bytearray(blob)
+                bad[at] ^= 1 << rng.integers(8)
+            path.write_bytes(bytes(bad))
+            try:
+                load_checkpoint(path)
+            except DataError:
+                continue
+            loaded.append((kind, len(bad)))
+        assert loaded == []
 
 
 class TestTapeSize:
@@ -848,7 +902,7 @@ class TestTrain:
         if entry == "train":
             assert run.backbone_hash == backbone_ckpt.backbone_hash
         if saved:
-            assert run.backbone_hash == int.from_bytes(path.read_bytes()[-8:], "little")
+            assert run.backbone_hash == int.from_bytes(path.read_bytes()[-40:-32], "little")
             assert run.backbone_hash == load_checkpoint(path).backbone_hash
 
 
