@@ -152,6 +152,21 @@ class TestTrainEval:
         assert "num_heads=4" in err and "num_heads=2" in err
         assert list(tmp_path.iterdir()) == []
 
+    # the other encoder fields change shapes, yet the refusal still comes
+    # first, naming both values, rather than a shape error from the load
+    @pytest.mark.parametrize("flag, value", [("--num-layers", "3"), ("--hidden-dim", "32"),
+                                             ("--ffn-dim", "32"), ("--input-dim", "12")])
+    def test_every_encoder_field_is_compared(self, workdir, tmp_path, capsys, flag, value):
+        rc = main(["train", "--corpus", str(tmp_path / "missing.svc"),
+                   "--backbone", str(workdir / "backbone.ckpt"), "--out", str(tmp_path / "run.ckpt"),
+                   "--bottleneck-dim", "4", *ENCODER_FLAGS, flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert "record different encoders" in err
+        assert f"{name}={value}" in err and f"{name}={ENCODER_FLAGS[ENCODER_FLAGS.index(flag) + 1]}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_backbone_with_another_encoder_seed_trains(self, workdir, tmp_path):
         assert main(["train", "--corpus", str(workdir / "corpus.txt"),
                      "--backbone", str(workdir / "backbone.ckpt"), "--out", str(tmp_path / "r.ckpt"),
@@ -1309,6 +1324,24 @@ class TestEveryRunSetting:
                   flag, "0.5"])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    # the commands other than train that took these flags before they
+    # became constants: pretrain and compare had the optimizer's four,
+    # sweep-scale those and the scale's start value too
+    @pytest.mark.parametrize("command, flag", [
+        *[(command, flag) for command in ("pretrain", "compare", "sweep-scale")
+          for flag in ("--adam-beta1", "--adam-beta2", "--adam-eps", "--lr-floor-ratio")],
+        ("sweep-scale", "--scale-init")])
+    def test_a_constant_is_no_flag_of_any_command(self, command, flag, capsys):
+        from svadapt.cli import build_parser
+
+        required = {"pretrain": ["--out", "r.ckpt"],
+                    "compare": ["--corpus", "c", "--trials", "t", "--backbone", "b"]}
+        required["sweep-scale"] = required["compare"]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, *required[command], flag, "0.5"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 class TestConfigFileFaults:
