@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .errors import ConfigError
-from .tensor import Param, Tensor
+from .tensor import Module, Param, Tensor
 
 VARIANTS = ("parallel", "sequential")
 LEARNABLE = "learnable"
@@ -117,16 +117,16 @@ def adapter_for(mode: str, cfg: AdapterConfig | None = None,
     return cfg
 
 
-class BottleneckAdapter:
+class BottleneckAdapter(Module):
     """Down-project, ReLU, up-project, LN. Up-projection and LN shift start
-    at zero so the branch output is exactly zero at init. `scale` is None
+    at zero so the branch output is exactly zero at init. `_scale` is None
     for a sequential adapter, else the parallel branch's scalar Tensor: a
     constant when fixed, a Param when learnable, shared across layers."""
 
     def __init__(self, d: int, bottleneck: int, name: str, seed: int, scale=None):
         if bottleneck >= d:
             raise ConfigError(f"bottleneck {bottleneck} must be smaller than width {d}")
-        self.scale = scale
+        self._scale = scale
         self.w_down = Param.xavier(f"{name}.w_down", (d, bottleneck), seed)
         self.b_down = Param.zeros(f"{name}.b_down", bottleneck)
         self.w_up = Param.zeros(f"{name}.w_up", (bottleneck, d))
@@ -144,12 +144,9 @@ class BottleneckAdapter:
         host_out + branch(host_out) when sequential, host_out + s *
         branch(host_in) when parallel. A learnable s receives gradient
         through the scale op."""
-        if self.scale is None:
+        if self._scale is None:
             return tt.add(host_out, self.branch(host_out))
-        return tt.add(host_out, tt.scale(self.branch(host_in), self.scale))
-
-    def params(self):
-        return [self.w_down, self.b_down, self.w_up, self.b_up, self.ln_g, self.ln_b]
+        return tt.add(host_out, tt.scale(self.branch(host_in), self._scale))
 
 
 def weighted_sum(layer_outputs, layer_logits: Param) -> Tensor:
@@ -163,7 +160,7 @@ def weighted_sum(layer_outputs, layer_logits: Param) -> Tensor:
     return tt.lincomb(tt.softmax(layer_logits), layer_outputs)
 
 
-class InterLayerAdapter:
+class InterLayerAdapter(Module):
     """FC + ReLU + LN bridge from the hidden width to the embedding width,
     applied to the weighted sum of all layer outputs."""
 
@@ -172,9 +169,6 @@ class InterLayerAdapter:
         self.b = Param.zeros("bridge.b", embed_dim)
         self.ln_g = Param.ones("bridge.ln.gamma", embed_dim)
         self.ln_b = Param.zeros("bridge.ln.beta", embed_dim)
-
-    def params(self):
-        return [self.w, self.b, self.ln_g, self.ln_b]
 
 
 def inter_layer_forward(h_sum: Tensor, adapter: InterLayerAdapter) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .errors import ConfigError
-from .tensor import Param, Tensor
+from .tensor import Module, Param, Tensor
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ PRESETS = {
 }
 
 
-class Featurizer:
+class Featurizer(Module):
     """Frozen affine projection from input frames to the hidden width."""
 
     def __init__(self, cfg: EncoderConfig):
@@ -57,11 +57,8 @@ class Featurizer:
     def __call__(self, frames: Tensor) -> Tensor:
         return tt.matmul(frames, self.proj, self.bias)
 
-    def params(self):
-        return [self.proj, self.bias]
 
-
-class TransformerLayer:
+class TransformerLayer(Module):
     """Post-norm block: LN(MHSA(x)+x) followed by LN(FFN(u)+u)."""
 
     def __init__(self, cfg: EncoderConfig, index: int):
@@ -83,13 +80,6 @@ class TransformerLayer:
         self.b2 = Param.zeros(f"{p}.ffn.b2", d)
         self.ln_ffn_g = Param.ones(f"{p}.ffn_ln.gamma", d)
         self.ln_ffn_b = Param.zeros(f"{p}.ffn_ln.beta", d)
-
-    def params(self):
-        return [
-            self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo,
-            self.ln_att_g, self.ln_att_b,
-            self.w1, self.b1, self.w2, self.b2, self.ln_ffn_g, self.ln_ffn_b,
-        ]
 
     def ffn(self, u: Tensor) -> Tensor:
         return tt.matmul(tt.relu(tt.matmul(u, self.w1, self.b1)), self.w2, self.b2)
@@ -124,19 +114,13 @@ def layer_forward(
     return tt.layer_norm(tt.add(f, u), layer.ln_ffn_g, layer.ln_ffn_b)
 
 
-class Encoder:
+class Encoder(Module):
     """Featurizer plus a stack of transformer layers."""
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         self.featurizer = Featurizer(cfg)
         self.layers = [TransformerLayer(cfg, i) for i in range(cfg.num_layers)]
-
-    def params(self):
-        out = list(self.featurizer.params())
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
 
 
 def encode_collect(

@@ -10,14 +10,14 @@ import numpy as np
 
 from . import tensor as tt
 from .fileio import atomic_write
-from .tensor import Param, Tensor
+from .tensor import Module, Param, Tensor
 
 
 class DegenerateEmbeddingWarning(UserWarning):
     """A trial embedding had (near-)zero norm; its scores are defined as 0."""
 
 
-class SVHead:
+class SVHead(Module):
     """Average pooling over time, then fc1 + ReLU + fc2, both e -> e."""
 
     def __init__(self, embed_dim: int, seed: int):
@@ -27,11 +27,8 @@ class SVHead:
         self.fc2_w = Param.xavier("head.fc2.w", (e, e), seed)
         self.fc2_b = Param.zeros("head.fc2.b", e)
 
-    def params(self):
-        return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
 
-
-class ClassifierHead:
+class ClassifierHead(Module):
     """Linear map from embeddings to training-speaker logits. Used only
     while training; never serialized into evaluation checkpoints."""
 
@@ -39,9 +36,6 @@ class ClassifierHead:
         self.num_speakers = num_speakers
         self.w = Param.xavier("classifier.w", (embed_dim, num_speakers), seed)
         self.b = Param.zeros("classifier.b", num_speakers)
-
-    def params(self):
-        return [self.w, self.b]
 
 
 def pool_and_embed(features: Tensor, head: SVHead) -> Tensor:

@@ -48,6 +48,7 @@ from .harness import (
 )
 from .metrics import P_TARGET, write_scores
 from .synthdata import (
+    PARTS,
     CorpusConfig,
     generate_corpus,
     generate_trials,
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag = f.metadata.get("flag", f.name.replace("_", "-"))
         p.add_argument(f"--{flag}", dest=f.name, type=type(f.default), default=f.default)
     p.add_argument("--trials-out")
-    p.add_argument("--trial-part", choices=("pretrain", "adapt"), default="adapt")
+    p.add_argument("--trial-part", choices=PARTS, default="adapt")
     p.add_argument("--trial-seed", type=int, default=0)
     p.add_argument("--n-target", type=int, default=100)
     p.add_argument("--n-nontarget", type=int, default=100)

@@ -232,9 +232,11 @@ def checkpoint_params(model: SVModel, backbone_only: bool = False) -> list:
 
 
 def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
-    """In-memory backbone-only checkpoint (no file round trip)."""
+    """In-memory backbone-only checkpoint (no file round trip). Its config
+    text records the model's encoder and seed, as a full-finetune run's."""
     params = [(name, t, arr.copy()) for name, t, arr in checkpoint_params(model, backbone_only=True)]
-    return Checkpoint("", step, params, backbone_hash_of(params))
+    cfg = RunConfig(mode="full-finetune", seed=model.seed, encoder=model.encoder.cfg)
+    return Checkpoint(config_to_text(cfg), step, params, backbone_hash_of(params))
 
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
@@ -422,9 +424,19 @@ def _check_frame_dim(corpus: Corpus, encoder_cfg: EncoderConfig) -> None:
         )
 
 
+def _check_encoders(encoder: EncoderConfig, recorded: EncoderConfig, named: str) -> None:
+    """ConfigError naming `named` and both encoders unless they agree, seed aside."""
+    if replace(recorded, seed=0) != replace(encoder, seed=0):
+        raise ConfigError(f"{named} record different encoders, seed aside: "
+                          f"{encoder} and {recorded}")
+
+
 def _fit(cfg: RunConfig, corpus: Corpus, part: str, backbone_ckpt=None):
-    """(model, losses): the model for `cfg`, with the backbone loaded when
-    given, trained with a fresh classifier on the speakers of `part`."""
+    """(model, losses): `cfg`'s model, with a backbone that records the run's encoder
+    (seed aside) loaded when given, trained with a fresh classifier on `part`'s speakers."""
+    if backbone_ckpt is not None:
+        _check_encoders(cfg.encoder, config_from_text(backbone_ckpt.config_text).encoder,
+                        "the run and its backbone")
     _check_frame_dim(corpus, cfg.encoder)
     utterances = corpus.part(part)
     if not utterances:
@@ -650,9 +662,7 @@ def backbone_runs(rows, backbone_paths, encoder: EncoderConfig | None = None) ->
     named = f"backbones {backbone_paths[0]} and" if encoder is None else "the run and backbone"
     encoder = encoder or recorded[0].encoder
     for path, cfg in zip(backbone_paths, recorded):
-        if replace(cfg.encoder, seed=0) != replace(encoder, seed=0):
-            raise ConfigError(f"{named} {path} record different encoders, seed aside: "
-                              f"{encoder} and {cfg.encoder}")
+        _check_encoders(encoder, cfg.encoder, f"{named} {path}")
     return [(b, buildable(replace(row, encoder=cfg.encoder, seed=cfg.seed)))
             for b, cfg in zip(backbones, recorded) for row in rows]
 

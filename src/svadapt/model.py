@@ -23,16 +23,16 @@ import numpy as np
 from . import adapters as ad
 from . import backbone as bb
 from . import backend as be
-from .tensor import Param, Tensor
+from .tensor import Module, Param, Tensor
 
 
-class SVModel:
+class SVModel(Module):
     """Backbone + adapters + weighting + bridge + head for one tuning mode,
     built from the mode's `MODE_SPECS` row: the row's bottleneck adapters
     (with `adapters.adapter_for(mode, adapter_cfg)`) and their shared scale.
     A last pass sets every trainable flag: a param trains when its
     component is in the row's `trains` or in `adapters.ALWAYS_TRAINED`.
-    The backbone is `encoder`; its params are `encoder.params()`."""
+    The backbone is `encoder`: the featurizer and the transformer stack."""
 
     def __init__(self, encoder_cfg: bb.EncoderConfig, embed_dim: int, mode: str,
                  adapter_cfg: ad.AdapterConfig | None, seed: int):
@@ -42,9 +42,9 @@ class SVModel:
         self.seed = seed
         self.embed_dim = embed_dim
         self.encoder = bb.Encoder(encoder_cfg)
-        self.scale_param = scale = None  # a sequential adapter has no scale
+        scale = None  # a sequential adapter has no scale
         if adapter_cfg is not None and adapter_cfg.scale == ad.LEARNABLE:
-            scale = self.scale_param = Param(1.0, name="adapters.scale")  # starts at 1
+            scale = Param(1.0, name="adapters.scale")  # starts at 1
         elif adapter_cfg is not None and adapter_cfg.scale is not None:
             scale = Tensor(adapter_cfg.scale)
         self.ffn_adapters, self.mhsa_adapters = (
@@ -52,6 +52,8 @@ class SVModel:
                                   seed, scale) for i in range(n)] if slot in spec.slots else None
             for slot in ("ffn", "mhsa")
         )
+        # assigned after the adapters, so the shared scale follows them in `params()`
+        self.scale_param = scale if isinstance(scale, Param) else None
         self.layer_logits = Param.zeros("layer_weights.logits", n)
         self.bridge = ad.InterLayerAdapter(d, embed_dim, seed)
         self.head = be.SVHead(embed_dim, seed)
@@ -79,15 +81,7 @@ class SVModel:
     # -- parameter bookkeeping ---------------------------------------------
 
     def named_params(self, include_classifier: bool = True):
-        """All params in the canonical serialization order."""
-        out = list(self.encoder.params())
-        for adapter in (self.ffn_adapters or []) + (self.mhsa_adapters or []):
-            out.extend(adapter.params())
-        if self.scale_param is not None:
-            out.append(self.scale_param)
-        out.append(self.layer_logits)
-        out.extend(self.bridge.params())
-        out.extend(self.head.params())
-        if include_classifier and self.classifier is not None:
-            out.extend(self.classifier.params())
-        return out
+        """`params()`, the canonical serialization order, without the
+        training-only classifier's unless `include_classifier`."""
+        drop = [] if include_classifier or self.classifier is None else self.classifier.params()
+        return [p for p in self.params() if p not in drop]

@@ -49,6 +49,7 @@ from .metrics import Trial
 from .rng import Stream, gaussians, randints
 
 FORMAT_HEADER = "svcorpus-v2"
+PARTS = ("pretrain", "adapt")  # the corpus parts, in speaker order
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ class Utterance:
 class Corpus:
     config: CorpusConfig
     utterances: list
-    speaker_split: dict  # speaker -> "pretrain" | "adapt"
+    speaker_split: dict  # speaker -> one of PARTS
 
     def part(self, which: str) -> list:
-        if which not in ("pretrain", "adapt"):
+        if which not in PARTS:
             raise ConfigError(f"unknown corpus part {which!r}")
         return [u for u in self.utterances if self.speaker_split[u.speaker] == which]
 
@@ -146,10 +147,7 @@ def generate_corpus(cfg: CorpusConfig) -> Corpus:
         utt for spk in range(cfg.num_speakers) for utt in _speaker_utterances(cfg, mixing, spk)
     ]
     n_pre = (cfg.num_speakers + 1) // 2
-    split = {
-        _speaker_id(i): ("pretrain" if i < n_pre else "adapt")
-        for i in range(cfg.num_speakers)
-    }
+    split = {_speaker_id(i): PARTS[0 if i < n_pre else 1] for i in range(cfg.num_speakers)}
     return Corpus(cfg, utterances, split)
 
 
@@ -243,6 +241,8 @@ def _parse_config(lines, path):
         key, _, raw = line.partition("=")
         if key not in field_types:
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: repeated config key {key!r}")
         caster = int if field_types[key] == "int" else float
         try:
             values[key] = caster(raw)
@@ -267,10 +267,11 @@ def _header_lines(fh, path):
 
 
 def read_corpus(path) -> Corpus:
-    """Read a corpus file. A malformed header, index or payload raises
-    ParseError (or ConfigError for a bad config), naming the header line
-    at fault. The payload is read with one `readinto`, and each
-    utterance's frames are a writable view of that buffer."""
+    """Read a corpus file. A malformed header, index or payload, or a
+    config key or speaker given twice, raises ParseError (or ConfigError
+    for a bad config), naming the header line at fault. The payload is
+    read with one `readinto`, and each utterance's frames are a writable
+    view of that buffer."""
     with reading(path, "corpus file") as fh:
         lines = _header_lines(fh, path)
         _, header = next(lines, (0, None))
@@ -303,8 +304,10 @@ def _parse_speakers(lines, path) -> dict:
         if line == "[utterances]":
             return split
         parts = line.split()
-        if len(parts) != 2 or parts[1] not in ("pretrain", "adapt"):
+        if len(parts) != 2 or parts[1] not in PARTS:
             raise ParseError(f"{path}:{lineno}: bad speaker split line {line!r}")
+        if parts[0] in split:
+            raise ParseError(f"{path}:{lineno}: repeated speaker {parts[0]!r}")
         split[parts[0]] = parts[1]
     raise ParseError(f"{path}: missing [utterances] section")
 

@@ -145,6 +145,25 @@ def shape_only():
         _tls.shape_only = before
 
 
+class Module:
+    """Base of every model part. `params()` lists, in assignment order, each
+    Param held under a public attribute and the params of each Module held
+    alone or in a list. A `_`-prefixed attribute is not walked: its param
+    is listed by another module."""
+
+    def params(self) -> list:
+        out = []
+        for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Param):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    out.extend(item.params())
+        return out
+
+
 def _wants(t: Tensor) -> bool:
     """Whether a gradient for t is worth computing."""
     if isinstance(t, Param):

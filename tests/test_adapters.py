@@ -279,6 +279,22 @@ class TestCountTrainable:
             assert all(p.grad is None and p.data.strides == (0,) * p.data.ndim
                        for p in shaped.named_params() if p.name != "adapters.scale")
 
+    def test_named_params_are_unique_and_the_scale_follows_the_adapters(self):
+        # the shared scale is listed once, by the model, between the last
+        # adapter and the layer weights: the checkpoint order
+        for mode, acfg in every_mode_and_variant():
+            m = desk_model(mode, acfg)
+            m.add_classifier(5)
+            names = [p.name for p in m.named_params()]
+            assert len(set(names)) == len(names), (mode, acfg)
+            learnable = acfg is not None and acfg.scale == "learnable"
+            assert names.count("adapters.scale") == learnable, (mode, acfg)
+            if learnable:
+                at = names.index("adapters.scale")
+                adapters = [i for i, n in enumerate(names) if n.startswith("adapters.layer")]
+                assert adapters and max(adapters) == at - 1, (mode, acfg)
+                assert names[at + 1] == "layer_weights.logits", (mode, acfg)
+
     def test_breakdown_by_kind(self):
         m = desk_model("houlsby", AdapterConfig(variant="sequential"))
         breakdown = count_params(m)["breakdown"]

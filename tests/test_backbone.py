@@ -170,11 +170,11 @@ def composed_layer_forward(x, layer, num_heads, ffn_adapter=None, mhsa_adapter=N
     f = T.matmul(T.relu(T.matmul(u, layer.w1, layer.b1)), layer.w2, layer.b2)
     if ffn_adapter is None:
         pre = T.add(f, u)
-    elif ffn_adapter.scale is None:
+    elif ffn_adapter._scale is None:
         pre = T.add(T.add(f, branch(ffn_adapter, f)), u)
     else:
         z = branch(ffn_adapter, u)
-        pre = T.add(T.add(f, T.scale(z, ffn_adapter.scale)), u)
+        pre = T.add(T.add(f, T.scale(z, ffn_adapter._scale)), u)
     return T.layer_norm(pre, layer.ln_ffn_g, layer.ln_ffn_b)
 
 

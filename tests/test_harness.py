@@ -22,6 +22,7 @@ from svadapt.harness import (
     Checkpoint,
     MetricsReport,
     RunConfig,
+    backbone_checkpoint,
     backbone_runs,
     check_trials,
     checkpoint_params,
@@ -873,6 +874,35 @@ class TestTrain:
         cfg = replace(tiny_cfg(steps=2), batch_size=n + 1)
         with pytest.raises(ConfigError, match=rf"batch_size {n + 1} exceeds the {n} utterances"):
             pretrain_backbone(cfg, corpus)
+
+    @pytest.mark.parametrize("source", ["file", "in-memory"])
+    def test_backbone_with_another_encoder_is_refused_before_the_model_is_built(
+        self, corpus, backbone_ckpt, monkeypatch, source
+    ):
+        import svadapt.harness as harness
+
+        backbone = backbone_ckpt
+        if source == "in-memory":
+            pre = pretrain_backbone(tiny_cfg("full-finetune", steps=2), corpus)
+            backbone = backbone_checkpoint(pre.model)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(harness, "SVModel", no_model)
+        cfg = replace(tiny_cfg(steps=2), encoder=replace(TINY_ENCODER, num_heads=4))
+        with pytest.raises(ConfigError, match="the run and its backbone record different") as info:
+            train(cfg, backbone, corpus)
+        assert "num_heads=4" in str(info.value) and "num_heads=2" in str(info.value)
+
+    def test_backbone_with_another_encoder_seed_trains(self, corpus, backbone_ckpt):
+        cfg = replace(tiny_cfg(steps=2), encoder=replace(TINY_ENCODER, seed=9))
+        assert len(train(cfg, backbone_ckpt, corpus).losses) == 2
+
+    def test_in_memory_backbone_records_its_encoder_and_seed(self, corpus):
+        pre = pretrain_backbone(tiny_cfg("full-finetune", steps=2, seed=3), corpus)
+        recorded = config_from_text(backbone_checkpoint(pre.model).config_text)
+        assert (recorded.encoder, recorded.seed) == (TINY_ENCODER, 3)
 
     def test_batch_of_the_whole_part_trains(self, corpus):
         n = len(corpus.part("adapt"))

@@ -1,12 +1,17 @@
 """FNV-1a 64: published vectors, the byte loop as oracle, and the pinned
 backbone hash that checkpoint trailers carry. The batched stream draws
-against one `Stream` per label."""
+against one `Stream` per label, and a lint that keeps every draw in the
+package on `Stream`."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import svadapt
 from svadapt.backbone import EncoderConfig
 from svadapt.harness import backbone_checkpoint
 from svadapt.model import SVModel
@@ -90,3 +95,51 @@ def test_batched_randints_equal_first_word_of_each_stream():
     labels = [f"length/{i}" for i in range(40)]
     want = [int(Stream(2**63 + 9, lab).words(1)[0] % np.uint64(31)) for lab in labels]
     assert randints(2**63 + 9, labels, 31).tolist() == want
+
+
+def unseeded_draws(source: str) -> list:
+    """(line, what) of each import of `random` and each use of
+    `numpy.random` in `source`; `os.urandom` is not one."""
+    tree = ast.parse(source)
+    numpy_names, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random" or alias.name.startswith("numpy.random"):
+                    found.append((node.lineno, f"import {alias.name}"))
+                elif alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [alias.name for alias in node.names]
+            if (node.module.split(".")[0] == "random" or node.module.startswith("numpy.random")
+                    or (node.module == "numpy" and "random" in names)):
+                found.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import random", 1),
+    ("from random import shuffle", 1),
+    ("import numpy.random as npr", 1),
+    ("from numpy import random", 1),
+    ("from numpy.random import default_rng", 1),
+    ("import numpy as np\nnp.random.default_rng(0)", 1),
+    ("import numpy\ndef f():\n    return numpy.random.rand()", 1),
+    ("import os\nos.urandom(4)", 0),
+    ("from . import random_things\nimport numpy as np\nnp.linalg.norm", 0),
+])
+def test_lint_finds_unseeded_draws(source, found):
+    assert len(unseeded_draws(source)) == found
+
+
+def test_package_draws_only_from_rng_streams():
+    # the golden bits hold only while every draw comes from an rng.Stream
+    package = pathlib.Path(svadapt.__file__).parent
+    found = {str(path.relative_to(package)): unseeded_draws(path.read_text(encoding="utf-8"))
+             for path in sorted(package.rglob("*.py"))}
+    assert len(found) > 10
+    assert {path: uses for path, uses in found.items() if uses} == {}

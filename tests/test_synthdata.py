@@ -403,6 +403,18 @@ class TestCorpusRejects:
         with pytest.raises(ParseError, match=f":{len(lines)}: expected '\\[frames\\] {n}'"):
             self.read(tmp_path, parts)
 
+    @pytest.mark.parametrize("after, repeat, message", [
+        ("seed=5\n", "seed=7\n", "repeated config key 'seed'"),
+        ("spk007 adapt\n", "spk000 adapt\n", "repeated speaker 'spk000'"),
+    ], ids=["config-key", "speaker"])
+    def test_repeated_header_entry(self, tmp_path, parts, lines, after, repeat, message):
+        # taking the last one would change the seed, or move a speaker's
+        # utterances from the pretrain part to the adapt part
+        at = lines.index(after) + 1
+        lines.insert(at, repeat)
+        with pytest.raises(ParseError, match=f":{at + 1}: {message}"):
+            self.read(tmp_path, parts)
+
     def test_missing_frames_line(self, tmp_path, parts, lines):
         del lines[-1]
         with pytest.raises(ParseError, match=f":{len(lines) + 1}: "):

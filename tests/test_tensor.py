@@ -521,6 +521,46 @@ class TestGradientAccumulation:
             np.testing.assert_array_equal(buffer, [0.0, 0.0])
 
 
+class TestModuleParams:
+    """`Module.params()` walks the module's attributes in assignment order."""
+
+    class Leaf(T.Module):
+        def __init__(self, tag):
+            self.b = Param(0.0, name=f"{tag}.b")
+            self.a = Param(0.0, name=f"{tag}.a")
+
+    def test_params_in_assignment_order(self):
+        assert [p.name for p in self.Leaf("x").params()] == ["x.b", "x.a"]
+
+    def test_nested_modules_and_lists_of_them(self):
+        m = T.Module()
+        m.first = self.Leaf("first")
+        m.w = Param(0.0, name="w")
+        m.stack = [self.Leaf("s0"), self.Leaf("s1")]
+        m.empty = []
+        m.last = self.Leaf("last")
+        assert [p.name for p in m.params()] == [
+            "first.b", "first.a", "w", "s0.b", "s0.a", "s1.b", "s1.a", "last.b", "last.a",
+        ]
+
+    def test_none_and_non_param_attributes_are_skipped(self):
+        m = self.Leaf("x")
+        m.nothing = None
+        m.tensor = Tensor(np.ones(2))
+        m.number = 3
+        m.names = ["x.b", "y"]
+        m.array = np.ones(3)
+        assert [p.name for p in m.params()] == ["x.b", "x.a"]
+
+    def test_underscore_attributes_are_skipped(self):
+        m = T.Module()
+        m._shared = Param(1.0, name="shared")
+        m._child = self.Leaf("hidden")
+        m.leaf = self.Leaf("x")
+        m.leaf._scale = m._shared
+        assert [p.name for p in m.params()] == ["x.b", "x.a"]
+
+
 class TestDeterminismAndFreezing:
     def test_forward_is_bitwise_deterministic(self):
         rng = np.random.default_rng(11)
