@@ -2,19 +2,35 @@
 
 Ops execute eagerly on numpy arrays. While a `Tape` is active (entered as a
 context manager), every op whose inputs can influence a trainable parameter
-appends a backward closure to it; replaying the list in reverse propagates
-gradients in exact reverse execution order, so no topological sort is
-needed. Ops that only touch frozen parameters and plain inputs are not
-recorded at all, and gradient products aimed at frozen parameters are
-skipped, so a mostly-frozen model back-propagates only through the live
-subgraph. With no active tape, ops are pure evaluation.
+gives its output a gradient node and appends the node and a backward
+closure to the tape; replaying the list in reverse propagates gradients in
+exact reverse execution order, so no topological sort is needed. Ops that
+only touch frozen parameters and plain inputs are not recorded at all, and
+gradient products aimed at frozen parameters are skipped, so a
+mostly-frozen model back-propagates only through the live subgraph. With
+no active tape, an op returns its output before it builds a closure.
 
-Backward consumes the tape: it drops each recorded op (its output and
-closure) as soon as the closure has run or been skipped, so intermediate
-tensors and their gradients are freed while backward is still running.
-Tensors the caller holds, such as the loss and the embeddings, keep their
-gradients; `len(tape)` still counts the recorded ops, and a tape runs
-backward once.
+Forward keeps only what backward reads. The tape and each closure hold
+gradient nodes, never op outputs: a node is a bare gradient slot, and a
+trainable `Param` is its own node (a frozen one has none). `Tensor.grad`
+and `Tensor.needs_grad` read the tensor's node. Each closure keeps only the
+arrays its backward reads:
+- `matmul` keeps `a.data` only when `b` needs a gradient, and `b.data` only
+  when `a` does; `mul` likewise;
+- `add`, `concat_rows`, `mean_rows` and `sum_all` keep no array;
+- `layer_norm` keeps its normalized rows and their inverse deviations, not
+  its input; `relu` keeps its output's positive mask; `softmax` its output;
+- `lincomb` and `scale` keep their terms only when the coefficients train;
+- `attention` keeps its weights and each of q, k, v only for the gradients
+  that read it.
+So a residual sum, a frozen-weight product or an FFN pre-activation is
+freed as soon as the model code drops it, not at the end of backward.
+
+Backward consumes the tape: it drops each recorded entry (node and closure)
+as soon as the closure has run or been skipped, so gradients and saved
+arrays are freed while backward is still running. Tensors the caller holds,
+such as the loss and the embeddings, keep their gradients; `len(tape)`
+still counts the recorded ops, and a tape runs backward once.
 
 Primitive ops (each records one tape node): `matmul`, with an optional
 fused bias; `add`, `mul`, `scale`, `relu`, `layer_norm`, `softmax`,
@@ -23,13 +39,14 @@ and `attention`, which runs every head of scaled dot-product attention as
 one op. A single row is a [1, d] matrix: `mean_rows` returns one, and
 `concat_rows` stacks them.
 
-Gradient accumulation: the first gradient a non-`Param` tensor receives is
-assigned as is, without a copy, so its `grad` array may be shared with
-another tensor's gradient or be a read-only broadcast view. Later
-contributions therefore rebind it (`t.grad = t.grad + g`) and never write
-into it. A `Param` owns its gradient buffer and accumulates into it in
-place, so `Param.grad` stays the same array across steps; an optimizer
-rebinds it, and `data`, once, when built, to views of its flat buffer.
+Gradient accumulation: the first gradient a node other than a `Param`
+receives is assigned as is, without a copy, so its `grad` array may be
+shared with another tensor's gradient or be a read-only broadcast view.
+Later contributions therefore rebind it (`node.grad = node.grad + g`) and
+never write into it. A `Param` owns its gradient buffer and accumulates
+into it in place, so `Param.grad` stays the same array across steps; an
+optimizer rebinds it, and `data`, once, when built, to views of its flat
+buffer.
 
 Ops compute in place only in arrays they allocated, never in an input's
 `data` or the `g` a backward receives (either may be shared or a read-only
@@ -64,16 +81,26 @@ _tls = _ThreadState()
 
 
 class Tensor:
-    """Dense float64 array plus a gradient slot filled in by the tape."""
+    """Dense float64 array plus, once an op records it, a gradient node."""
 
-    __slots__ = ("data", "grad", "needs_grad")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data):
         # an op's float64 result is kept as is; anything else is converted
         self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
                      else np.asarray(data, dtype=np.float64))
-        self.grad = None
-        self.needs_grad = False
+        self._node = None
+
+    @property
+    def grad(self):
+        """The gradient backward left in this tensor's node, or None."""
+        node = self._node
+        return None if node is None else node.grad
+
+    @property
+    def needs_grad(self) -> bool:
+        """Whether a gradient for this tensor is worth computing."""
+        return self._node is not None
 
     @property
     def shape(self):
@@ -92,17 +119,32 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+class _Node:
+    """Gradient slot of a recorded op output, held by the tape and by the
+    closures of the ops that read the output."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class Param(Tensor):
     """Named leaf tensor. Frozen params never accumulate gradient and are
-    never touched by optimizer steps."""
+    never touched by optimizer steps. A trainable param is its own gradient
+    node."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("grad", "name", "trainable")
 
     def __init__(self, data, name: str = "", trainable: bool = True):
-        super().__init__(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
         self.trainable = trainable
+
+    @property
+    def _node(self):
+        return self if self.trainable else None
 
     @classmethod
     def xavier(cls, name: str, shape: tuple, seed: int) -> "Param":
@@ -124,7 +166,7 @@ class Param(Tensor):
             return cls(init(), name=name)
         p = cls.__new__(cls)
         p.data = np.broadcast_to(np.float64(0.0), shape)
-        p.grad, p.needs_grad, p.name, p.trainable = None, False, name, True
+        p.grad, p.name, p.trainable = None, name, True
         return p
 
     def __repr__(self):
@@ -164,15 +206,9 @@ class Module:
         return out
 
 
-def _wants(t: Tensor) -> bool:
-    """Whether a gradient for t is worth computing."""
-    if isinstance(t, Param):
-        return t.trainable
-    return t.needs_grad
-
-
 class Tape:
-    """Execution-ordered record of ops; backward replays it in reverse.
+    """Execution-ordered record of gradient nodes and backward closures;
+    backward replays it in reverse.
 
     One tape per training step; a tape and the params it touches form a
     single-threaded unit (the active tape is thread-local). Backward
@@ -181,7 +217,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []  # (output tensor, backward closure); None once run
+        self._ops = []  # (gradient node, backward closure); None once run
         self._spent = False
 
     def __enter__(self):
@@ -207,38 +243,47 @@ class Tape:
         if self._spent:
             raise RuntimeError("backward already ran on this tape")
         self._spent = True
-        loss.grad = np.ones_like(loss.data)
+        if loss._node is not None:
+            loss._node.grad = np.ones_like(loss.data)
         ops = self._ops
         for i in range(len(ops) - 1, -1, -1):
-            out, bwd = ops[i]
-            ops[i] = None  # frees out, its grad and its closure unless held elsewhere
-            if out.grad is not None:
-                bwd(out.grad)
+            node, bwd = ops[i]
+            ops[i] = None  # frees the closure, its saved arrays and the node unless held elsewhere
+            if node.grad is not None:
+                bwd(node.grad)
 
 
-def _record(out: Tensor, bwd, inputs) -> None:
-    """Mark out as gradient-bearing and push the closure, but only when a
-    tape is active and some input can reach a trainable parameter."""
-    tape = _tls.tape
-    if tape is None:
-        return
-    for t in inputs:
-        if _wants(t):
-            out.needs_grad = True
-            tape._ops.append((out, bwd))
-            return
+def _nodes(inputs):
+    """The gradient nodes of an op's inputs (None for an absent input),
+    or None when no tape is active or no input needs a gradient: the op
+    then records nothing and builds no closure."""
+    if _tls.tape is None:
+        return None
+    nodes = [None if t is None else t._node for t in inputs]
+    for node in nodes:
+        if node is not None:
+            return nodes
+    return None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g to t's gradient. A Param accumulates into its own buffer; any
-    other tensor takes its first g without a copy and rebinds afterwards,
+def _record(out: Tensor, bwd) -> Tensor:
+    """Give out a fresh gradient node and push it, with the closure that
+    propagates the node's gradient to the inputs, onto the active tape."""
+    out._node = node = _Node()
+    _tls.tape._ops.append((node, bwd))
+    return out
+
+
+def _accum(node, g: np.ndarray) -> None:
+    """Add g to a node's gradient. A Param accumulates into its own buffer;
+    any other node takes its first g without a copy and rebinds afterwards,
     because g may be shared with another tensor's gradient."""
-    if isinstance(t, Param):
-        t.grad += g
-    elif t.grad is None:
-        t.grad = g
+    if isinstance(node, Param):
+        node.grad += g
+    elif node.grad is None:
+        node.grad = g
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +302,22 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             raise ValueError(f"matmul: bias shape {bias.shape} does not fit output {y.shape}")
         y += bias.data
     out = Tensor(y)
+    nodes = _nodes((a, b, bias))
+    if nodes is None:
+        return out
+    na, nb, nbias = nodes
+    ad = ad if nb is not None else None
+    bd = bd if na is not None else None
 
     def bwd(g):
-        if bias is not None and _wants(bias):
-            _accum(bias, g.sum(axis=0))
-        if _wants(a):
-            _accum(a, g @ bd.T)
-        if _wants(b):
-            _accum(b, ad.T @ g)
+        if nbias is not None:
+            _accum(nbias, g.sum(axis=0))
+        if na is not None:
+            _accum(na, g @ bd.T)
+        if nb is not None:
+            _accum(nb, ad.T @ g)
 
-    _record(out, bwd, (a, b) if bias is None else (a, b, bias))
-    return out
+    return _record(out, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -275,30 +325,39 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)
+    nodes = _nodes((a, b))
+    if nodes is None:
+        return out
+    na, nb = nodes
 
     def bwd(g):
-        if _wants(a):
-            _accum(a, g)
-        if _wants(b):
-            _accum(b, g)
+        if na is not None:
+            _accum(na, g)
+        if nb is not None:
+            _accum(nb, g)
 
-    _record(out, bwd, (a, b))
-    return out
+    return _record(out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
+    nodes = _nodes((a, b))
+    if nodes is None:
+        return out
+    na, nb = nodes
+    ad = ad if nb is not None else None
+    bd = bd if na is not None else None
 
     def bwd(g):
-        if _wants(a):
-            _accum(a, g * b.data)
-        if _wants(b):
-            _accum(b, g * a.data)
+        if na is not None:
+            _accum(na, g * bd)
+        if nb is not None:
+            _accum(nb, g * ad)
 
-    _record(out, bwd, (a, b))
-    return out
+    return _record(out, bwd)
 
 
 def scale(x: Tensor, s) -> Tensor:
@@ -309,28 +368,37 @@ def scale(x: Tensor, s) -> Tensor:
         s = Tensor(float(s))
     if s.data.size != 1:
         raise ValueError(f"scale factor must be scalar, got shape {s.shape}")
-    out = Tensor(x.data * s.data.reshape(()))
+    sv, s_shape = s.data.reshape(()), s.data.shape
+    out = Tensor(x.data * sv)
+    nodes = _nodes((x, s))
+    if nodes is None:
+        return out
+    nx, ns = nodes
+    xd = x.data if ns is not None else None
 
     def bwd(g):
-        if _wants(x):
-            _accum(x, g * s.data.reshape(()))
-        if _wants(s):
-            _accum(s, np.asarray(np.sum(g * x.data)).reshape(s.data.shape))
+        if nx is not None:
+            _accum(nx, g * sv)
+        if ns is not None:
+            _accum(ns, np.asarray(np.sum(g * xd)).reshape(s_shape))
 
-    _record(out, bwd, (x, s))
-    return out
+    return _record(out, bwd)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), passing NaN through; the subgradient at 0 is taken as 0."""
     y = np.maximum(x.data, 0.0)
     out = Tensor(y)
+    nodes = _nodes((x,))
+    if nodes is None:
+        return out
+    nx, = nodes
+    mask = y > 0.0
 
     def bwd(g):
-        _accum(x, g * (y > 0.0))
+        _accum(nx, g * mask)
 
-    _record(out, bwd, (x,))
-    return out
+    return _record(out, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -355,16 +423,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
     out = Tensor(y)
+    nodes = _nodes((x, gamma, beta))
+    if nodes is None:
+        return out
+    nx, ngamma, nbeta = nodes
+    gd = gamma.data
+    reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
 
     def bwd(g):
-        reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
-        if _wants(gamma):
-            _accum(gamma, reduce_rows(g * xhat))
-        if _wants(beta):
-            _accum(beta, reduce_rows(g))
-        if _wants(x):
+        if ngamma is not None:
+            _accum(ngamma, reduce_rows(g * xhat))
+        if nbeta is not None:
+            _accum(nbeta, reduce_rows(g))
+        if nx is not None:
             # inv * (dxhat - sum(dxhat) / d - (xhat * sum(dxhat * xhat)) / d)
-            dx = g * gamma.data
+            dx = g * gd
             mean = dx.sum(axis=-1, keepdims=True) / d
             proj = np.multiply(dx, xhat)
             np.multiply(xhat, proj.sum(axis=-1, keepdims=True), out=proj)
@@ -372,10 +445,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dx -= mean
             dx -= proj
             dx *= inv
-            _accum(x, dx)
+            _accum(nx, dx)
 
-    _record(out, bwd, (x, gamma, beta))
-    return out
+    return _record(out, bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -384,12 +456,15 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
+    nodes = _nodes((x,))
+    if nodes is None:
+        return out
+    nx, = nodes
 
     def bwd(g):
-        _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        _accum(nx, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    _record(out, bwd, (x,))
-    return out
+    return _record(out, bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -411,14 +486,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=1))
     nll = lse - z[np.arange(b), labels]
     out = Tensor(nll.mean())
+    nodes = _nodes((logits,))
+    if nodes is None:
+        return out
+    nlogits, = nodes
 
     def bwd(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(b), labels] -= 1.0
-        _accum(logits, (float(g) / b) * p)
+        _accum(nlogits, (float(g) / b) * p)
 
-    _record(out, bwd, (logits,))
-    return out
+    return _record(out, bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
@@ -452,49 +530,62 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
     out = Tensor(merge(att @ vh))
+    nodes = _nodes((q, k, v))
+    if nodes is None:
+        return out, att
+    nq, nk, nv = nodes
+    qh = qh if nk is not None else None
+    kh = kh if nq is not None else None
+    vh = vh if nq is not None or nk is not None else None
 
     def bwd(g):
         gh = split(g)
-        if _wants(v):
-            _accum(v, merge(att.transpose(0, 2, 1) @ gh))
-        if _wants(q) or _wants(k):
+        if nv is not None:
+            _accum(nv, merge(att.transpose(0, 2, 1) @ gh))
+        if nq is not None or nk is not None:
             # gz = (att * (ga - sum(ga * att))) * c, built in ga's buffer
             gz = gh @ vh.transpose(0, 2, 1)
             gz -= np.multiply(gz, att).sum(axis=-1, keepdims=True)
             gz *= att
             gz *= c
-            if _wants(q):
-                _accum(q, merge(gz @ kh))
-            if _wants(k):
-                _accum(k, merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
+            if nq is not None:
+                _accum(nq, merge(gz @ kh))
+            if nk is not None:
+                _accum(nk, merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
 
-    _record(out, bwd, (q, k, v))
-    return out, att
+    return _record(out, bwd), att
 
 
 def mean_rows(x: Tensor) -> Tensor:
     """Mean over the time (row) axis of a [T, d] matrix, as a [1, d] row."""
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"mean_rows expects a non-empty [T, d] matrix, got {x.shape}")
-    t = x.shape[0]
+    t, shape = x.shape[0], x.shape
     # sum / t is bitwise what ndarray.mean computes, minus its Python wrapper
     out = Tensor(x.data.sum(axis=0, keepdims=True) / t)
+    nodes = _nodes((x,))
+    if nodes is None:
+        return out
+    nx, = nodes
 
     def bwd(g):
-        _accum(x, np.broadcast_to(g / t, x.data.shape))
+        _accum(nx, np.broadcast_to(g / t, shape))
 
-    _record(out, bwd, (x,))
-    return out
+    return _record(out, bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape = x.shape
     out = Tensor(x.data.sum())
+    nodes = _nodes((x,))
+    if nodes is None:
+        return out
+    nx, = nodes
 
     def bwd(g):
-        _accum(x, np.broadcast_to(g, x.data.shape))
+        _accum(nx, np.broadcast_to(g, shape))
 
-    _record(out, bwd, (x,))
-    return out
+    return _record(out, bwd)
 
 
 def lincomb(coeffs: Tensor, tensors: list) -> Tensor:
@@ -505,34 +596,40 @@ def lincomb(coeffs: Tensor, tensors: list) -> Tensor:
         raise ValueError(
             f"lincomb: {len(tensors)} tensors vs coefficient shape {coeffs.shape}"
         )
+    cd = coeffs.data
     acc = np.zeros_like(tensors[0].data)
-    for c, t in zip(coeffs.data, tensors):
+    for c, t in zip(cd, tensors):
         acc += c * t.data
     out = Tensor(acc)
+    nodes = _nodes([coeffs, *tensors])
+    if nodes is None:
+        return out
+    ncoeffs, *nterms = nodes
+    terms = [t.data for t in tensors] if ncoeffs is not None else None
 
     def bwd(g):
-        if _wants(coeffs):
-            dc = np.array([np.sum(g * t.data) for t in tensors])
-            _accum(coeffs, dc)
-        for c, t in zip(coeffs.data, tensors):
-            if _wants(t):
-                _accum(t, c * g)
+        if ncoeffs is not None:
+            _accum(ncoeffs, np.array([np.sum(g * td) for td in terms]))
+        for c, node in zip(cd, nterms):
+            if node is not None:
+                _accum(node, c * g)
 
-    _record(out, bwd, [coeffs, *tensors])
-    return out
+    return _record(out, bwd)
 
 
 def concat_rows(rows: list) -> Tensor:
     """Concatenate [1, d] rows into a [B, d] matrix."""
     out = Tensor(np.concatenate([r.data for r in rows], axis=0))
+    nodes = _nodes(rows)
+    if nodes is None:
+        return out
 
     def bwd(g):
-        for i, r in enumerate(rows):
-            if _wants(r):
-                _accum(r, g[i : i + 1])
+        for i, node in enumerate(nodes):
+            if node is not None:
+                _accum(node, g[i : i + 1])
 
-    _record(out, bwd, rows)
-    return out
+    return _record(out, bwd)
 
 
 # ---------------------------------------------------------------------------

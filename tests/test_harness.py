@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import svadapt
 from svadapt import tensor as tt
 from svadapt.adapters import MODE_SPECS, AdapterConfig, adapter_for
 from svadapt.backbone import EncoderConfig, PRESETS
@@ -800,6 +801,21 @@ class TestPretrain:
             ),
         ):
             assert np.array_equal(p.data, q.data)
+
+    @pytest.mark.skipif(not svadapt.HEAP_KEPT, reason="libc takes no mallopt thresholds")
+    def test_steps_fault_no_heap_pages_back_in(self):
+        # 20 full-finetune steps at the benchmark's pretrain-io sizes (the
+        # default corpus: 40 speakers x 20 utterances of 30-60 frames); with
+        # glibc trimming the heap after each backward, ~1,100-2,600 page
+        # faults per step brought it back
+        resource = pytest.importorskip("resource")
+        corpus = generate_corpus(CorpusConfig())
+        cfg = RunConfig(mode="full-finetune", total_steps=20, warmup_steps=2)
+        pretrain_backbone(cfg, corpus)  # the first call grows the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pretrain_backbone(cfg, corpus)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100 * cfg.total_steps
 
 
 class TestTrain:

@@ -5,8 +5,11 @@ triple-loop matrix product, direct formula evaluations, and central finite
 differences. None of them reuse the library's backward path.
 """
 
+import inspect
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 import weakref
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svadapt import backbone as bb
 from svadapt import tensor as T
 from svadapt.backend import train_loss
 from svadapt.harness import RunConfig, SVModel
@@ -214,12 +218,13 @@ class TestGradCheck:
         # deliberately broken op: forward is identity, backward scales by 1.1
         def bad_identity(x):
             out = Tensor(x.data.copy())
+            if T._nodes((x,)) is None:
+                return out
 
             def bwd(g):
                 T._accum(x, 1.1 * g)
 
-            T._record(out, bwd, (x,))
-            return out
+            return T._record(out, bwd)
 
         x = Param([1.0, 2.0, 3.0], name="x")
 
@@ -579,9 +584,9 @@ class TestDeterminismAndFreezing:
 
 
 class TestBackwardConsumesTape:
-    """Backward drops each recorded op once its closure has run, so the
-    graph is freed while backward runs; tensors the caller holds keep
-    their gradients."""
+    """Forward keeps only what backward reads, and backward drops each
+    recorded op once its closure has run, so the graph is freed while
+    backward runs; tensors the caller holds keep their gradients."""
 
     @staticmethod
     def _desk_batch(mode="full-finetune"):
@@ -593,8 +598,11 @@ class TestBackwardConsumesTape:
         frames = [rng.normal(size=(45, cfg.encoder.input_dim)) for _ in range(8)]
         return model, frames, [i % 4 for i in range(8)]
 
-    def test_backward_frees_graph_while_running(self):
-        model, frames, labels = self._desk_batch()
+    @classmethod
+    def _traced_step(cls, mode):
+        """Bytes tracemalloc counts live after forward, at the backward
+        peak and held after backward, with the tape and the embeddings."""
+        model, frames, labels = cls._desk_batch(mode)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -607,23 +615,81 @@ class TestBackwardConsumesTape:
             held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        return forward_live, peak, held, tape, embs
+
+    @staticmethod
+    def _spy_records(monkeypatch):
+        """Patch `tensor._record` to note, for every recorded output, the op
+        that recorded it, whether `backbone.layer_forward` was running, and
+        a weakref to its data."""
+        records, depth = [], [0]
+        record, layer_forward = T._record, bb.layer_forward
+
+        def spy_record(out, *rest):
+            op = sys._getframe(1).f_code.co_name
+            records.append((op, depth[0] > 0, weakref.ref(out.data)))
+            return record(out, *rest)
+
+        def spy_layer_forward(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return layer_forward(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(T, "_record", spy_record)
+        monkeypatch.setattr(bb, "layer_forward", spy_layer_forward)
+        return records
+
+    def test_backward_frees_graph_while_running(self):
+        forward_live, peak, held, tape, embs = self._traced_step("full-finetune")
         assert forward_live > 5e6  # the graph of one batch is megabytes
         assert peak <= 1.1 * forward_live
         assert held <= 0.5e6
         assert len(tape) == 451
         assert all(e.grad is not None for e in embs)
 
-    def test_only_caller_held_outputs_survive(self):
+    @pytest.mark.parametrize("mode, bound", [("full-finetune", 11e6), ("inner-inter", 9.5e6)])
+    def test_forward_live_set(self, mode, bound):
+        # keeping every op output alive until backward took 15.0 and 16.3 MB
+        forward_live, _peak, _held, _tape, _embs = self._traced_step(mode)
+        assert forward_live <= bound
+
+    def test_only_caller_held_outputs_survive(self, monkeypatch):
+        records = self._spy_records(monkeypatch)
         model, frames, labels = self._desk_batch("inner-inter")
         with Tape() as tape:
             embs = [model.embed(f) for f in frames]
             loss = train_loss(embs, labels, model.classifier)
-            refs = [weakref.ref(out.data) for out, _bwd in tape._ops]
+            assert len(records) == len(tape) == 571
             tape.backward(loss)
         held = {id(t.data) for t in embs + [loss]}
-        alive = [r() for r in refs if r() is not None]
+        alive = [r() for _op, _inside, r in records if r() is not None]
         assert len(alive) == len(held)
         assert {id(a) for a in alive} == held
+
+    @pytest.mark.parametrize("mode", ["full-finetune", "inner-inter"])
+    def test_layer_sums_freed_before_backward(self, mode, monkeypatch):
+        records = self._spy_records(monkeypatch)
+        model, frames, labels = self._desk_batch(mode)
+        with Tape() as tape:
+            embs = [model.embed(f) for f in frames]
+            loss = train_loss(embs, labels, model.classifier)
+            sums = [r for op, inside, r in records if op == "add" and inside]
+            assert len(sums) >= 2 * 4 * len(frames)  # two residual sums per layer
+            assert all(r() is None for r in sums)
+            tape.backward(loss)
+
+    def test_primitive_ops_are_the_functions_that_record(self):
+        # perfbench counts as primitive ops the tensor functions whose code
+        # names `_record`; the module docstring lists them
+        doc = T.__doc__
+        para = doc[doc.index("Primitive ops"):].split("\n\n")[0]
+        listed = set(re.findall(r"`(\w+)`", para))
+        recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                     if fn.__module__ == T.__name__ and "_record" in fn.__code__.co_names}
+        assert len(listed) == 13
+        assert recording == listed
 
     def test_second_backward_raises(self):
         p = Param([1.0, 2.0], name="p")
