@@ -2,7 +2,7 @@
 pre-training, tuning runs, evaluation, parameter-count reports, and the
 multi-run rosters (the scaling-factor sweep and the mode comparison).
 
-Checkpoint format (version 2, little-endian throughout):
+Checkpoint format (version 3, little-endian throughout):
 
     magic   8 bytes  b"SVADCKPT"
     version u32
@@ -11,14 +11,15 @@ Checkpoint format (version 2, little-endian throughout):
     nparams u32
     per param: u16 name length + UTF-8 name, u8 trainable flag,
                u8 rank, u32 per dim, float64 values row-major
-    hash    u64      FNV-1a over the raw bytes of the backbone params
-                     (featurizer + transformer stack) in serialized order;
-                     `rng.fnv1a64` computes it in numpy, with the values of
-                     the plain byte loop
+    hash    u64      fnv1a64(sha256(backbone bytes)): the sha256 of the raw
+                     bytes of the backbone params (featurizer + transformer
+                     stack) in serialized order, folded to 64 bits by
+                     `rng.fnv1a64`
     sha256  32 bytes sha256 over every preceding byte
 
 A load checks the version and the sha256 before it parses anything, then
-verifies the backbone hash; re-saving reproduces the bytes.
+verifies the backbone hash; re-saving reproduces the bytes. Version 1 and 2
+files (an FNV-1a hash over the backbone bytes themselves) are refused.
 Saving is atomic: a save that raises leaves any earlier file at the path.
 `checkpoint_params` and `load_params` are the one path between a model and
 a checkpoint. A run hashes its backbone only when it saves or is asked.
@@ -50,7 +51,7 @@ from .rng import Stream, fnv1a64
 from .synthdata import Corpus
 
 MAGIC = b"SVADCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 RUN, OPTIM, DATA = {"section": "run"}, {"section": "optim"}, {"section": "data"}
@@ -215,12 +216,15 @@ class Checkpoint:
 
 
 def backbone_hash_of(params) -> int:
-    """FNV-1a over the little-endian float64 bytes of the backbone params
-    (featurizer + transformer stack) in their serialized order, hashed as
-    one contiguous buffer."""
-    arrays = [np.ravel(arr) for name, _t, arr in params if name.startswith(ad.BACKBONE_PREFIXES)]
-    values = np.concatenate(arrays, dtype="<f8") if arrays else np.empty(0, "<f8")
-    return fnv1a64(memoryview(values.view(np.uint8)))
+    """fnv1a64 of the sha256 of the little-endian float64 bytes of the
+    backbone params (featurizer + transformer stack) in their serialized
+    order. Each array updates the sha256 in turn, which equals hashing
+    their concatenation, so no backbone-sized buffer is built."""
+    digest = hashlib.sha256()
+    for name, _t, arr in params:
+        if name.startswith(ad.BACKBONE_PREFIXES):
+            digest.update(np.ascontiguousarray(arr, "<f8"))
+    return fnv1a64(digest.digest())
 
 
 def checkpoint_params(model: SVModel, backbone_only: bool = False) -> list:

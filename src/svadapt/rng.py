@@ -19,76 +19,16 @@ _MIX2 = 0x94D049BB133111EB
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_FNV_STAGE = 1 << 17  # bytes per pass of the eight bit stages, sized to stay in L2
-_FNV_BLOCK = 1 << 16  # bytes per dot product with the powers table
-# _FNV_POWERS[i] = P^(_FNV_BLOCK - i) mod 2^64; a block of n bytes uses the last n
-_FNV_POWERS = np.multiply.accumulate(np.full(_FNV_BLOCK, _FNV_PRIME, np.uint64))[::-1].copy()
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a bytes-like object, exact. Whole 64-byte words
-    go through `_fnv1a64_block` in numpy, _FNV_STAGE bytes at a time; the
-    last < 64 bytes (so every short string) go through the byte loop. A
-    memoryview must have byte format, so that `len(data)` counts bytes.
-
-    On the 1.08 MB desk backbone one call takes 8.5-13 ms, a Python byte
-    loop ~150 ms (2-core x86-64 Xeon, Python 3.11, numpy 2.4)."""
+    """64-bit FNV-1a hash of a bytes-like object, by the plain byte loop.
+    It names every stream (a label is a few bytes) and folds a checkpoint's
+    32-byte backbone sha256 to its u64 witness."""
     h = _FNV_OFFSET
-    whole = len(data) - len(data) % 64
-    if whole:
-        arr = np.frombuffer(data, dtype=np.uint8, count=whole)
-        for start in range(0, whole, _FNV_STAGE):
-            h = _fnv1a64_block(h, arr[start : start + _FNV_STAGE])
-    for b in data[whole:]:
+    for b in data:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-def _fnv1a64_block(h: int, b: np.ndarray) -> int:
-    """FNV-1a state after bytes `b` (a multiple of 64, at most _FNV_STAGE)
-    from state `h`.
-
-    XOR with a byte changes only the low byte l_i of the state h_i, so
-    h_i ^ b_i = h_i + d_i with d_i = (l_i ^ b_i) - l_i, and the state after
-    n bytes is P^n h + sum_i d_i P^(n-i), a wrapping uint64 dot product.
-    The low bytes follow l_{i+1} = ((l_i ^ b_i) * 0xB3) & 0xFF. As 0xB3 is
-    odd, bit k of x * 0xB3 is x_k XOR a function of x's lower bits, so given
-    bits < k of every l_i, bit k of l is the exclusive prefix XOR of
-    c_i = bit k of ((l_i ^ b_i) * 0xB3), with bit k of l_i taken as 0. Each
-    of the 8 prefix XORs runs on bits packed into uint64 words, and each
-    stage adds its bit to y = l ^ b directly, so l is formed once, at the
-    end. The dot product then runs in _FNV_BLOCK pieces over _FNV_POWERS.
-
-    A stage costs ~30 numpy calls whatever n is, so n is as large as keeps
-    a stage's arrays in L2 next to a checkpoint's own buffers. On the desk
-    backbone, interleaved on the machine above: stages of 64 / 128 / 256
-    KiB hashed it in 15.7 / 12.8 / 11.4 ms alone, but inside checkpoint
-    loads 128 KiB beat 256 KiB (14.5 against 17.4 ms per load).
-    """
-    n = b.size
-    y = b.copy()
-    x = np.empty(n, dtype=np.uint8)
-    for k in range(8):
-        np.multiply(y, np.uint8(0xB3), out=x)
-        np.bitwise_and(x, np.uint8(1 << k), out=x)
-        c = np.packbits(x, bitorder="little").view("<u8")
-        w = c.copy()
-        for s in (1, 2, 4, 8, 16, 32):
-            w ^= w << np.uint64(s)  # inclusive prefix XOR within each word
-        parity = w >> np.uint64(63)
-        # invert a word when the bits before it, and bit k of l_0, XOR to 1
-        flip = np.bitwise_xor.accumulate(parity) ^ parity ^ np.uint64((h >> k) & 1)
-        w ^= c ^ (flip * np.uint64(_MASK64))
-        bits = np.unpackbits(w.view(np.uint8), bitorder="little")
-        np.multiply(bits, np.uint8(1 << k), out=bits)
-        y ^= bits
-    low = np.bitwise_xor(y, b, out=x)
-    d = np.subtract(y, low, dtype=np.int64).view(np.uint64)
-    for start in range(0, n, _FNV_BLOCK):
-        piece = d[start : start + _FNV_BLOCK]
-        powers = _FNV_POWERS[_FNV_BLOCK - piece.size :]
-        h = (h * int(powers[0]) + int(np.dot(piece, powers))) & _MASK64
     return h
 
 
@@ -175,17 +115,19 @@ class Stream:
             j = int(draws[m - 1 - i] % np.uint64(i + 1))
             items[i], items[j] = items[j], items[i]
 
-    def sample(self, items: list, k: int) -> list:
-        """k items without replacement via a partial Fisher-Yates pass."""
-        pool = list(items)
-        m = len(pool)
+    def sample_indices(self, m: int, k: int) -> list:
+        """k of the indices 0..m-1 without replacement: the first k slots of
+        a partial Fisher-Yates pass over `list(range(m))`, which is kept as
+        a dict of the displaced slots, so it costs O(k) whatever m is."""
         if k > m:
             raise ValueError(f"cannot sample {k} from {m} items")
-        draws = self.words(k)
-        for i in range(k):
-            j = i + int(draws[i] % np.uint64(m - i))
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        swaps = (self.words(k) % np.arange(m, m - k, -1, dtype=np.uint64)).tolist()
+        displaced, chosen = {}, []
+        for i, offset in enumerate(swaps):
+            j = i + offset
+            chosen.append(displaced.get(j, j))
+            displaced[j] = displaced.get(i, i)
+        return chosen
 
 
 def gaussians(seed: int, labels, sizes) -> np.ndarray:

@@ -39,7 +39,9 @@ from __future__ import annotations
 import math
 import os
 import stat
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -154,7 +156,13 @@ def generate_corpus(cfg: CorpusConfig) -> Corpus:
 def generate_trials(utterances, n_target: int, n_nontarget: int, seed: int) -> list:
     """Exact counts of same-speaker and cross-speaker unordered pairs, no
     duplicates, no self-pairs, deterministic in the seed. Each count must be
-    at least 1, as every reader of a trial list requires."""
+    at least 1, as every reader of a trial list requires.
+
+    Trials are drawn by index from two pools that are never built. The
+    target pool holds each speaker's pairs (ids[i], ids[j]), i < j, in
+    lexicographic order, speakers in order of first appearance. The
+    nontarget pool holds, for each pair of sorted speakers s < t, every
+    (a, b) with a of s and b of t, a-major."""
     if n_target < 0 or n_nontarget < 0:
         raise ConfigError(f"trial counts must be non-negative, got {n_target} target "
                           f"and {n_nontarget} nontarget")
@@ -163,36 +171,36 @@ def generate_trials(utterances, n_target: int, n_nontarget: int, seed: int) -> l
     by_speaker = {}
     for u in utterances:
         by_speaker.setdefault(u.speaker, []).append(u.utt_id)
-    target_pool = [
-        (ids[i], ids[j])
-        for ids in by_speaker.values()
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
-    ]
+    groups = list(by_speaker.values())
+    target_starts = list(accumulate((len(ids) * (len(ids) - 1) // 2 for ids in groups), initial=0))
     speakers = sorted(by_speaker)
-    nontarget_pool = [
-        (a, b)
-        for si in range(len(speakers))
-        for sj in range(si + 1, len(speakers))
-        for a in by_speaker[speakers[si]]
-        for b in by_speaker[speakers[sj]]
-    ]
-    if n_target > len(target_pool):
+    blocks = [(by_speaker[s], by_speaker[t]) for i, s in enumerate(speakers) for t in speakers[i + 1:]]
+    nontarget_starts = list(accumulate((len(a) * len(b) for a, b in blocks), initial=0))
+    if n_target > target_starts[-1]:
         raise ConfigError(
-            f"requested {n_target} target trials, only {len(target_pool)} "
+            f"requested {n_target} target trials, only {target_starts[-1]} "
             f"distinct same-speaker pairs exist"
         )
-    if n_nontarget > len(nontarget_pool):
+    if n_nontarget > nontarget_starts[-1]:
         raise ConfigError(
             f"requested {n_nontarget} nontarget trials, only "
-            f"{len(nontarget_pool)} distinct cross-speaker pairs exist"
+            f"{nontarget_starts[-1]} distinct cross-speaker pairs exist"
         )
     stream = Stream(seed, "trials")
-    chosen_t = stream.sample(target_pool, n_target)
-    chosen_n = stream.sample(nontarget_pool, n_nontarget)
-    return [Trial(a, b, True) for a, b in chosen_t] + [
-        Trial(a, b, False) for a, b in chosen_n
-    ]
+    trials = []
+    for k in stream.sample_indices(target_starts[-1], n_target):
+        g = bisect_right(target_starts, k) - 1
+        # q of this speaker's pairs come after pair k. It lies in the row
+        # of pairs (ids[i], ids[j > i]) with u = len(ids) - 1 - i, the one
+        # u with C(u, 2) <= q < C(u + 1, 2).
+        ids, q = groups[g], target_starts[g + 1] - 1 - k
+        u = (1 + math.isqrt(8 * q + 1)) // 2
+        trials.append(Trial(ids[-1 - u], ids[-1 - q + u * (u - 1) // 2], True))
+    for k in stream.sample_indices(nontarget_starts[-1], n_nontarget):
+        b = bisect_right(nontarget_starts, k) - 1
+        (first, second), r = blocks[b], k - nontarget_starts[b]
+        trials.append(Trial(first[r // len(second)], second[r % len(second)], False))
+    return trials
 
 
 def mean_frame_classifier_accuracy(corpus: Corpus) -> float:

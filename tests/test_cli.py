@@ -1,5 +1,6 @@
 """End-to-end CLI coverage with exit-code contracts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -1208,16 +1209,22 @@ class TestCorruptCheckpoint:
         assert rc == 3
         assert "sha256 mismatch" in capsys.readouterr().err
 
-    def test_version_1_checkpoint_exits_3(self, workdir, tmp_path, capsys):
-        # version 1 wrote no sha256 trailer
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_checkpoint_exits_3(self, workdir, tmp_path, capsys, version):
+        # version 1 wrote no sha256 trailer; version 2 wrote one, over an
+        # FNV-1a hash of the backbone bytes themselves
         blob = bytearray((workdir / "backbone.ckpt").read_bytes()[:-32])
-        blob[8:12] = (1).to_bytes(4, "little")
-        old = tmp_path / "v1.ckpt"
+        blob[8:12] = version.to_bytes(4, "little")
+        if version == 2:
+            blob += hashlib.sha256(blob).digest()
+        old = tmp_path / f"v{version}.ckpt"
         old.write_bytes(bytes(blob))
         rc = main(["eval", "--checkpoint", str(old), "--corpus", str(workdir / "corpus.txt"),
                    "--trials", str(workdir / "trials.txt")])
         assert rc == 3
-        assert "re-run to regenerate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unsupported checkpoint version {version}" in err
+        assert "re-run to regenerate" in err
 
 
 # sha256 of `svadapt count-params` stdout, taken before the count moved
@@ -1234,8 +1241,6 @@ COUNT_PARAMS_SHA256 = {
 
 @pytest.mark.parametrize("flags", sorted(COUNT_PARAMS_SHA256))
 def test_count_params_stdout_is_pinned(flags, capsys):
-    import hashlib
-
     assert main(["count-params", *flags]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == COUNT_PARAMS_SHA256[flags]

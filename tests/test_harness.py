@@ -5,6 +5,7 @@ import io
 import itertools
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from svadapt.harness import (
     MetricsReport,
     RunConfig,
     backbone_checkpoint,
+    backbone_hash_of,
     backbone_runs,
     check_trials,
     checkpoint_params,
@@ -431,15 +433,15 @@ def resealed(blob) -> bytes:
 
 def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
     """A checkpoint laid out by a per-param writer: one `write` per field,
-    one `tobytes` per array, the backbone hash by the FNV-1a byte loop,
-    then the sha256 of all of it."""
+    one `tobytes` per array, the backbone hash by the FNV-1a byte loop over
+    the sha256 of the joined backbone bytes, then the sha256 of all of it."""
     payload = [(name, t, np.asarray(arr, "<f8", order="C")) for name, t, arr in params]
     backbone = b"".join(
         arr.tobytes() for name, _t, arr in payload if name.startswith(("featurizer.", "encoder."))
     )
     fh = io.BytesIO()
     fh.write(b"SVADCKPT")
-    fh.write(struct.pack("<I", 2))
+    fh.write(struct.pack("<I", 3))
     conf = config_text.encode("utf-8")
     fh.write(struct.pack("<I", len(conf)))
     fh.write(conf)
@@ -452,7 +454,7 @@ def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
         fh.write(struct.pack("<BB", int(trainable), arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         fh.write(arr.tobytes())
-    fh.write(struct.pack("<Q", fnv1a64_loop(backbone)))
+    fh.write(struct.pack("<Q", fnv1a64_loop(hashlib.sha256(backbone).digest())))
     return sealed(fh.getvalue())
 
 
@@ -501,6 +503,17 @@ class TestCheckpointBytes:
         for (name, trainable, arr), (lname, ltrainable, larr) in zip(params, loaded.params):
             assert (lname, ltrainable, larr.shape) == (name, trainable, arr.shape)
             assert larr.tobytes() == np.asarray(arr, "<f8").tobytes()
+
+    def test_backbone_witness_makes_no_backbone_sized_copy(self):
+        # the 1.08 MB desk backbone feeds the sha256 one array at a time
+        params = checkpoint_params(SVModel(EncoderConfig(), 32, "inter", None, 0), backbone_only=True)
+        tracemalloc.start()
+        try:
+            backbone_hash_of(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("mode,acfg", [CHECKPOINT_MODES[-1], ("full-finetune", None)])
     def test_loaded_params_are_separate_writable_arrays(self, tmp_path, mode, acfg):
@@ -713,14 +726,16 @@ class TestCheckpointCorruption:
         with pytest.raises(DataError, match=f"{field} is not valid UTF-8"):
             load_checkpoint(bad)
 
-    def test_version_1_file_asks_for_a_rerun(self, tiny_ckpt, tmp_path):
-        # version 1 had no sha256 trailer
-        blob = bytearray(tiny_ckpt.read_bytes()[:-32])
-        blob[8:12] = struct.pack("<I", 1)
-        old = tmp_path / "v1.ckpt"
-        old.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="unsupported checkpoint version 1, expected 2; "
-                                            "re-run to regenerate"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_asks_for_a_rerun(self, tiny_ckpt, tmp_path, version):
+        # version 1 had no sha256 trailer; version 2 hashed the backbone
+        # bytes with FNV-1a directly
+        blob = bytearray(tiny_ckpt.read_bytes())
+        blob[8:12] = struct.pack("<I", version)
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(resealed(blob) if version == 2 else bytes(blob[:-32]))
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version}, "
+                                            "expected 3; re-run to regenerate"):
             load_checkpoint(old)
 
     def test_corruption_fuzz_never_loads(self, tmp_path):

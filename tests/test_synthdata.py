@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from svadapt.errors import ConfigError, ParseError
 from svadapt.metrics import Trial
+from svadapt.rng import Stream
 from svadapt.synthdata import (
     Corpus,
     CorpusConfig,
@@ -85,7 +86,94 @@ class TestGenerateCorpus:
         CorpusConfig(**{name: 0.0})
 
 
+def pool_trials(utterances, n_target: int, n_nontarget: int, seed: int) -> list:
+    """The trial generator that builds both pair pools as lists of tuples
+    and runs a partial Fisher-Yates pass over each list: the oracle for
+    `generate_trials`, which draws the same pairs by index."""
+    by_speaker = {}
+    for u in utterances:
+        by_speaker.setdefault(u.speaker, []).append(u.utt_id)
+    target_pool = [
+        (ids[i], ids[j])
+        for ids in by_speaker.values()
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+    ]
+    speakers = sorted(by_speaker)
+    nontarget_pool = [
+        (a, b)
+        for si in range(len(speakers))
+        for sj in range(si + 1, len(speakers))
+        for a in by_speaker[speakers[si]]
+        for b in by_speaker[speakers[sj]]
+    ]
+    if n_target > len(target_pool):
+        raise ConfigError(f"requested {n_target} target trials, only {len(target_pool)} "
+                          f"distinct same-speaker pairs exist")
+    if n_nontarget > len(nontarget_pool):
+        raise ConfigError(f"requested {n_nontarget} nontarget trials, only "
+                          f"{len(nontarget_pool)} distinct cross-speaker pairs exist")
+    stream = Stream(seed, "trials")
+
+    def sample(items, k):
+        pool, m = list(items), len(items)
+        draws = stream.words(k)
+        for i in range(k):
+            j = i + int(draws[i] % np.uint64(m - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+    chosen_t, chosen_n = sample(target_pool, n_target), sample(nontarget_pool, n_nontarget)
+    return [Trial(a, b, True) for a, b in chosen_t] + [Trial(a, b, False) for a, b in chosen_n]
+
+
+def interleaved_utterances() -> list:
+    """Speakers in no order, one of them with a single utterance, so with
+    no target pairs."""
+    frames = np.zeros((1, 1))
+    order = ["s3", "s1", "s3", "s0", "s1", "s3", "s2", "s1", "s3", "s0", "s1", "s3"]
+    return [Utterance(f"u{i}", spk, frames) for i, spk in enumerate(order)]
+
+
+TRIAL_PARTS = {
+    "small-adapt": lambda: generate_corpus(SMALL).part("adapt"),
+    "small-all": lambda: generate_corpus(SMALL).utterances,
+    "pretrain-half": lambda: generate_corpus(CorpusConfig(
+        seed=8, num_speakers=9, utts_per_speaker=7, frames_min=2, frames_max=3, frame_dim=2
+    )).part("pretrain"),
+    "pairs-only": lambda: generate_corpus(CorpusConfig(
+        seed=2, num_speakers=6, utts_per_speaker=2, frames_min=2, frames_max=3, frame_dim=2
+    )).utterances,
+    "interleaved": interleaved_utterances,
+}
+
+
 class TestGenerateTrials:
+    @pytest.mark.parametrize("part", sorted(TRIAL_PARTS))
+    def test_equals_sampling_the_built_pools(self, part):
+        utterances = TRIAL_PARTS[part]()
+        by_speaker = {}
+        for u in utterances:
+            by_speaker.setdefault(u.speaker, []).append(u)
+        n_t = sum(len(v) * (len(v) - 1) // 2 for v in by_speaker.values())
+        n_n = (len(utterances) ** 2 - sum(len(v) ** 2 for v in by_speaker.values())) // 2
+        for seed in (0, 1, 7, 2**63 + 5):
+            for counts in [(1, 1), (n_t, n_n), (max(1, n_t // 3), max(1, n_n // 2)), (n_t, 1)]:
+                want = pool_trials(utterances, *counts, seed)
+                assert generate_trials(utterances, *counts, seed) == want, (seed, counts)
+
+    @pytest.mark.parametrize("part", sorted(TRIAL_PARTS))
+    @pytest.mark.parametrize("kind", ["target", "nontarget"])
+    def test_too_many_trials_give_the_pool_error(self, part, kind):
+        utterances = TRIAL_PARTS[part]()
+        counts = (10**6, 1) if kind == "target" else (1, 10**6)
+        with pytest.raises(ConfigError) as want:
+            pool_trials(utterances, *counts, 0)
+        with pytest.raises(ConfigError) as got:
+            generate_trials(utterances, *counts, 0)
+        assert str(got.value) == str(want.value)
+        assert f"distinct {'same' if kind == 'target' else 'cross'}-speaker pairs" in str(got.value)
+
     def test_exact_counts_and_labels(self):
         corpus = generate_corpus(SMALL)
         trials = generate_trials(corpus.part("adapt"), 15, 25, seed=0)
