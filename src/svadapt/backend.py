@@ -33,7 +33,6 @@ class ClassifierHead(Module):
     while training; never serialized into evaluation checkpoints."""
 
     def __init__(self, embed_dim: int, num_speakers: int, seed: int):
-        self.num_speakers = num_speakers
         self.w = Param.xavier("classifier.w", (embed_dim, num_speakers), seed)
         self.b = Param.zeros("classifier.b", num_speakers)
 

@@ -41,7 +41,6 @@ from .harness import (
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
-    run_reports,
     score_trials,
     sweep_configs,
     train as train_run,
@@ -255,7 +254,7 @@ def cmd_runs(args) -> int:
     corpus = read_corpus(args.corpus)
     trials = read_trials(args.trials)
     check_trials(trials, corpus)
-    reports = run_reports(runs, corpus, trials)
+    reports = (run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs)
     if args.json:
         for report in reports:
             print(report.to_json(), flush=True)
@@ -329,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-params", help="trainable-parameter report for all modes")
     p.add_argument("--json", action="store_true")
-    _add_run_flags(p, [s for s in config_settings()
-                       if s.part == "encoder" or s.field.name in ("embed_dim", "bottleneck_dim")])
+    # the encoder seed draws weights, not shapes, so it changes no count
+    _add_run_flags(p, [s for s in config_settings() if s.field.name in ("embed_dim", "bottleneck_dim")
+                       or (s.part == "encoder" and s.field.name != "seed")])
     p.set_defaults(func=cmd_count_params)
 
     # compare and sweep-scale: one roster of runs per backbone

@@ -235,12 +235,12 @@ def checkpoint_params(model: SVModel, backbone_only: bool = False) -> list:
     return [(p.name, p.trainable, p.data) for p in params]
 
 
-def backbone_checkpoint(model: SVModel, step: int = 0) -> Checkpoint:
-    """In-memory backbone-only checkpoint (no file round trip). Its config
-    text records the model's encoder and seed, as a full-finetune run's."""
+def backbone_checkpoint(model: SVModel) -> Checkpoint:
+    """In-memory backbone-only checkpoint at step 0 (no file round trip).
+    Its config text records the model's encoder and seed, as a full-finetune run's."""
     params = [(name, t, arr.copy()) for name, t, arr in checkpoint_params(model, backbone_only=True)]
     cfg = RunConfig(mode="full-finetune", seed=model.seed, encoder=model.encoder.cfg)
-    return Checkpoint(config_to_text(cfg), step, params, backbone_hash_of(params))
+    return Checkpoint(config_to_text(cfg), 0, params, backbone_hash_of(params))
 
 
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
@@ -554,21 +554,16 @@ class MetricsReport:
     seed: int
     steps: int
     adapter: dict | None  # the run's AdapterConfig as a dict
-    counts: dict
+    trainable: dict
     eer: float
     min_dcf: float
     threshold_at_eer: float
     n_target: int
     n_nontarget: int
-    wall_clock: float
+    wall_clock_s: float  # rounded to 3 decimals
 
-    def to_json(self, include_timing: bool = True) -> str:
-        payload = asdict(self)
-        payload["trainable"] = payload.pop("counts")
-        wall_clock = payload.pop("wall_clock")
-        if include_timing:
-            payload["wall_clock_s"] = round(wall_clock, 3)
-        return json.dumps(payload, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
@@ -581,9 +576,9 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
         seed=cfg.seed,
         steps=cfg.total_steps,
         adapter=None if cfg.adapter is None else asdict(cfg.adapter),
-        counts=ad.count_params(run.model),
+        trainable=ad.count_params(run.model),
         **asdict(result),
-        wall_clock=time.perf_counter() - started,
+        wall_clock_s=round(time.perf_counter() - started, 3),
     )
 
 
@@ -671,12 +666,6 @@ def backbone_runs(rows, backbone_paths, encoder: EncoderConfig | None = None) ->
             for b, cfg in zip(backbones, recorded) for row in rows]
 
 
-def run_reports(runs, corpus: Corpus, trials):
-    """The `run_and_report` report of each (backbone, run config) of
-    `runs`, yielded as the runs finish."""
-    return (run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs)
-
-
 def format_run_table(reports, column: str) -> str:
     """One row per mode, or per sweep row when `column` is "scale", in
     first-report order: its trainable count and the median EER and minDCF
@@ -686,7 +675,7 @@ def format_run_table(reports, column: str) -> str:
         groups.setdefault(r.mode if column == "mode" else sweep_label(r.adapter), []).append(r)
     lines = [f"{column:<14} {'trainable':>12} {'pct':>7} {'EER':>7} {'minDCF':>8}"]
     for label, rs in groups.items():
-        c = rs[0].counts
+        c = rs[0].trainable
         eer, dcf = (float(np.median([getattr(r, k) for r in rs])) for k in ("eer", "min_dcf"))
         lines.append(f"{label:<14} {c['pretrained_side_trainable']:>12,} "
                      f"{c['pct_of_backbone']:>6.2f}% {eer:>7.3f} {dcf:>8.3f}")

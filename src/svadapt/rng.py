@@ -81,8 +81,6 @@ class Stream:
     """
 
     def __init__(self, seed: int, label: str):
-        self.seed = seed
-        self.label = label
         self._base = _base(seed, label)
         self._count = 0
 

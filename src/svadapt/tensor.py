@@ -64,7 +64,6 @@ broadcasting.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -72,12 +71,8 @@ import numpy as np
 from .rng import Stream, xavier_uniform
 
 
-class _ThreadState(threading.local):
-    tape = None  # the active Tape
-    shape_only = False  # whether the Param factories make shape-only params
-
-
-_tls = _ThreadState()
+_tape = None  # the active Tape
+_shape_only = False  # whether the Param factories make shape-only params
 
 
 class Tensor:
@@ -162,7 +157,7 @@ class Param(Tensor):
 
     @classmethod
     def _make(cls, name, shape, init) -> "Param":
-        if not _tls.shape_only:
+        if not _shape_only:
             return cls(init(), name=name)
         p = cls.__new__(cls)
         p.data = np.broadcast_to(np.float64(0.0), shape)
@@ -176,15 +171,16 @@ class Param(Tensor):
 
 @contextmanager
 def shape_only():
-    """Within the block, the Param factories on this thread make shape-only
-    params: a read-only zero-stride view of one 0.0 with no gradient
-    buffer, so a model of any size can be built and counted, but not run."""
-    before = _tls.shape_only
-    _tls.shape_only = True
+    """Within the block, the Param factories make shape-only params: a
+    read-only zero-stride view of one 0.0 with no gradient buffer, so a
+    model of any size can be built and counted, but not run."""
+    global _shape_only
+    before = _shape_only
+    _shape_only = True
     try:
         yield
     finally:
-        _tls.shape_only = before
+        _shape_only = before
 
 
 class Module:
@@ -210,8 +206,7 @@ class Tape:
     """Execution-ordered record of gradient nodes and backward closures;
     backward replays it in reverse.
 
-    One tape per training step; a tape and the params it touches form a
-    single-threaded unit (the active tape is thread-local). Backward
+    One tape per training step, and at most one active at a time. Backward
     consumes the recorded ops, so it runs once per tape; tensors the
     caller holds keep their gradients.
     """
@@ -221,13 +216,15 @@ class Tape:
         self._spent = False
 
     def __enter__(self):
-        if _tls.tape is not None:
-            raise RuntimeError("a tape is already active on this thread")
-        _tls.tape = self
+        global _tape
+        if _tape is not None:
+            raise RuntimeError("a tape is already active")
+        _tape = self
         return self
 
     def __exit__(self, *exc):
-        _tls.tape = None
+        global _tape
+        _tape = None
         return False
 
     def __len__(self):
@@ -257,7 +254,7 @@ def _nodes(inputs):
     """The gradient nodes of an op's inputs (None for an absent input),
     or None when no tape is active or no input needs a gradient: the op
     then records nothing and builds no closure."""
-    if _tls.tape is None:
+    if _tape is None:
         return None
     nodes = [None if t is None else t._node for t in inputs]
     for node in nodes:
@@ -270,7 +267,7 @@ def _record(out: Tensor, bwd) -> Tensor:
     """Give out a fresh gradient node and push it, with the closure that
     propagates the node's gradient to the inputs, onto the active tape."""
     out._node = node = _Node()
-    _tls.tape._ops.append((node, bwd))
+    _tape._ops.append((node, bwd))
     return out
 
 
@@ -652,6 +649,8 @@ def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -
     lo, hi = GRAD_CHECK_STEPS
     if not (lo <= h <= hi):
         raise ValueError(f"grad_check: h must be in [{lo:g}, {hi:g}], got {h}")
+    if n_probes < 1:
+        raise ValueError(f"grad_check: n_probes must be at least 1, got {n_probes}")
     params = [p for p in params]
     with Tape() as tape:
         loss = f()

@@ -25,7 +25,7 @@ from svadapt.harness import (
     evaluate,
     load_params,
     pretrain_backbone,
-    run_reports,
+    run_and_report,
     sweep_configs,
     sweep_label,
     train,
@@ -154,7 +154,7 @@ def desk_experiment_report() -> str:
             mode="full-finetune", total_steps=300, warmup_steps=30, seed=seed
         )
         pre = pretrain_backbone(pre_cfg, corpus)
-        backbone = backbone_checkpoint(pre.model, step=pre_cfg.total_steps)
+        backbone = backbone_checkpoint(pre.model)
 
         results = {}
         for mode, acfg in (
@@ -387,7 +387,8 @@ class TestCriterion8SweepProtocol:
             mode="inner-inter", embed_dim=8, adapter=AdapterConfig(bottleneck_dim=4),
             total_steps=40, warmup_steps=8, batch_size=2,
         )
-        reports = list(run_reports(backbone_runs(sweep_configs(cfg), [path]), corpus, trials))
+        runs = backbone_runs(sweep_configs(cfg), [path])
+        reports = [run_and_report(row, backbone, corpus, trials) for backbone, row in runs]
         roster = [sweep_label(r.adapter) for r in reports]
         expected = ["sequential", "learnable", "0.05", "0.1", "0.5", "1", "1.5", "2"]
         populated = all(

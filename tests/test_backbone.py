@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="divisible"):
             EncoderConfig(hidden_dim=10, num_heads=3)
 
+    @pytest.mark.parametrize("name", ["num_layers", "hidden_dim", "num_heads", "ffn_dim", "input_dim"])
+    def test_a_dim_below_one_is_a_config_error(self, name):
+        with pytest.raises(ConfigError, match=f"encoder {name} must be positive"):
+            EncoderConfig(**{name: 0})
+
     def test_accounting_preset_dims(self):
         p = PRESETS["wavlm-base-plus-dims"]
         assert (p.num_layers, p.hidden_dim, p.num_heads) == (12, 768, 8)

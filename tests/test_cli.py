@@ -343,6 +343,13 @@ class TestDataPaths:
             assert recorded.trials_path == str(paths["trials"])
             assert recorded.backbone_path == str(paths["backbone"])
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_no_corpus_is_a_config_error(self, tmp_path, command, capsys):
+        out = tmp_path / "run.ckpt"
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: no corpus given (flag or [data] section)\n"
+        assert not out.exists()
+
 
 class TestFrameDimMismatch:
     """A corpus whose frame dim is not the encoder's input_dim is a config
@@ -407,7 +414,7 @@ class TestCountParams:
         [
             ("--config", "run.conf"), ("--adapter-scale", "learnable"), ("--mode", "inner"),
             ("--adapter-variant", "sequential"), ("--total-steps", "5"), ("--lr-head", "0.1"),
-            ("--seed", "3"), ("--corpus", "c.svc"),
+            ("--seed", "3"), ("--corpus", "c.svc"), ("--encoder-seed", "3"),
         ],
     )
     def test_a_flag_it_does_not_read_is_a_usage_error(self, flag, value, capsys):
@@ -417,14 +424,26 @@ class TestCountParams:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_every_flag_it_reads_changes_the_table(self, capsys):
+        import argparse
+
+        from svadapt.cli import build_parser
+
+        # each flag of the parser's count-params command but --json, which
+        # picks the output form, and --num-heads, which only decides whether
+        # the width splits into heads; a flag without a value here takes 3
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = [flag for a in sub.choices["count-params"]._actions for flag in a.option_strings
+                 if flag.startswith("--") and flag not in ("--help", "--json", "--num-heads")]
+        values = {
+            "--embed-dim": "16", "--bottleneck-dim": "8", "--num-layers": "2",
+            "--hidden-dim": "32", "--ffn-dim": "64", "--input-dim": "10",
+            "--encoder-preset": "wavlm-base-plus-dims",
+        }
+        assert set(values) <= set(flags)
         assert main(["count-params", "--json"]) == 0
         default = capsys.readouterr().out
-        for flag, value in [
-            ("--embed-dim", "16"), ("--bottleneck-dim", "8"), ("--num-layers", "2"),
-            ("--hidden-dim", "32"), ("--ffn-dim", "64"), ("--input-dim", "10"),
-            ("--encoder-preset", "wavlm-base-plus-dims"),
-        ]:
-            assert main(["count-params", "--json", flag, value]) == 0
+        for flag in flags:
+            assert main(["count-params", "--json", flag, values.get(flag, "3")]) == 0, flag
             assert capsys.readouterr().out != default, flag
 
     @pytest.mark.parametrize(
@@ -806,6 +825,13 @@ class TestGradCheck:
     def test_negative_seed_runs(self, capsys):
         assert main(["grad-check", "--probes", "10", "--seed", "-1"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_an_error_past_the_tolerance_fails_with_exit_1(self, capsys):
+        # central differences are never exact, so no run is within 0
+        assert main(["grad-check", "--probes", "10", "--tolerance", "0"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "FAIL: exceeds tolerance 0"
+        assert "OK" not in out
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -42,7 +42,6 @@ from svadapt.harness import (
     model_from_checkpoint,
     pretrain_backbone,
     run_and_report,
-    run_reports,
     save_checkpoint,
     save_model_checkpoint,
     sweep_configs,
@@ -848,6 +847,11 @@ class TestTrain:
         run = train(tiny_cfg(mode, acfg, steps=10), backbone_ckpt, corpus)
         assert run.backbone_hash == backbone_ckpt.backbone_hash
 
+    def test_a_corpus_without_adapt_speakers_is_a_data_error(self, corpus):
+        pretrain_only = replace(corpus, speaker_split={s: "pretrain" for s in corpus.speaker_split})
+        with pytest.raises(DataError, match="corpus has no utterances in the 'adapt' part"):
+            train(tiny_cfg(steps=2), None, pretrain_only)
+
     def test_full_finetune_changes_backbone_hash(self, corpus, backbone_ckpt):
         run = train(tiny_cfg("full-finetune", steps=10), backbone_ckpt, corpus)
         assert run.backbone_hash != backbone_ckpt.backbone_hash
@@ -1027,7 +1031,7 @@ class TestReports:
         cfg = tiny_cfg("inner", AdapterConfig(bottleneck_dim=4), steps=6)
         r1 = run_and_report(cfg, backbone_ckpt, corpus, trials)
         r2 = run_and_report(cfg, backbone_ckpt, corpus, trials)
-        assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)
+        assert replace(r1, wall_clock_s=0.0).to_json() == replace(r2, wall_clock_s=0.0).to_json()
 
     def test_report_numbers_recomputable_from_checkpoint(
         self, corpus, trials, backbone_ckpt, tmp_path
@@ -1081,7 +1085,7 @@ class TestSweepScale:
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=4)
         runs = backbone_runs(sweep_configs(cfg, scales=("sequential", "learnable", 0.5, 1.0)),
                              [backbone_path])
-        reports = list(run_reports(runs, corpus, trials))
+        reports = [run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs]
         assert [sweep_label(r.adapter) for r in reports] == ["sequential", "learnable", "0.5", "1"]
         assert all(r.mode == "inner-inter" and r.adapter["bottleneck_dim"] == 4 for r in reports)
         for r in reports:
@@ -1106,7 +1110,8 @@ class TestSweepScale:
         pretrain_backbone(tiny_cfg("full-finetune", steps=30, seed=6), corpus, out_path=path)
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20)
         runs = backbone_runs(sweep_configs(cfg, scales=(0.0,)), [path])
-        (report,) = run_reports(runs, corpus, trials)
+        ((backbone, run_cfg),) = runs
+        report = run_and_report(run_cfg, backbone, corpus, trials)
         baseline = train(tiny_cfg("inter", steps=20, seed=6), load_checkpoint(path), corpus)
         res, _ = evaluate(baseline.model, corpus, trials)
         assert report.eer == res.eer

@@ -86,6 +86,21 @@ class TestEer:
         with pytest.raises(DataError, match="at least one"):
             ScoreSet([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize(
+        "scores, labels, message",
+        [
+            ([0.1, 0.2, 0.3], [1, 0], "equal-length vectors"),
+            ([[0.1, 0.2]], [[1, 0]], "equal-length vectors"),
+            ([0.1, float("nan")], [1, 0], "non-finite"),
+            ([float("-inf"), 0.2], [1, 0], "non-finite"),
+            ([0.1, 0.2, 0.3], [1, 0, 2], "0 or 1"),
+            ([0.1, 0.2, 0.3], [1, 0, -1], "0 or 1"),
+        ],
+    )
+    def test_rejects_malformed_score_set(self, scores, labels, message):
+        with pytest.raises(DataError, match=message):
+            ScoreSet(scores, labels)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_monotone_transform_invariance(self, seed):

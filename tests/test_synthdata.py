@@ -78,6 +78,15 @@ class TestGenerateCorpus:
         with pytest.raises(ConfigError, match="frame range"):
             CorpusConfig(frames_min=10, frames_max=5)
 
+    @pytest.mark.parametrize("name", ["utts_per_speaker", "frame_dim"])
+    def test_rejects_a_count_below_one(self, name):
+        with pytest.raises(ConfigError, match="utts_per_speaker and frame_dim must be positive"):
+            CorpusConfig(**{name: 0})
+
+    def test_unknown_part_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown corpus part 'eval'"):
+            generate_corpus(SMALL).part("eval")
+
     @pytest.mark.parametrize("name", ["speaker_scale", "channel_scale", "noise_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
     def test_rejects_non_finite_or_negative_scale(self, name, value):

@@ -256,6 +256,21 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="h must be"):
             T.grad_check(lambda: T.sum_all(x), [x], h=1e-2)
 
+    @pytest.mark.parametrize("n_probes", [0, -3])
+    def test_rejects_fewer_than_one_probe(self, n_probes):
+        # zero probes would report 0.0, which reads as a pass, and a
+        # negative count would leave params out of the cover
+        x = Param([1.0, 2.0], name="x")
+        calls = []
+
+        def f():
+            calls.append(1)
+            return T.sum_all(x)
+
+        with pytest.raises(ValueError, match=f"n_probes must be at least 1, got {n_probes}"):
+            T.grad_check(f, [x], n_probes=n_probes)
+        assert calls == []
+
 
 class TestOpGradientsAgainstFiniteDifferences:
     """Every primitive op's backward checked against central differences."""
