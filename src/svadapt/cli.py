@@ -85,12 +85,13 @@ def _add_run_flags(p: argparse.ArgumentParser, settings=None) -> None:
 
 
 def _settings_from_args(args) -> dict:
-    """{part: {field name: value}} of --encoder-preset's six encoder
-    settings, then of each of the subcommand's run flags given on the
-    command line."""
+    """{part: {field name: value}} of --encoder-preset's five encoder
+    dimensions (a config file's seed stands), then of each of the
+    subcommand's run flags given on the command line."""
     given = {}
     if getattr(args, "encoder_preset", None):
-        given["encoder"] = asdict(PRESETS[args.encoder_preset])
+        preset = asdict(PRESETS[args.encoder_preset])
+        given["encoder"] = {name: value for name, value in preset.items() if name != "seed"}
     for s in args.run_settings:
         value = getattr(args, s.flag.replace("-", "_"))
         if value is not None:

@@ -351,6 +351,37 @@ class TestDataPaths:
         assert not out.exists()
 
 
+class TestEncoderPreset:
+    """--encoder-preset sets the encoder's dimensions only: the seed a
+    --config file or --encoder-seed gives stands."""
+
+    def test_preset_keeps_the_config_files_encoder_seed(self, tmp_path, capsys):
+        from svadapt.harness import config_from_text, load_checkpoint
+
+        corpus = tmp_path / "corpus20.txt"
+        assert main(
+            [
+                "gen-data", "--out", str(corpus), "--seed", "7", "--speakers", "8",
+                "--utts-per-speaker", "6", "--frames-min", "6", "--frames-max", "10",
+                "--frame-dim", "20",
+            ]
+        ) == 0
+        conf = tmp_path / "seed.conf"
+        conf.write_text(
+            "[run]\nmode = linear-probe\nbatch_size = 4\nwarmup_steps = 1\ntotal_steps = 2\n"
+            "[encoder]\nseed = 5\n"
+        )
+        run = [
+            "train", "--config", str(conf), "--corpus", str(corpus), "--embed-dim", "8",
+        ]
+        with_preset, without = tmp_path / "preset.ckpt", tmp_path / "plain.ckpt"
+        assert main([*run, "--encoder-preset", "desk", "--out", str(with_preset)]) == 0
+        assert main([*run, "--out", str(without)]) == 0
+        encoder = config_from_text(load_checkpoint(with_preset).config_text).encoder
+        assert encoder.seed == 5
+        assert with_preset.read_bytes() == without.read_bytes()
+
+
 class TestFrameDimMismatch:
     """A corpus whose frame dim is not the encoder's input_dim is a config
     error (exit 2) before any step."""
