@@ -3,8 +3,9 @@
 Subcommands: gen-data, pretrain, train, eval, count-params, sweep-scale,
 compare, grad-check. The run flags derive from `harness.config_settings` and
 override values taken from a `--config` key=value file with [section]
-grouping. Exit codes: 0 success, 2 config error, 3 data error (a file that
-cannot be read, parsed or written), 4 numeric failure (NaN detected).
+grouping. Exit codes: 0 success, 2 config error (a run too large to
+allocate is one), 3 data error (a file that cannot be read, parsed or
+written), 4 numeric failure (NaN detected).
 """
 
 from __future__ import annotations
@@ -386,6 +387,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # sizes the settings ask for that cannot be allocated
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: the run does not fit in memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -4,12 +4,14 @@ Reads: every reader opens its file through `reading`, so a missing or
 unreadable file raises DataError naming it, and in a line-record file a
 malformed or non-UTF-8 line raises ParseError naming it. Atomic writes: a
 writer fills a temp file beside the target, and only a write that
-completes replaces the target, in one `os.replace`."""
+completes replaces the target, in one `os.replace`; a FIFO or a device at
+the target is written through in place."""
 
 from __future__ import annotations
 
 import io
 import os
+import stat
 from contextlib import contextmanager
 
 from .errors import DataError, ParseError
@@ -31,24 +33,35 @@ def reading(path, what: str, mode: str = "rb", **open_kwargs):
 
 @contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
-    """Open a new temp file in `path`'s directory for writing (`mode` is
-    "w" or "wb"). When the block ends normally the temp file replaces
-    `path`; when it raises, the temp file is removed and `path` is left
-    as it was. An OSError names `path`, not the temp file. The file gets
-    the permissions a new file made by `open` gets; it is not fsynced."""
+    """Open a new temp file beside the file at `path` for writing (`mode`
+    is "w" or "wb"). When the block ends normally the temp file replaces
+    that file; when it raises, the temp file is removed and the file is
+    left as it was. A symlink is followed: the file it resolves to is
+    replaced, and the link stays a link. Anything else that is not a
+    regular file (a FIFO, a device) is opened and written in place, with
+    no temp file. An OSError names `path`, not the temp file. A new file
+    gets the permissions `open` gives one; it is not fsynced."""
     path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # nothing there yet
+        in_place = False
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = None if in_place else os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(path, mode, **open_kwargs) if in_place else \
+            open(tmp, mode.replace("w", "x"), **open_kwargs)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, target)
     except BaseException as exc:
-        os.unlink(tmp)
+        if tmp:
+            os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise

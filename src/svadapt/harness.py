@@ -2,7 +2,7 @@
 pre-training, tuning runs, evaluation, parameter-count reports, and the
 multi-run rosters (the scaling-factor sweep and the mode comparison).
 
-Checkpoint format (version 3, little-endian throughout):
+Checkpoint format (version 4, little-endian throughout):
 
     magic   8 bytes  b"SVADCKPT"
     version u32
@@ -15,14 +15,19 @@ Checkpoint format (version 3, little-endian throughout):
                      bytes of the backbone params (featurizer + transformer
                      stack) in serialized order, folded to 64 bits by
                      `rng.fnv1a64`
-    sha256  32 bytes sha256 over every preceding byte
+    seal    32 bytes the same sha256, fed on after the backbone values with
+                     every other preceding byte in file order (header,
+                     config, param headers, other values and the hash)
 
-A load checks the version and the sha256 before it parses anything, then
-verifies the backbone hash; re-saving reproduces the bytes. Version 1 and 2
-files (an FNV-1a hash over the backbone bytes themselves) are refused.
-Saving is atomic: a save that raises leaves any earlier file at the path.
-`checkpoint_params` and `load_params` are the one path between a model and
-a checkpoint. A run hashes its backbone only when it saves or is asked.
+So one sha256 pass over the file gives both the hash (from a copy of its
+state taken after the backbone values) and the seal. A load checks the
+magic and version, walks the length fields once, bounds-checked, to find
+each param's values, and checks the seal before it decodes anything; then
+it verifies the backbone hash. Re-saving reproduces the bytes. Files of
+versions 1 to 3 are refused. Saving is atomic: a save that raises leaves
+any earlier file at the path. `checkpoint_params` and `load_params` are the
+one path between a model and a checkpoint. A run hashes its backbone only
+when it saves or is asked.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .rng import Stream, fnv1a64
 from .synthdata import Corpus
 
 MAGIC = b"SVADCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+_BACKBONE_PREFIX_BYTES = tuple(p.encode() for p in ad.BACKBONE_PREFIXES)
 
 
 RUN, OPTIM, DATA = {"section": "run"}, {"section": "optim"}, {"section": "data"}
@@ -246,28 +252,38 @@ def backbone_checkpoint(model: SVModel) -> Checkpoint:
 def save_checkpoint(path, config_text: str, params, step: int) -> int:
     """Write the versioned binary checkpoint; returns the backbone hash. A
     name given twice is a DataError before the file is opened. A 0-d param
-    (the learnable adapter scale) is written with rank 0. The file is one
-    `writelines` of the packed headers and the arrays' own buffers."""
+    (the learnable adapter scale) is written with rank 0. The sha256 takes
+    the backbone arrays first and then every other piece in file order, and
+    the file is one `writelines` of the packed headers and the arrays' own
+    buffers."""
     payload = [(name, trainable, np.asarray(arr, "<f8", order="C")) for name, trainable, arr in params]
     names = set()
     for name, _t, _a in payload:
         if name in names:
             raise DataError(f"{path}: param {name!r} appears twice")
         names.add(name)
-    h = backbone_hash_of(payload)
     conf = config_text.encode("utf-8")
     pieces = [MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(conf)), conf,
               struct.pack("<QI", step, len(payload))]
+    rest = list(pieces)  # every piece but the backbone values, in file order
+    seal = hashlib.sha256()
     for name, trainable, arr in payload:
         nb = name.encode("utf-8")
-        pieces.append(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb,
-                                  int(trainable), arr.ndim, *arr.shape))
-        pieces.append(arr)
-    pieces.append(struct.pack("<Q", h))
-    digest = hashlib.sha256()
-    for piece in pieces:
-        digest.update(piece)
-    pieces.append(digest.digest())
+        head = struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb, int(trainable),
+                           arr.ndim, *arr.shape)
+        pieces += (head, arr)
+        rest.append(head)
+        if name.startswith(ad.BACKBONE_PREFIXES):
+            seal.update(arr)
+        else:
+            rest.append(arr)
+    h = fnv1a64(seal.copy().digest())
+    witness = struct.pack("<Q", h)
+    pieces.append(witness)
+    rest.append(witness)
+    for piece in rest:
+        seal.update(piece)
+    pieces.append(seal.digest())
     with atomic_write(path, "wb") as fh:
         fh.writelines(pieces)
     return h
@@ -283,70 +299,82 @@ def load_checkpoint(path) -> Checkpoint:
         return _parse_checkpoint(fh.read(), path)
 
 
-class _CheckpointReader:
-    """Cursor over a checkpoint blob. Every read is bounds-checked first, so
-    a truncated or garbled file raises DataError and never slices short."""
-
-    def __init__(self, blob: bytes, path):
-        self.view = memoryview(blob)
-        self.path = path
-        self.off = 0
-
-    def take(self, n: int, what: str) -> memoryview:
-        end = self.off + n
-        if end > len(self.view):
-            raise DataError(
-                f"truncated checkpoint {self.path}: {what} needs {n} bytes at "
-                f"offset {self.off}, but its body ends at {len(self.view)}"
-            )
-        chunk = self.view[self.off : end]
-        self.off = end
-        return chunk
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return bytes(self.take(n, what)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path}: {what} is not valid UTF-8 ({exc})") from exc
+def _walk(blob: bytes, end: int):
+    """(config end, step, param rows, backbone hash offset) of a checkpoint
+    whose seal starts at `end`, or None if a length field runs past `end`.
+    Each row is (name start, name end, trainable, shape, values start,
+    values end). Every field is read by an `unpack_from` at or past the end
+    of the one before it, so a length that runs past `end` fails the next
+    read."""
+    view = memoryview(blob)[:end]
+    try:
+        (conf_len,) = struct.unpack_from("<I", view, 12)
+        conf_end = 16 + conf_len
+        step, nparams = struct.unpack_from("<QI", view, conf_end)
+        off = conf_end + 12
+        rows = []
+        for _ in range(nparams):
+            (name_len,) = struct.unpack_from("<H", view, off)
+            name_at, off = off + 2, off + 2 + name_len
+            trainable, rank = struct.unpack_from("<BB", view, off)
+            shape = struct.unpack_from(f"<{rank}I", view, off + 2)
+            start = off + 2 + 4 * rank
+            off = start + 8 * math.prod(shape)
+            rows.append((name_at, name_at + name_len, trainable, shape, start, off))
+        struct.unpack_from("<Q", view, off)
+    except (struct.error, OverflowError):  # OverflowError: an offset past 2**63
+        return None
+    return conf_end, step, rows, off
 
 
 def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     if blob[:8] != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
-    r = _CheckpointReader(blob, path)
-    r.take(8, "magic")
-    (version,) = r.unpack("<I", "version")
+    corrupt = DataError(f"{path}: sha256 mismatch: the file is truncated or corrupt")
+    if len(blob) < 12:
+        raise corrupt
+    (version,) = struct.unpack_from("<I", blob, 8)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}, "
                         f"expected {CHECKPOINT_VERSION}; re-run to regenerate it")
-    body = r.view[: len(blob) - 32]
-    if len(body) < r.off or hashlib.sha256(body).digest() != blob[len(body):]:
-        raise DataError(f"{path}: sha256 mismatch: the file is truncated or corrupt")
-    r.view = body
-    (conf_len,) = r.unpack("<I", "config length")
-    config_text = r.text(conf_len, "config block")
-    (step,) = r.unpack("<Q", "step")
-    (nparams,) = r.unpack("<I", "param count")
-    params, names = [], set()
-    for i in range(nparams):
-        (name_len,) = r.unpack("<H", f"param {i} name length")
-        name = r.text(name_len, f"param {i} name")
-        if name in names:
+    end = max(len(blob) - 32, 0)
+    walked = _walk(blob, end)
+    if walked is None:
+        raise corrupt
+    conf_end, step, rows, hash_at = walked
+    view = memoryview(blob)
+    seal, others, at = hashlib.sha256(), [], 0
+    for name_at, name_end, _t, _s, start, stop in rows:
+        if blob.startswith(_BACKBONE_PREFIX_BYTES, name_at, name_end):
+            seal.update(view[start:stop])
+            others.append(view[at:start])
+            at = stop
+    actual = fnv1a64(seal.copy().digest())
+    others.append(view[at:end])
+    for piece in others:
+        seal.update(piece)
+    if seal.digest() != blob[end:]:
+        raise corrupt
+
+    def text(start, stop, what):
+        try:
+            return blob[start:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {what} is not valid UTF-8 ({exc})") from exc
+
+    config_text = text(16, conf_end, "config block")
+    names = [text(name_at, name_end, f"param {i} name")
+             for i, (name_at, name_end, *_rest) in enumerate(rows)]
+    seen = set()
+    for name in names:
+        if name in seen:
             raise DataError(f"{path}: param {name!r} appears twice")
-        names.add(name)
-        trainable, rank = r.unpack("<BB", f"param {name!r} flags")
-        shape = r.unpack(f"<{rank}I", f"param {name!r} shape")
-        count = math.prod(shape)
-        raw = r.take(8 * count, f"param {name!r} values")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        params.append((name, bool(trainable), arr.copy()))
-    (stored_hash,) = r.unpack("<Q", "backbone hash")
-    if r.off != len(body):
-        raise DataError(f"{path}: {len(body) - r.off} bytes follow the backbone hash")
-    actual = backbone_hash_of(params)
+        seen.add(name)
+    if hash_at + 8 != end:
+        raise DataError(f"{path}: {end - hash_at - 8} bytes follow the backbone hash")
+    params = [(name, bool(trainable), np.frombuffer(view[start:stop], "<f8").reshape(shape).copy())
+              for name, (_a, _b, trainable, shape, start, stop) in zip(names, rows)]
+    (stored_hash,) = struct.unpack_from("<Q", blob, hash_at)
     if stored_hash != actual:
         raise DataError(
             f"{path}: backbone hash mismatch "

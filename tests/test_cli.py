@@ -1005,6 +1005,25 @@ class TestNumericFailure:
         assert rc == 4
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array with shape "
+                                     "(100000000, 1000) and data type float64", ""])
+def test_a_run_too_large_to_allocate_is_a_config_error(workdir, tmp_path, capsys, monkeypatch,
+                                                       message):
+    # raised by a stand-in: a real allocation that large may end in an OOM kill
+    import svadapt.cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(svadapt.cli, "train_run", too_large)
+    rc = main(["train", "--corpus", str(workdir / "corpus.txt"), "--out", str(tmp_path / "r.ckpt"),
+               "--mode", "linear-probe", "--total-steps", "2", "--warmup-steps", "1",
+               "--batch-size", "4", "--embed-dim", "100000000", *ENCODER_FLAGS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: the run does not fit in memory{message and ': ' + message}\n"
+
+
 class TestEmbeddingExport:
     def test_eval_writes_embedding_rows(self, workdir):
         run = workdir / "emb_run.ckpt"
@@ -1266,13 +1285,14 @@ class TestCorruptCheckpoint:
         assert rc == 3
         assert "sha256 mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_checkpoint_exits_3(self, workdir, tmp_path, capsys, version):
-        # version 1 wrote no sha256 trailer; version 2 wrote one, over an
-        # FNV-1a hash of the backbone bytes themselves
+        # version 1 wrote no sha256 trailer; versions 2 and 3 wrote one over
+        # every byte before it (version 2's backbone hash was an FNV-1a hash
+        # of the backbone bytes themselves)
         blob = bytearray((workdir / "backbone.ckpt").read_bytes()[:-32])
         blob[8:12] = version.to_bytes(4, "little")
-        if version == 2:
+        if version > 1:
             blob += hashlib.sha256(blob).digest()
         old = tmp_path / f"v{version}.ckpt"
         old.write_bytes(bytes(blob))
@@ -1446,6 +1466,42 @@ class TestFileFaults:
         )
         assert rc == 3
 
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        from svadapt.synthdata import read_corpus
+
+        real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        real.write_text("old\n")
+        link.symlink_to("real.txt")
+        rc = main(["gen-data", "--speakers", "4", "--utts-per-speaker", "3", "--out", str(link)])
+        assert rc == 0
+        assert link.is_symlink() and os.readlink(link) == "real.txt"
+        assert read_corpus(real).config.num_speakers == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_write_to_a_fifo_writes_through_it(self, workdir, tmp_path):
+        run = tmp_path / "run.ckpt"
+        assert main(["train", "--corpus", str(workdir / "corpus.txt"), "--out", str(run),
+                     "--mode", "linear-probe", "--total-steps", "2", "--warmup-steps", "1",
+                     "--batch-size", "4", *ENCODER_FLAGS]) == 0
+        fifo = tmp_path / "scores.fifo"
+        os.mkfifo(fifo)
+        # a reader opened first, and 60 score lines well under the pipe
+        # buffer, so the write neither blocks nor waits for a reader
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc = main(["eval", "--checkpoint", str(run), "--corpus", str(workdir / "corpus.txt"),
+                       "--trials", str(workdir / "trials.txt"), "--scores-out", str(fifo)])
+            try:
+                written = os.read(reader, 1 << 16)
+            except BlockingIOError:  # nothing was written into the pipe
+                written = b""
+        finally:
+            os.close(reader)
+        assert rc == 0
+        assert fifo.is_fifo()
+        assert len(written.decode().splitlines()) == 60
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt", "scores.fifo"]
+
     def test_v1_text_corpus_exits_3(self, workdir, tmp_path, capsys):
         old = tmp_path / "corpus.txt"
         old.write_text(
@@ -1503,7 +1559,7 @@ class TestFileFaults:
         assert f"cannot write {target}" in capsys.readouterr().err
 
     def test_write_over_a_directory_exits_3_naming_it(self, tmp_path, capsys):
-        # the temp file is written, and replacing the directory with it fails
+        # a directory is no regular file, so it is opened in place, which fails
         target = tmp_path / "taken"
         target.mkdir()
         rc = main(["gen-data", "--speakers", "4", "--utts-per-speaker", "3", "--out", str(target)])

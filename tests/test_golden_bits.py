@@ -51,19 +51,20 @@ CONFIGS = {
 }
 
 # name -> (losses, scores, EvalResult, checkpoint); the pretrain run has no
-# evaluation. The checkpoint digests are those of format version 3, whose
-# backbone hash is fnv1a64 of the backbone bytes' sha256.
+# evaluation. The checkpoint digests are those of format version 4, whose
+# backbone hash is fnv1a64 of the backbone bytes' sha256 and whose seal is
+# that sha256 fed on with every other byte before it.
 PINNED = {
-    "pretrain": ("70046e8cd56e7b6d", "3e177c9fd9088beb"),
-    "full-finetune": ("1244f0eea8c585f8", "e5e77895a11fb313", "eb5dcf9d13399280", "41282f71f1ffdda0"),
-    "houlsby": ("f261299c5a32266b", "4bcc6737144f7f25", "54689547ace8aaf9", "d3105b08466bdba2"),
-    "inner": ("b3c2b68884446639", "870fb5b4cb960105", "81fe27ce784e8db5", "9b51db92035ccc9f"),
-    "inner-inter": ("c80b49d0617b76f4", "2c5d5563b74b1e28", "4b71ccc600f9233a", "b1d02c89e55518a6"),
-    "inner-inter-learnable": ("3733b4cc0a2ebf75", "ca223b2773fc881c", "73ceb69d981baa92", "fb87577dad9b4c9c"),
-    "inner-inter-sequential": ("a1c5a7a5f651829b", "70df7df4222664f6", "7097fc3e6407757d", "eed402ec0a9f3ae7"),
-    "inter": ("34435e9ab859809c", "3aa3a713899b9cd9", "067fe14e29951752", "3ded66195d9b7db1"),
-    "linear-probe": ("d14a9be925a9c5eb", "b96cbe032c1f9d08", "f277108852ffe215", "33ef631b09319682"),
-    "weighted-sum": ("d0b8eb7ff6188739", "fa889f1fa4c86e5a", "d9db3085ad1e4cfd", "9ea6fe70343e0c69"),
+    "pretrain": ("70046e8cd56e7b6d", "f4f86d6240dba4d2"),
+    "full-finetune": ("1244f0eea8c585f8", "e5e77895a11fb313", "eb5dcf9d13399280", "7bca7176d17c542c"),
+    "houlsby": ("f261299c5a32266b", "4bcc6737144f7f25", "54689547ace8aaf9", "42a0a679c0642ff4"),
+    "inner": ("b3c2b68884446639", "870fb5b4cb960105", "81fe27ce784e8db5", "3c0cb1ed4bc9b883"),
+    "inner-inter": ("c80b49d0617b76f4", "2c5d5563b74b1e28", "4b71ccc600f9233a", "0ed6db7fedbff338"),
+    "inner-inter-learnable": ("3733b4cc0a2ebf75", "ca223b2773fc881c", "73ceb69d981baa92", "b200c79ad881b670"),
+    "inner-inter-sequential": ("a1c5a7a5f651829b", "70df7df4222664f6", "7097fc3e6407757d", "1dbbbe48277ebf4b"),
+    "inter": ("34435e9ab859809c", "3aa3a713899b9cd9", "067fe14e29951752", "a1155cfd7b27eaf0"),
+    "linear-probe": ("d14a9be925a9c5eb", "b96cbe032c1f9d08", "f277108852ffe215", "06dc6a7bb85c788b"),
+    "weighted-sum": ("d0b8eb7ff6188739", "fa889f1fa4c86e5a", "d9db3085ad1e4cfd", "1103a01f9a441823"),
 }
 
 

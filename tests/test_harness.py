@@ -7,6 +7,7 @@ import re
 import struct
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -418,43 +419,81 @@ def fnv1a64_loop(data: bytes) -> int:
     return h
 
 
+BACKBONE = (b"featurizer.", b"encoder.")
+
+
+def backbone_spans(body: bytes) -> list:
+    """(start, end) of each backbone param's values in a checkpoint body
+    (everything before the seal), found by reading its fields in turn."""
+    fh = io.BytesIO(body)
+    fh.seek(12)
+    (conf_len,) = struct.unpack("<I", fh.read(4))
+    fh.seek(conf_len + 8, io.SEEK_CUR)
+    (nparams,) = struct.unpack("<I", fh.read(4))
+    spans = []
+    for _ in range(nparams):
+        (name_len,) = struct.unpack("<H", fh.read(2))
+        name = fh.read(name_len)
+        _trainable, rank = struct.unpack("<BB", fh.read(2))
+        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        start = fh.tell()
+        fh.seek(8 * int(np.prod(shape)), io.SEEK_CUR)
+        if name.startswith(BACKBONE):
+            spans.append((start, fh.tell()))
+    return spans
+
+
 def sealed(body: bytes) -> bytes:
-    """`body` with its sha256 trailer: the bytes a checkpoint file holds."""
-    return body + hashlib.sha256(body).digest()
+    """`body` with its seal: the sha256 of its backbone values joined,
+    then of every other byte of it in order. These are the bytes a
+    checkpoint file holds."""
+    backbone, rest, at = [], [], 0
+    for start, end in backbone_spans(body):
+        backbone.append(body[start:end])
+        rest.append(body[at:start])
+        at = end
+    rest.append(body[at:])
+    return body + hashlib.sha256(b"".join(backbone + rest)).digest()
 
 
 def resealed(blob) -> bytes:
-    """A checkpoint blob whose body was edited, with its sha256 trailer
-    made to match again, so a load gets past the sha256 to the check
-    under test."""
+    """A checkpoint blob whose body was edited, with its seal made to
+    match again, so a load gets past the seal to the check under test."""
     return sealed(bytes(blob[:-32]))
 
 
 def reference_checkpoint_bytes(config_text: str, params, step: int) -> bytes:
     """A checkpoint laid out by a per-param writer: one `write` per field,
     one `tobytes` per array, the backbone hash by the FNV-1a byte loop over
-    the sha256 of the joined backbone bytes, then the sha256 of all of it."""
+    the sha256 of the joined backbone bytes, then the seal: the sha256 of
+    the joined backbone bytes followed by every other byte written."""
     payload = [(name, t, np.asarray(arr, "<f8", order="C")) for name, t, arr in params]
     backbone = b"".join(
-        arr.tobytes() for name, _t, arr in payload if name.startswith(("featurizer.", "encoder."))
+        arr.tobytes() for name, _t, arr in payload if name.encode().startswith(BACKBONE)
     )
-    fh = io.BytesIO()
-    fh.write(b"SVADCKPT")
-    fh.write(struct.pack("<I", 3))
+    fh, rest = io.BytesIO(), io.BytesIO()
+
+    def write(data, sealed_later=True):
+        fh.write(data)
+        if sealed_later:
+            rest.write(data)
+
+    write(b"SVADCKPT")
+    write(struct.pack("<I", 4))
     conf = config_text.encode("utf-8")
-    fh.write(struct.pack("<I", len(conf)))
-    fh.write(conf)
-    fh.write(struct.pack("<Q", step))
-    fh.write(struct.pack("<I", len(payload)))
+    write(struct.pack("<I", len(conf)))
+    write(conf)
+    write(struct.pack("<Q", step))
+    write(struct.pack("<I", len(payload)))
     for name, trainable, arr in payload:
         nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<BB", int(trainable), arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
-    fh.write(struct.pack("<Q", fnv1a64_loop(hashlib.sha256(backbone).digest())))
-    return sealed(fh.getvalue())
+        write(struct.pack("<H", len(nb)))
+        write(nb)
+        write(struct.pack("<BB", int(trainable), arr.ndim))
+        write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        write(arr.tobytes(), sealed_later=not nb.startswith(BACKBONE))
+    write(struct.pack("<Q", fnv1a64_loop(hashlib.sha256(backbone).digest())))
+    return fh.getvalue() + hashlib.sha256(backbone + rest.getvalue()).digest()
 
 
 CHECKPOINT_MODES = [(mode, adapter_for(mode)) for mode in MODE_SPECS] + [
@@ -482,7 +521,7 @@ class TestCheckpointBytes:
         h = save_model_checkpoint(path, model, "[run]\nmode = x\n", 9)
         params = [(p.name, p.trainable, p.data) for p in model.named_params(include_classifier=False)]
         want = reference_checkpoint_bytes("[run]\nmode = x\n", params, 9)
-        assert path.read_bytes() == want
+        assert path.read_bytes() == want == sealed(want[:-32])
         assert h == int.from_bytes(want[-40:-32], "little")
 
     def test_odd_params_keep_the_per_param_layout(self, tmp_path):
@@ -513,6 +552,60 @@ class TestCheckpointBytes:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_each_byte_passes_through_sha256_once(self, tmp_path, monkeypatch):
+        fed = []
+
+        class CountingSha256:
+            def __init__(self, data=b"", state=None):
+                self.state = state or hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                fed.append(memoryview(data).nbytes)
+                self.state.update(data)
+
+            def copy(self):
+                return CountingSha256(state=self.state.copy())
+
+            def digest(self):
+                return self.state.digest()
+
+        # the harness's own `hashlib` binding, so no other module's is touched
+        monkeypatch.setattr("svadapt.harness.hashlib", SimpleNamespace(sha256=CountingSha256))
+        model = randomized_model(*CHECKPOINT_MODES[-1])
+        path = tmp_path / "run.ckpt"
+        save_model_checkpoint(path, model, config_to_text(tiny_cfg("inner-inter")), 5)
+        size = path.stat().st_size
+        assert sum(fed) == size - 32
+        fed.clear()
+        load_checkpoint(path)
+        assert sum(fed) == size - 32
+
+    def test_random_param_lists_round_trip(self, tmp_path):
+        # backbone and other params interleaved, 0-d and empty arrays among them
+        path = tmp_path / "rt.ckpt"
+        again = tmp_path / "again.ckpt"
+        prefixes = ["featurizer.", "encoder.", "adapters.", "bridge.", "head."]
+        param = st.tuples(
+            st.sampled_from(prefixes), st.booleans(),
+            st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(param, max_size=8), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+        def check(rows, step, seed):
+            rng = np.random.default_rng(seed)
+            params = [(f"{prefix}p{i}", trainable, rng.normal(size=shape))
+                      for i, (prefix, trainable, shape) in enumerate(rows)]
+            h = save_checkpoint(path, "[run]\nseed = 1\n", params, step)
+            loaded = load_checkpoint(path)
+            save_checkpoint(again, loaded.config_text, loaded.params, loaded.step)
+            assert again.read_bytes() == path.read_bytes()
+            assert loaded.backbone_hash == h == backbone_hash_of(params)
+            assert loaded.step == step
+
+        check()
 
     @pytest.mark.parametrize("mode,acfg", [CHECKPOINT_MODES[-1], ("full-finetune", None)])
     def test_loaded_params_are_separate_writable_arrays(self, tmp_path, mode, acfg):
@@ -707,10 +800,28 @@ class TestCheckpointCorruption:
         cut.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataError, match="truncated or corrupt"):
             load_checkpoint(cut)
-        # a length field that runs past the end, under a matching sha256
-        cut.write_bytes(resealed(blob[: len(blob) // 2] + bytes(32)))
-        with pytest.raises(DataError, match="truncated checkpoint"):
-            load_checkpoint(cut)
+        # a body whose length field runs past its end has no seal, so it
+        # is refused whatever 32 bytes follow it
+        body = blob[: len(blob) // 2]
+        for trailer in (bytes(32), blob[-32:], hashlib.sha256(body).digest(),
+                        hashlib.sha256(body[::-1]).digest()):
+            cut.write_bytes(body + trailer)
+            with pytest.raises(DataError, match="sha256 mismatch: the file is truncated or corrupt"):
+                load_checkpoint(cut)
+
+    def test_a_shape_past_any_offset_is_a_data_error(self, tiny_ckpt, tmp_path):
+        # param 0 ("encoder.w", rank 2) given rank 3 and three dims of
+        # 2**32 - 1: its values would end past any offset a buffer can have
+        blob = bytearray(tiny_ckpt.read_bytes())
+        conf_len = int.from_bytes(blob[12:16], "little")
+        at = 16 + conf_len + 8 + 4 + 2 + len(b"encoder.w") + 1
+        assert blob[at] == 2
+        blob[at] = 3
+        blob[at + 1 : at + 13] = b"\xff" * 12
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="truncated or corrupt"):
+            load_checkpoint(bad)
 
     @pytest.mark.parametrize("field", ["config block", "param 0 name"])
     def test_non_utf8_text_is_a_data_error(self, tiny_ckpt, tmp_path, field):
@@ -725,16 +836,17 @@ class TestCheckpointCorruption:
         with pytest.raises(DataError, match=f"{field} is not valid UTF-8"):
             load_checkpoint(bad)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_file_asks_for_a_rerun(self, tiny_ckpt, tmp_path, version):
-        # version 1 had no sha256 trailer; version 2 hashed the backbone
-        # bytes with FNV-1a directly
-        blob = bytearray(tiny_ckpt.read_bytes())
-        blob[8:12] = struct.pack("<I", version)
+        # version 1 had no sha256 trailer; versions 2 and 3 ended with a
+        # sha256 of every preceding byte (version 2 hashed the backbone
+        # bytes with FNV-1a directly)
+        body = bytearray(tiny_ckpt.read_bytes()[:-32])
+        body[8:12] = struct.pack("<I", version)
         old = tmp_path / f"v{version}.ckpt"
-        old.write_bytes(resealed(blob) if version == 2 else bytes(blob[:-32]))
+        old.write_bytes(bytes(body) if version == 1 else bytes(body) + hashlib.sha256(body).digest())
         with pytest.raises(DataError, match=f"unsupported checkpoint version {version}, "
-                                            "expected 3; re-run to regenerate"):
+                                            "expected 4; re-run to regenerate"):
             load_checkpoint(old)
 
     def test_corruption_fuzz_never_loads(self, tmp_path):

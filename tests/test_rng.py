@@ -43,7 +43,7 @@ def test_matches_byte_loop_on_short_strings(data):
 
 def test_desk_backbone_hash_is_pinned():
     # the byte loop over the sha256 of these 1,081,856 bytes, joined by
-    # `tobytes`; a checkpoint trailer written by format version 3 must
+    # `tobytes`; a backbone hash written by format versions 3 and 4 must
     # still verify
     model = SVModel(EncoderConfig(), 32, "inter", None, 0)
     backbone = b"".join(p.data.tobytes() for p in model.encoder.params())
