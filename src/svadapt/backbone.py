@@ -130,15 +130,11 @@ def encode_collect(
     mhsa_adapters=None,
 ):
     """Featurize, run every layer in sequence, and return all per-layer
-    outputs (the featurizer output is not included)."""
+    outputs (the featurizer output is not included). Frames whose width is
+    not the encoder's input_dim fail in the featurizer's matmul."""
     x = frames if isinstance(frames, Tensor) else Tensor(frames)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"encode_collect needs a non-empty [T, input_dim] input, got {x.shape}")
-    if x.shape[1] != encoder.cfg.input_dim:
-        raise ValueError(
-            f"encode_collect: frame dim {x.shape[1]} does not match "
-            f"encoder input_dim {encoder.cfg.input_dim}"
-        )
     n = encoder.cfg.num_layers
     ffn_adapters = ffn_adapters or [None] * n
     mhsa_adapters = mhsa_adapters or [None] * n

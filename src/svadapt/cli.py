@@ -180,8 +180,8 @@ def cmd_train(args) -> int:
     _path(cfg.corpus_path, "corpus")
     _check_paths({"--out": args.out}, {"--config": args.config, "--corpus": cfg.corpus_path,
                                        "--backbone": cfg.backbone_path, "--trials": cfg.trials_path})
-    runs = backbone_runs([cfg], [cfg.backbone_path], cfg.encoder) if cfg.backbone_path else []
-    backbone = runs[0][0] if runs else None
+    backbone = (backbone_runs({cfg.mode: cfg}, [cfg.backbone_path], cfg.encoder)[0][0]
+                if cfg.backbone_path else None)
     corpus = read_corpus(cfg.corpus_path)
     trials = read_trials(cfg.trials_path) if cfg.trials_path else None
     if trials is None:
@@ -225,7 +225,7 @@ def cmd_count_params(args) -> int:
         given[None] = {"embed_dim": 512, **given.get(None, {})}
         given["adapter"] = {"bottleneck_dim": 256, **given.get("adapter", {})}
     cfg = config_from_text("", overrides=given)
-    rows = count_params_table(cfg.encoder, cfg.embed_dim, cfg.adapter.bottleneck_dim)
+    rows = count_params_table(cfg)
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -247,18 +247,19 @@ def _scales(text) -> tuple:
 
 def cmd_runs(args) -> int:
     """compare and sweep-scale: each row of the command's roster on each
-    backbone, with the encoder and seed the backbone records. Every row is
-    checked before a backbone is read, and every run and the trial list
-    before the first run starts."""
+    backbone, with the encoder and seed the backbone records, one table line
+    per row label. Every row is checked before a backbone is read, and every
+    run and the trial list before the first run starts."""
     cfg = _run_config_from_args(args)
     rows = compare_configs(cfg) if args.column == "mode" else sweep_configs(cfg, _scales(args.scales))
     runs = backbone_runs(rows, args.backbone)
     corpus = read_corpus(args.corpus)
     trials = read_trials(args.trials)
     check_trials(trials, corpus)
-    reports = (run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs)
+    reports = ((label, run_and_report(cfg, backbone, corpus, trials))
+               for backbone, label, cfg in runs)
     if args.json:
-        for report in reports:
+        for _label, report in reports:
             print(report.to_json(), flush=True)
     else:
         print(format_run_table(reports, args.column))

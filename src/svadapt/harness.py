@@ -1,6 +1,7 @@
 """Run orchestration: configs, binary checkpoints, desk-scale backbone
 pre-training, tuning runs, evaluation, parameter-count reports, and the
-multi-run rosters (the scaling-factor sweep and the mode comparison).
+multi-run rosters of labelled run configs (the scaling-factor sweep, and
+the mode comparison, whose rows the parameter-count report counts).
 
 Checkpoint format (version 4, little-endian throughout):
 
@@ -363,17 +364,19 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
             raise DataError(f"{path}: {what} is not valid UTF-8 ({exc})") from exc
 
     config_text = text(16, conf_end, "config block")
-    names = [text(name_at, name_end, f"param {i} name")
-             for i, (name_at, name_end, *_rest) in enumerate(rows)]
-    seen = set()
-    for name in names:
+    if hash_at + 8 != end:
+        raise DataError(f"{path}: {end - hash_at - 8} bytes follow the backbone hash")
+    params, seen = [], set()
+    for i, (name_at, name_end, trainable, shape, start, stop) in enumerate(rows):
+        name = text(name_at, name_end, f"param {i} name")
         if name in seen:
             raise DataError(f"{path}: param {name!r} appears twice")
         seen.add(name)
-    if hash_at + 8 != end:
-        raise DataError(f"{path}: {end - hash_at - 8} bytes follow the backbone hash")
-    params = [(name, bool(trainable), np.frombuffer(view[start:stop], "<f8").reshape(shape).copy())
-              for name, (_a, _b, trainable, shape, start, stop) in zip(names, rows)]
+        try:
+            values = np.frombuffer(view[start:stop], "<f8").reshape(shape)
+        except ValueError as exc:  # more dims than this numpy allows
+            raise DataError(f"{path}: param {name!r} has rank {len(shape)}: {exc}") from exc
+        params.append((name, bool(trainable), values.copy()))
     (stored_hash,) = struct.unpack_from("<Q", blob, hash_at)
     if stored_hash != actual:
         raise DataError(
@@ -614,22 +617,16 @@ def run_and_report(cfg: RunConfig, backbone_ckpt, corpus: Corpus, trials,
 # parameter-count report (shape-only builds; no weights are allocated)
 
 
-def count_params_table(encoder_cfg: EncoderConfig, embed_dim: int, bottleneck_dim: int) -> list:
-    """Per-mode trainable counts with a weights/biases/LN breakdown, shares
-    measured against the backbone total (featurizer + transformer stack).
-    Each mode is built shape-only and counted by `adapters.count_params`.
-    Its adapters are the mode's default at `bottleneck_dim`; a fixed scale
-    adds no param, so the count is the same for either variant."""
-    rows = []
-    for mode in ad.MODES:
-        acfg = ad.adapter_for(mode)
-        if acfg is not None:
-            acfg = replace(acfg, bottleneck_dim=bottleneck_dim)
-        with tt.shape_only():
-            counts = ad.count_params(SVModel(encoder_cfg, embed_dim, mode, acfg, seed=0))
-        side = counts.pop("pretrained_side_trainable")
-        rows.append({"mode": mode, "trainable_pretrained_side": side, **counts})
-    return rows
+def count_params_table(cfg: RunConfig) -> list:
+    """Trainable counts of each row of `compare_configs(cfg)`, built
+    shape-only, by `adapters.count_params`: a weights/biases/LN breakdown
+    and shares of the backbone total (featurizer + transformer stack). A
+    fixed scale adds no param, so either adapter variant counts the same."""
+    with tt.shape_only():
+        counts = {mode: ad.count_params(SVModel(row.encoder, row.embed_dim, mode, row.adapter, row.seed))
+                  for mode, row in compare_configs(cfg).items()}
+    return [{"mode": mode, "trainable_pretrained_side": c.pop("pretrained_side_trainable"), **c}
+            for mode, c in counts.items()]
 
 
 def format_count_table(rows) -> str:
@@ -650,38 +647,40 @@ def format_count_table(rows) -> str:
 DEFAULT_SWEEP_SCALES = ("sequential", ad.LEARNABLE, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
 
 
-def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> list:
-    """`cfg` for each entry of `scales`: "sequential" runs the sequential
-    adapter, "learnable" the parallel one with a learnable scale, and a
-    number the parallel one at that fixed scale. A bad entry or a mode
-    without a parallel adapter is a ConfigError."""
+def sweep_configs(cfg: RunConfig, scales=DEFAULT_SWEEP_SCALES) -> dict:
+    """`cfg` for each entry of `scales`, labelled by it: "sequential" (the
+    sequential adapter), "learnable" (the parallel one, learnable scale) or
+    a number as `f"{s:g}"` prints it (the parallel one at that scale). Two
+    entries with one label, a bad entry or a mode without a parallel adapter
+    is a ConfigError."""
     if "parallel" not in ad.MODE_SPECS[cfg.mode].variants:
         raise ConfigError(f"sweep-scale needs an inner-adapter mode, not {cfg.mode!r}")
-    dim = cfg.adapter.bottleneck_dim
-    return [replace(cfg, adapter=ad.AdapterConfig(dim, "sequential") if s == "sequential"
-                    else ad.AdapterConfig(dim, "parallel", s)) for s in scales]
+    dim, rows = cfg.adapter.bottleneck_dim, {}
+    for s in scales:
+        label = s if isinstance(s, str) else f"{s:g}"
+        if label in rows:
+            raise ConfigError(f"sweep entry {s!r} repeats the row label {label!r}")
+        rows[label] = replace(cfg, adapter=ad.AdapterConfig(dim, "sequential") if s == "sequential"
+                              else ad.AdapterConfig(dim, "parallel", s))
+    return rows
 
 
-def sweep_label(adapter: dict) -> str:
-    """A sweep row's name, from its report's adapter: "sequential",
-    "learnable" or the fixed scale."""
-    if adapter["variant"] == "sequential":
-        return "sequential"
-    return adapter["scale"] if adapter["scale"] == ad.LEARNABLE else f"{adapter['scale']:g}"
+def compare_configs(cfg: RunConfig) -> dict:
+    """`cfg` in each mode of `MODES`, in order, labelled by the mode, with
+    the mode's default adapter (`adapters.adapter_for`) at `cfg`'s
+    bottleneck width."""
+    width = {} if cfg.adapter is None else {"bottleneck_dim": cfg.adapter.bottleneck_dim}
+    return {mode: replace(cfg, mode=mode, adapter=ad.adapter_for(
+                mode, settings=width if mode in ad.INNER_MODES else None))
+            for mode in ad.MODES}
 
 
-def compare_configs(cfg: RunConfig) -> list:
-    """`cfg` in each mode of `MODES`, in order, with the mode's default
-    adapter."""
-    return [replace(cfg, mode=mode, adapter=None) for mode in ad.MODES]
-
-
-def backbone_runs(rows, backbone_paths, encoder: EncoderConfig | None = None) -> list:
-    """(backbone checkpoint, run config) for each backbone file, then each
-    run config of `rows`, with the encoder and seed the backbone's config
-    text records. Every backbone is read, and must record `encoder` (the
-    first backbone's when None), its seed aside, before each run's model
-    is built shape-only, so a run that cannot start is a ConfigError
+def backbone_runs(rows: dict, backbone_paths, encoder: EncoderConfig | None = None) -> list:
+    """(backbone checkpoint, label, run config) for each backbone file, then
+    each row of the roster `rows`, with the encoder and seed the backbone's
+    config text records. Every backbone is read, and must record `encoder`
+    (the first backbone's when None), its seed aside, before each run's
+    model is built shape-only, so a run that cannot start is a ConfigError
     before any of them does."""
     backbones = [load_checkpoint(path) for path in backbone_paths]
     recorded = [config_from_text(b.config_text, f"config of backbone {path}")
@@ -690,17 +689,17 @@ def backbone_runs(rows, backbone_paths, encoder: EncoderConfig | None = None) ->
     encoder = encoder or recorded[0].encoder
     for path, cfg in zip(backbone_paths, recorded):
         _check_encoders(encoder, cfg.encoder, f"{named} {path}")
-    return [(b, buildable(replace(row, encoder=cfg.encoder, seed=cfg.seed)))
-            for b, cfg in zip(backbones, recorded) for row in rows]
+    return [(b, label, buildable(replace(row, encoder=cfg.encoder, seed=cfg.seed)))
+            for b, cfg in zip(backbones, recorded) for label, row in rows.items()]
 
 
-def format_run_table(reports, column: str) -> str:
-    """One row per mode, or per sweep row when `column` is "scale", in
-    first-report order: its trainable count and the median EER and minDCF
-    over its reports."""
+def format_run_table(rows, column: str) -> str:
+    """One line per label of `rows`, (label, report) pairs, in first-row
+    order, under a `column` heading: its trainable count and the median EER
+    and minDCF over its reports."""
     groups = {}
-    for r in reports:
-        groups.setdefault(r.mode if column == "mode" else sweep_label(r.adapter), []).append(r)
+    for label, r in rows:
+        groups.setdefault(label, []).append(r)
     lines = [f"{column:<14} {'trainable':>12} {'pct':>7} {'EER':>7} {'minDCF':>8}"]
     for label, rs in groups.items():
         c = rs[0].trainable

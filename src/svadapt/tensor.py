@@ -643,6 +643,7 @@ def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -
     f must be a pure function of the given params (re-evaluated ~2*n_probes
     times). The first probes cover each param once, the rest are uniform.
     Relative error uses a 1e-12 floor so exactly-zero gradients compare as 0.
+    A NaN at any probe (a NaN gradient or loss) is the result.
     Caller is responsible for keeping relu pre-activations away from the
     kink relative to h.
     """
@@ -676,5 +677,7 @@ def grad_check(f, params, h: float = 1e-5, n_probes: int = 100, seed: int = 0) -
         fd = (fp - fm) / (2.0 * h)
         a = analytic[i].flat[idx]
         rel = abs(a - fd) / max(abs(a), abs(fd), 1e-12)
+        if np.isnan(rel):  # max() would keep `worst` over a NaN
+            return rel
         worst = max(worst, rel)
     return worst

@@ -27,7 +27,6 @@ from svadapt.harness import (
     pretrain_backbone,
     run_and_report,
     sweep_configs,
-    sweep_label,
     train,
 )
 from svadapt.metrics import (
@@ -302,7 +301,9 @@ class TestCriterion5ParameterAccounting:
         started = time.perf_counter()
         rows = {
             r["mode"]: r
-            for r in count_params_table(PRESETS["wavlm-base-plus-dims"], 512, 256)
+            for r in count_params_table(RunConfig(encoder=PRESETS["wavlm-base-plus-dims"],
+                                                  embed_dim=512,
+                                                  adapter=AdapterConfig(bottleneck_dim=256)))
         }
         elapsed = time.perf_counter() - started
         inter_exact = rows["inter"]["trainable_pretrained_side"] == 394_764
@@ -388,15 +389,19 @@ class TestCriterion8SweepProtocol:
             total_steps=40, warmup_steps=8, batch_size=2,
         )
         runs = backbone_runs(sweep_configs(cfg), [path])
-        reports = [run_and_report(row, backbone, corpus, trials) for backbone, row in runs]
-        roster = [sweep_label(r.adapter) for r in reports]
+        reports = [run_and_report(row, backbone, corpus, trials) for backbone, _label, row in runs]
+        roster = [label for _backbone, label, _row in runs]
         expected = ["sequential", "learnable", "0.05", "0.1", "0.5", "1", "1.5", "2"]
+        # each report ran the adapter its label names
+        adapters = [(r.adapter["variant"], r.adapter["scale"]) for r in reports]
+        expected_adapters = [("sequential", None), ("parallel", "learnable")] + [
+            ("parallel", s) for s in (0.05, 0.1, 0.5, 1.0, 1.5, 2.0)]
         populated = all(
             math.isfinite(r.eer) and math.isfinite(r.min_dcf) for r in reports
         )
         criterion(
             8,
-            roster == expected and populated,
+            roster == expected and adapters == expected_adapters and populated,
             f"sweep roster {roster} with populated EER/minDCF",
         )
 

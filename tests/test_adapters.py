@@ -307,11 +307,12 @@ class TestCountTrainable:
     def test_shape_only_preset_build_allocates_no_weights(self):
         import tracemalloc
 
-        from svadapt.harness import count_params_table
+        from svadapt.harness import RunConfig, count_params_table
 
         tracemalloc.start()
         try:
-            count_params_table(self.PRESET, 512, 256)
+            count_params_table(RunConfig(encoder=self.PRESET, embed_dim=512,
+                                         adapter=AdapterConfig(bottleneck_dim=256)))
             _now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -251,6 +251,11 @@ class TestEncodeCollect:
         with pytest.raises(ValueError, match="non-empty"):
             encode_collect(np.zeros((0, 5)), enc)
 
+    def test_rejects_frames_of_another_width(self):
+        # the featurizer's matmul refuses them
+        with pytest.raises(ValueError, match="matmul: incompatible shapes"):
+            encode_collect(np.zeros((3, 6)), small_encoder())
+
     def test_frozen_backbone_gets_no_gradient(self):
         enc = small_model("linear-probe", seed=8).encoder
         probe = Param(np.zeros((5, 8)), name="probe")

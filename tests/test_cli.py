@@ -1,5 +1,6 @@
 """End-to-end CLI coverage with exit-code contracts."""
 
+import errno
 import hashlib
 import json
 import os
@@ -529,8 +530,6 @@ class TestSweepScale:
         ]
 
     def test_sweep_rows(self, workdir, capsys):
-        from svadapt.harness import sweep_label
-
         rc = main(
             [
                 "sweep-scale", *self.inputs(workdir), "--scales", "sequential,0.5",
@@ -539,7 +538,6 @@ class TestSweepScale:
         )
         assert rc == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-        assert [sweep_label(r["adapter"]) for r in rows] == ["sequential", "0.5"]
         # each row records only the adapter settings that took effect
         assert [r["adapter"] for r in rows] == [
             {"bottleneck_dim": 4, "variant": "sequential", "scale": None},
@@ -585,6 +583,21 @@ class TestSweepScale:
         )
         assert rc == 2
         assert "--scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales, label", [("0.1,0.1000001", "0.1"), ("0.5,0.5", "0.5")])
+    def test_entries_with_one_label_exit_2_before_reading_inputs(self, tmp_path, capsys,
+                                                                 scales, label):
+        # one table line per label: the two entries' runs would share a line
+        rc = main(
+            [
+                "sweep-scale", "--corpus", str(tmp_path / "missing.txt"),
+                "--trials", str(tmp_path / "missing_trials.txt"),
+                "--backbone", str(tmp_path / "missing.ckpt"),
+                "--scales", scales,
+            ]
+        )
+        assert rc == 2
+        assert f"repeats the row label {label!r}" in capsys.readouterr().err
 
     def test_empty_scales_exit_2_and_do_not_run_the_default_roster(self, tmp_path, capsys):
         rc = main(
@@ -863,6 +876,21 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "FAIL: exceeds tolerance 0"
         assert "OK" not in out
+
+    def test_a_nan_gradient_exits_4(self, capsys, monkeypatch):
+        import svadapt.gradsuite
+
+        build = svadapt.gradsuite.build_check_model
+
+        def with_a_nan(*args, **kwargs):
+            model, frames, labels = build(*args, **kwargs)
+            model.head.fc2_w.data[0, 0] = np.nan
+            return model, frames, labels
+
+        monkeypatch.setattr(svadapt.gradsuite, "build_check_model", with_a_nan)
+        assert main(["grad-check", "--probes", "10"]) == 4
+        out = capsys.readouterr().out
+        assert out == "max relative gradient error over 10 probes: nan\n"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1477,6 +1505,45 @@ class TestFileFaults:
         assert link.is_symlink() and os.readlink(link) == "real.txt"
         assert read_corpus(real).config.num_speakers == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    @pytest.mark.parametrize("where", ["in-the-block", "at-replace"])
+    def test_a_write_that_fails_after_the_temp_file_opens_keeps_the_file(
+        self, tmp_path, monkeypatch, where
+    ):
+        from svadapt import fileio
+
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"earlier\n")
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def no_room(*args):
+            raise full
+
+        if where == "at-replace":
+            monkeypatch.setattr(fileio.os, "replace", no_room)
+        with pytest.raises(OSError) as info:
+            with fileio.atomic_write(target) as fh:
+                fh.write("new\n")
+                if where == "in-the-block":
+                    no_room()
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(target))
+        assert target.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_a_failed_replace_exits_3_naming_the_target(self, tmp_path, monkeypatch, capsys):
+        from svadapt import fileio
+
+        def no_room(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        target = tmp_path / "corpus.txt"
+        target.write_bytes(b"earlier\n")
+        monkeypatch.setattr(fileio.os, "replace", no_room)
+        rc = main(["gen-data", "--speakers", "4", "--utts-per-speaker", "3", "--out", str(target)])
+        assert rc == 3
+        assert f"cannot write {target}: No space left on device" in capsys.readouterr().err
+        assert target.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
     def test_write_to_a_fifo_writes_through_it(self, workdir, tmp_path):
         run = tmp_path / "run.ckpt"

@@ -22,6 +22,7 @@ from svadapt.backend import train_loss
 from svadapt.errors import ConfigError, DataError, NumericError
 from svadapt.harness import (
     DEFAULT_SWEEP_SCALES,
+    MAGIC,
     Checkpoint,
     MetricsReport,
     RunConfig,
@@ -46,7 +47,6 @@ from svadapt.harness import (
     save_checkpoint,
     save_model_checkpoint,
     sweep_configs,
-    sweep_label,
     train,
 )
 from svadapt.metrics import Trial, read_scores
@@ -54,7 +54,8 @@ from svadapt.model import SVModel
 from svadapt.optim import LrSchedule
 from svadapt.rng import fnv1a64
 from svadapt.synthdata import (
-    CorpusConfig, generate_corpus, generate_trials, read_corpus, read_trials,
+    CorpusConfig, generate_corpus, generate_trials, read_corpus, read_trials, write_corpus,
+    write_trials,
 )
 
 TINY_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24, input_dim=10)
@@ -849,6 +850,38 @@ class TestCheckpointCorruption:
                                             "expected 4; re-run to regenerate"):
             load_checkpoint(old)
 
+    @staticmethod
+    def high_rank_file(path, shape) -> None:
+        """A sealed checkpoint of one head param of `shape`, all ones."""
+        conf = b"[run]\nmode = inner\n"
+        name = b"head.b"
+        body = b"".join([
+            MAGIC, struct.pack("<II", 4, len(conf)), conf, struct.pack("<QI", 3, 1),
+            struct.pack(f"<H{len(name)}sBB{len(shape)}I", len(name), name, 0, len(shape), *shape),
+            np.ones(int(np.prod(shape)), "<f8").tobytes(),
+            struct.pack("<Q", fnv1a64(hashlib.sha256().digest())),  # no backbone bytes
+        ])
+        path.write_bytes(sealed(body))
+
+    @pytest.mark.parametrize("shape", [(0,) + (1,) * 69, (1,) * 65], ids=["rank-70", "rank-65"])
+    def test_a_rank_numpy_cannot_hold_is_a_data_error(self, tmp_path, shape):
+        # a rank fits in its u8, but numpy holds at most 64 dims (32 before 2.0)
+        bad = tmp_path / "rank.ckpt"
+        self.high_rank_file(bad, shape)
+        with pytest.raises(DataError, match=f"param 'head.b' has rank {len(shape)}"):
+            load_checkpoint(bad)
+
+    def test_a_rank_numpy_cannot_hold_exits_3_in_eval(self, corpus, trials, tmp_path, capsys):
+        from svadapt.cli import main
+
+        write_corpus(tmp_path / "corpus.txt", corpus)
+        write_trials(tmp_path / "trials.txt", trials)
+        self.high_rank_file(tmp_path / "rank.ckpt", (0,) + (1,) * 69)
+        rc = main(["eval", "--checkpoint", str(tmp_path / "rank.ckpt"),
+                   "--corpus", str(tmp_path / "corpus.txt"), "--trials", str(tmp_path / "trials.txt")])
+        assert rc == 3
+        assert "param 'head.b' has rank 70" in capsys.readouterr().err
+
     def test_corruption_fuzz_never_loads(self, tmp_path):
         # 300 corrupt copies of an inner-inter checkpoint with a learnable
         # scale: 100 truncations, 100 appended byte runs and 100 single-bit
@@ -1155,11 +1188,13 @@ class TestReports:
         assert (again.eer, again.min_dcf) == (report.eer, report.min_dcf)
 
 
+PRESET_RUN = RunConfig(encoder=PRESETS["wavlm-base-plus-dims"], embed_dim=512,
+                       adapter=AdapterConfig(bottleneck_dim=256))
+
+
 class TestCountParamsTable:
     def test_preset_totals(self):
-        rows = {r["mode"]: r for r in count_params_table(
-            PRESETS["wavlm-base-plus-dims"], 512, 256
-        )}
+        rows = {r["mode"]: r for r in count_params_table(PRESET_RUN)}
         assert rows["inter"]["trainable_pretrained_side"] == 394_764
         assert rows["inner"]["trainable_pretrained_side"] == 4_749_312
         assert rows["houlsby"]["trainable_pretrained_side"] == 9_498_624
@@ -1169,9 +1204,7 @@ class TestCountParamsTable:
         assert rows["full-finetune"]["trainable_pretrained_side"] == 85_054_464
 
     def test_breakdown_itemizes_weights_biases_ln(self):
-        rows = {r["mode"]: r for r in count_params_table(
-            PRESETS["wavlm-base-plus-dims"], 512, 256
-        )}
+        rows = {r["mode"]: r for r in count_params_table(PRESET_RUN)}
         inner = rows["inner"]["breakdown"]["inner_adapters"]
         d, dh, n = 768, 256, 12
         assert inner["weight"] == n * 2 * d * dh
@@ -1179,16 +1212,15 @@ class TestCountParamsTable:
         assert inner["ln"] == n * 2 * d
 
     def test_percentages_use_configured_backbone_total(self):
-        rows = {r["mode"]: r for r in count_params_table(
-            PRESETS["wavlm-base-plus-dims"], 512, 256
-        )}
+        rows = {r["mode"]: r for r in count_params_table(PRESET_RUN)}
         total = rows["inter"]["backbone_total"]
         assert total == 85_054_464 + 512 * 768 + 768  # stack + featurizer
         expected_pct = 100.0 * 394_764 / total
         assert rows["inter"]["pct_of_backbone"] == pytest.approx(expected_pct)
 
     def test_table_formats(self):
-        text = format_count_table(count_params_table(TINY_ENCODER, 8, 4))
+        text = format_count_table(count_params_table(
+            RunConfig(encoder=TINY_ENCODER, embed_dim=8, adapter=AdapterConfig(bottleneck_dim=4))))
         assert "linear-probe" in text and "inner-inter" in text
 
 
@@ -1197,17 +1229,37 @@ class TestSweepScale:
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=4)
         runs = backbone_runs(sweep_configs(cfg, scales=("sequential", "learnable", 0.5, 1.0)),
                              [backbone_path])
-        reports = [run_and_report(cfg, backbone, corpus, trials) for backbone, cfg in runs]
-        assert [sweep_label(r.adapter) for r in reports] == ["sequential", "learnable", "0.5", "1"]
+        labelled = [(label, run_and_report(cfg, backbone, corpus, trials))
+                    for backbone, label, cfg in runs]
+        reports = [r for _label, r in labelled]
+        assert [label for label, _r in labelled] == ["sequential", "learnable", "0.5", "1"]
+        assert [(r.adapter["variant"], r.adapter["scale"]) for r in reports] == [
+            ("sequential", None), ("parallel", "learnable"), ("parallel", 0.5), ("parallel", 1.0)]
         assert all(r.mode == "inner-inter" and r.adapter["bottleneck_dim"] == 4 for r in reports)
         for r in reports:
             assert np.isfinite(r.eer) and np.isfinite(r.min_dcf)
-        assert "sequential" in format_run_table(reports, "scale")
+        assert "sequential" in format_run_table(labelled, "scale")
 
     def test_default_roster(self):
         assert DEFAULT_SWEEP_SCALES == (
             "sequential", "learnable", 0.05, 0.1, 0.5, 1.0, 1.5, 2.0
         )
+        rows = sweep_configs(tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4)))
+        assert list(rows) == ["sequential", "learnable", "0.05", "0.1", "0.5", "1", "1.5", "2"]
+
+    @pytest.mark.parametrize("scales, again, label", [
+        ((0.1, 0.1000001), 0.1000001, "0.1"),
+        ((0.1, 0.1000001, 0.5, 0.5), 0.1000001, "0.1"),
+        ((0.5, "learnable", 0.5), 0.5, "0.5"),
+        (("learnable", 1.0, "learnable"), "learnable", "learnable"),
+    ], ids=["near-equal", "two-pairs", "equal", "learnable"])
+    def test_entries_that_print_alike_are_refused(self, scales, again, label):
+        # one table line per label: two entries under one label would be
+        # merged into a median over runs of different settings
+        cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sweep entry {again!r} repeats the row label {label!r}")):
+            sweep_configs(cfg, scales)
 
     def test_requires_inner_mode(self):
         with pytest.raises(ConfigError, match="inner-adapter mode"):
@@ -1222,12 +1274,58 @@ class TestSweepScale:
         pretrain_backbone(tiny_cfg("full-finetune", steps=30, seed=6), corpus, out_path=path)
         cfg = tiny_cfg("inner-inter", AdapterConfig(bottleneck_dim=4), steps=20)
         runs = backbone_runs(sweep_configs(cfg, scales=(0.0,)), [path])
-        ((backbone, run_cfg),) = runs
+        ((backbone, _label, run_cfg),) = runs
         report = run_and_report(run_cfg, backbone, corpus, trials)
         baseline = train(tiny_cfg("inter", steps=20, seed=6), load_checkpoint(path), corpus)
         res, _ = evaluate(baseline.model, corpus, trials)
         assert report.eer == res.eer
         assert report.min_dcf == res.min_dcf
+
+
+class TestCompareConfigs:
+    def test_rows_are_the_modes_with_their_default_adapters(self):
+        # with the default 16-unit bottleneck, each row is `cfg` in its mode
+        # with the adapter RunConfig gives that mode
+        cfg = RunConfig(embed_dim=8, total_steps=700)
+        assert compare_configs(cfg) == {mode: replace(cfg, mode=mode, adapter=None)
+                                        for mode in MODE_SPECS}
+
+    def test_adapters_take_the_configs_bottleneck_width(self):
+        rows = compare_configs(RunConfig(adapter=AdapterConfig(bottleneck_dim=4)))
+        assert {mode: row.adapter for mode, row in rows.items()} == {
+            mode: None if not spec.slots else AdapterConfig(
+                bottleneck_dim=4, variant="sequential" if mode == "houlsby" else "parallel")
+            for mode, spec in MODE_SPECS.items()}
+
+    def test_count_table_counts_the_compare_rows(self):
+        cfg = RunConfig(encoder=TINY_ENCODER, embed_dim=8, adapter=AdapterConfig(bottleneck_dim=4))
+        table = count_params_table(cfg)
+        assert [r["mode"] for r in table] == list(compare_configs(cfg))
+        # houlsby: FFN and MHSA adapters in each of 2 layers, 16 wide, 4 deep
+        houlsby = {r["mode"]: r for r in table}["houlsby"]["components"]["inner_adapters"]
+        assert houlsby == 2 * 2 * (16 * 4 + 4 + 4 * 16 + 16 + 2 * 16)
+
+
+def report_of(eer, trainable=5):
+    return MetricsReport(
+        mode="inner-inter", seed=0, steps=1, adapter=None,
+        trainable={"pretrained_side_trainable": trainable, "pct_of_backbone": 1.0},
+        eer=eer, min_dcf=eer, threshold_at_eer=0.0, n_target=1, n_nontarget=1, wall_clock_s=0.0,
+    )
+
+
+class TestFormatRunTable:
+    def test_one_line_per_label_as_given(self):
+        # reports alike in everything but their label stay apart, and a row
+        # need not name a mode
+        text = format_run_table(
+            [("mean-frame", report_of(0.25)), ("0.1", report_of(0.5)),
+             ("mean-frame", report_of(0.75)), ("0.1", report_of(0.5))], "row")
+        assert text.splitlines() == [
+            "row               trainable     pct     EER   minDCF",
+            "mean-frame                5   1.00%   0.500    0.500",
+            "0.1                       5   1.00%   0.500    0.500",
+        ]
 
 
 class TestBackboneRuns:
@@ -1238,9 +1336,9 @@ class TestBackboneRuns:
         pretrain_backbone(tiny_cfg("full-finetune", steps=2, seed=3), corpus, out_path=other)
         rows = sweep_configs(RunConfig(adapter=AdapterConfig(bottleneck_dim=4)), (0.5, 1.0))
         runs = backbone_runs(rows, [backbone_path, other])
-        assert [cfg.seed for _b, cfg in runs] == [0, 0, 3, 3]
-        assert all(cfg.encoder == TINY_ENCODER for _b, cfg in runs)
-        assert [cfg.adapter.scale for _b, cfg in runs] == [0.5, 1.0, 0.5, 1.0]
+        assert [cfg.seed for _b, _label, cfg in runs] == [0, 0, 3, 3]
+        assert all(cfg.encoder == TINY_ENCODER for _b, _label, cfg in runs)
+        assert [cfg.adapter.scale for _b, _label, cfg in runs] == [0.5, 1.0, 0.5, 1.0]
 
     def test_encoder_mismatch_names_both_files(self, corpus, backbone_path, tmp_path):
         wide = tmp_path / "wide.ckpt"
@@ -1256,7 +1354,7 @@ class TestBackboneRuns:
         pretrain_backbone(cfg, corpus, out_path=other)
         rows = sweep_configs(RunConfig(adapter=AdapterConfig(bottleneck_dim=4)), (0.5,))
         runs = backbone_runs(rows, [backbone_path, other])
-        assert [cfg.encoder.seed for _b, cfg in runs] == [0, 9]
+        assert [cfg.encoder.seed for _b, _label, cfg in runs] == [0, 9]
 
     def test_a_row_no_model_fits_is_a_config_error(self, backbone_path):
         # houlsby's default 16-unit bottleneck is not narrower than the

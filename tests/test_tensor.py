@@ -233,6 +233,13 @@ class TestGradCheck:
 
         assert T.grad_check(f, [x], n_probes=10, seed=0) > 0.05
 
+    def test_a_nan_gradient_is_the_result(self):
+        # max() keeps 0.0 over a NaN, which read as perfect agreement
+        p = Param([[1.0, 2.0]], name="p")
+        q = Param([[np.nan], [1.0]], name="q")
+        result = T.grad_check(lambda: T.sum_all(T.matmul(p, q)), [p, q], n_probes=4, seed=0)
+        assert np.isnan(result)
+
     def test_constant_function_reports_zero(self):
         x = Param([1.0, 2.0], name="x")
 
