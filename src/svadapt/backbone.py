@@ -4,7 +4,8 @@ The front end is a single frozen affine featurizer mapping input frames to
 the hidden width; it stays frozen in every tuning mode. Each layer is the
 classic post-norm pair of sub-blocks, LN(MHSA(x) + x) then LN(FFN(u) + u);
 an adapter given for a sub-block is inserted on its output before the
-residual and LN (see adapters.py).
+residual and LN (see adapters.py). Each layer holds its head count, so
+`mhsa` and `layer_forward` take the layer alone.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class TransformerLayer(Module):
     def __init__(self, cfg: EncoderConfig, index: int):
         d, f, s = cfg.hidden_dim, cfg.ffn_dim, cfg.seed
         p = f"encoder.layer{index:02d}"
+        self.num_heads = cfg.num_heads
         self.wq = Param.xavier(f"{p}.attn.wq", (d, d), s)
         self.bq = Param.zeros(f"{p}.attn.bq", d)
         self.wk = Param.xavier(f"{p}.attn.wk", (d, d), s)
@@ -85,26 +87,19 @@ class TransformerLayer(Module):
         return tt.matmul(tt.relu(tt.matmul(u, self.w1, self.b1)), self.w2, self.b2)
 
 
-def mhsa(x: Tensor, layer: TransformerLayer, num_heads: int) -> Tensor:
-    """Scaled dot-product multi-head self-attention, fully bidirectional,
-    with per-head scale 1/sqrt(head_dim)."""
+def mhsa(x: Tensor, layer: TransformerLayer) -> Tensor:
+    """Scaled dot-product multi-head self-attention over the layer's heads,
+    fully bidirectional, with per-head scale 1/sqrt(head_dim)."""
     q = tt.matmul(x, layer.wq, layer.bq)
     k = tt.matmul(x, layer.wk, layer.bk)
     v = tt.matmul(x, layer.wv, layer.bv)
-    heads, _ = tt.attention(q, k, v, num_heads)
-    return tt.matmul(heads, layer.wo, layer.bo)
+    return tt.matmul(tt.attention(q, k, v, layer.num_heads), layer.wo, layer.bo)
 
 
-def layer_forward(
-    x: Tensor,
-    layer: TransformerLayer,
-    num_heads: int,
-    ffn_adapter=None,
-    mhsa_adapter=None,
-) -> Tensor:
+def layer_forward(x: Tensor, layer: TransformerLayer, ffn_adapter=None, mhsa_adapter=None) -> Tensor:
     """One post-norm transformer layer. An adapter given for a sub-block is
     inserted on that sub-block's output (`BottleneckAdapter.insert`)."""
-    att = mhsa(x, layer, num_heads)
+    att = mhsa(x, layer)
     if mhsa_adapter is not None:
         att = mhsa_adapter.insert(x, att)
     u = tt.layer_norm(tt.add(att, x), layer.ln_att_g, layer.ln_att_b)
@@ -123,16 +118,12 @@ class Encoder(Module):
         self.layers = [TransformerLayer(cfg, i) for i in range(cfg.num_layers)]
 
 
-def encode_collect(
-    frames,
-    encoder: Encoder,
-    ffn_adapters=None,
-    mhsa_adapters=None,
-):
-    """Featurize, run every layer in sequence, and return all per-layer
-    outputs (the featurizer output is not included). Frames whose width is
-    not the encoder's input_dim fail in the featurizer's matmul."""
-    x = frames if isinstance(frames, Tensor) else Tensor(frames)
+def encode_collect(frames, encoder: Encoder, ffn_adapters=None, mhsa_adapters=None):
+    """Featurize a [T, input_dim] frame array, run every layer in sequence,
+    and return all per-layer outputs (the featurizer output is not
+    included). Frames whose width is not the encoder's input_dim fail in
+    the featurizer's matmul."""
+    x = Tensor(frames)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"encode_collect needs a non-empty [T, input_dim] input, got {x.shape}")
     n = encoder.cfg.num_layers
@@ -141,6 +132,6 @@ def encode_collect(
     x = encoder.featurizer(x)
     outputs = []
     for layer, fa, ma in zip(encoder.layers, ffn_adapters, mhsa_adapters):
-        x = layer_forward(x, layer, encoder.cfg.num_heads, fa, ma)
+        x = layer_forward(x, layer, fa, ma)
         outputs.append(x)
     return outputs

@@ -152,8 +152,10 @@ def randints(seed: int, labels, n: int) -> np.ndarray:
     return (_words(_bases(seed, labels), np.uint64(1)) % np.uint64(n)).astype(np.int64)
 
 
-def xavier_uniform(shape, fan_in: int, fan_out: int, seed: int, label: str) -> np.ndarray:
-    """Centered uniform with half-width sqrt(6 / (fan_in + fan_out))."""
+def xavier_uniform(shape, seed: int, label: str) -> np.ndarray:
+    """A [fan_in, fan_out] weight, centered uniform with half-width
+    sqrt(6 / (fan_in + fan_out)), drawn from the stream (seed, label)."""
+    fan_in, fan_out = shape
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     stream = Stream(seed, label)
     n = int(np.prod(shape))

@@ -12,9 +12,9 @@ no active tape, an op returns its output before it builds a closure.
 
 Forward keeps only what backward reads. The tape and each closure hold
 gradient nodes, never op outputs: a node is a bare gradient slot, and a
-trainable `Param` is its own node (a frozen one has none). `Tensor.grad`
-and `Tensor.needs_grad` read the tensor's node. Each closure keeps only the
-arrays its backward reads:
+trainable `Param` is its own node (a frozen one has none), and
+`Tensor.grad` reads the tensor's node. Each closure keeps only the arrays
+its backward reads:
 - `matmul` keeps `a.data` only when `b` needs a gradient, and `b.data` only
   when `a` does; `mul` likewise;
 - `add`, `concat_rows`, `mean_rows` and `sum_all` keep no array;
@@ -57,7 +57,8 @@ Params are made by three factories, `Param.xavier`, `Param.zeros` and
 `Param.ones`, which make shape-only params inside a `shape_only()` block.
 
 Only the ranks this package needs are supported: vectors and matrices.
-`add` and `mul` take operands of one shape; there is no general
+`layer_norm` normalizes the rows of a [T, d] matrix, with the fixed
+`LN_EPS`. `add` and `mul` take operands of one shape; there is no general
 broadcasting.
 """
 
@@ -93,11 +94,6 @@ class Tensor:
         return None if node is None else node.grad
 
     @property
-    def needs_grad(self) -> bool:
-        """Whether a gradient for this tensor is worth computing."""
-        return self._node is not None
-
-    @property
     def shape(self):
         return self.data.shape
 
@@ -125,17 +121,17 @@ class _Node:
 
 
 class Param(Tensor):
-    """Named leaf tensor. Frozen params never accumulate gradient and are
-    never touched by optimizer steps. A trainable param is its own gradient
-    node."""
+    """Named leaf tensor. A param starts trainable; a frozen one
+    (`trainable = False`) never accumulates gradient and is never touched
+    by optimizer steps. A trainable param is its own gradient node."""
 
     __slots__ = ("grad", "name", "trainable")
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
+    def __init__(self, data, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
-        self.trainable = trainable
+        self.trainable = True
 
     @property
     def _node(self):
@@ -145,7 +141,7 @@ class Param(Tensor):
     def xavier(cls, name: str, shape: tuple, seed: int) -> "Param":
         """Xavier-uniform [fan_in, fan_out] weight drawn from the stream
         (seed, name)."""
-        return cls._make(name, shape, lambda: xavier_uniform(shape, *shape, seed, name))
+        return cls._make(name, shape, lambda: xavier_uniform(shape, seed, name))
 
     @classmethod
     def zeros(cls, name: str, shape) -> "Param":
@@ -398,11 +394,15 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of x to zero mean and unit (biased) variance, then
-    apply the gamma/beta affine. eps sits inside the square root."""
-    if eps <= 0.0:
-        raise ValueError(f"layer_norm: eps must be positive, got {eps}")
+LN_EPS = 1e-5  # layer_norm's variance floor, inside the square root
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each row of a [T, d] matrix x to zero mean and unit
+    (biased) variance, then apply the gamma/beta affine. `LN_EPS` sits
+    inside the square root."""
+    if x.ndim != 2:
+        raise ValueError(f"layer_norm expects a [T, d] matrix, got {x.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(
@@ -413,7 +413,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
     y = np.multiply(xhat, xhat)
     inv = y.sum(axis=-1, keepdims=True) / d
-    inv += eps
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -425,13 +425,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         return out
     nx, ngamma, nbeta = nodes
     gd = gamma.data
-    reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
 
     def bwd(g):
         if ngamma is not None:
-            _accum(ngamma, reduce_rows(g * xhat))
+            _accum(ngamma, (g * xhat).sum(axis=0))
         if nbeta is not None:
-            _accum(nbeta, reduce_rows(g))
+            _accum(nbeta, g.sum(axis=0))
         if nx is not None:
             # inv * (dxhat - sum(dxhat) / d - (xhat * sum(dxhat * xhat)) / d)
             dx = g * gd
@@ -496,14 +495,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(out, bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product self-attention over all heads as one op.
 
     q, k and v are [T, d] with head h owning columns h*dh:(h+1)*dh, where
     dh = d / num_heads. Each head computes softmax(q_h k_h^T / sqrt(dh)) v_h
     (softmax max-subtracted, along each row) and the head outputs are laid
-    side by side into [T, d]. Returns that output tensor and the [H, T, T]
-    attention weights as a plain array (not on the tape).
+    side by side into [T, d]. Returns that output tensor only.
     """
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape} differ")
@@ -529,7 +527,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     out = Tensor(merge(att @ vh))
     nodes = _nodes((q, k, v))
     if nodes is None:
-        return out, att
+        return out
     nq, nk, nv = nodes
     qh = qh if nk is not None else None
     kh = kh if nq is not None else None
@@ -550,7 +548,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
             if nk is not None:
                 _accum(nk, merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
 
-    return _record(out, bwd), att
+    return _record(out, bwd)
 
 
 def mean_rows(x: Tensor) -> Tensor:

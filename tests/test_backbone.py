@@ -36,14 +36,20 @@ def reference_mhsa(x, layer, num_heads):
     return np.concatenate(heads, axis=1) @ layer.wo.data + layer.bo.data
 
 
-def attention_weights(x, layer, num_heads):
-    """The per-head [T, T] attention weights of `layer` on x, from its
-    query, key and value projections."""
-    q, k, v = (
-        T.matmul(Tensor(x), w, b)
-        for w, b in ((layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
-    )
-    return T.attention(q, k, v, num_heads)[1]
+def attention_weights(x, layer):
+    """The [H, T, T] attention weights of `layer` on x, read off attention
+    outputs: with `layer`'s queries and keys, values that are frame j's
+    indicator in each head's first column put column j of every head's
+    weights in those columns of the output."""
+    q, k = (T.matmul(Tensor(x), w, b) for w, b in ((layer.wq, layer.bq), (layer.wk, layer.bk)))
+    t, d = x.shape
+    dh = d // layer.num_heads
+    cols = []
+    for j in range(t):
+        ind = np.zeros((t, d))
+        ind[j, ::dh] = 1.0
+        cols.append(T.attention(q, k, Tensor(ind), layer.num_heads).data[:, ::dh])
+    return np.stack(cols, axis=2).transpose(1, 0, 2)
 
 
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
@@ -92,7 +98,7 @@ class TestMhsa:
         layer.wo.data[...] = np.eye(d)
         layer.bo.data[...] = 0.0
         x = np.random.default_rng(0).normal(size=(1, d))
-        out = mhsa(Tensor(x), layer, enc.cfg.num_heads)
+        out = mhsa(Tensor(x), layer)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_zero_query_gives_uniform_attention(self):
@@ -103,9 +109,10 @@ class TestMhsa:
         layer.wv.data[...] = np.eye(d)
         layer.wo.data[...] = np.eye(d)
         x = np.random.default_rng(1).normal(size=(5, d))
-        out = mhsa(Tensor(x), layer, enc.cfg.num_heads)
-        for att in attention_weights(x, layer, enc.cfg.num_heads):
+        out = mhsa(Tensor(x), layer)
+        for att in attention_weights(x, layer):
             np.testing.assert_allclose(att, 1.0 / 5.0, atol=1e-12)
+        # uniform weights make each output row the mean of v's rows, here x's
         np.testing.assert_allclose(
             out.data, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12
         )
@@ -114,15 +121,27 @@ class TestMhsa:
         enc = small_encoder(seed=3)
         layer = enc.layers[1]
         x = np.random.default_rng(2).normal(size=(3, 8))
-        out = mhsa(Tensor(x), layer, enc.cfg.num_heads)
+        out = mhsa(Tensor(x), layer)
         np.testing.assert_allclose(
             out.data, reference_mhsa(x, layer, enc.cfg.num_heads), atol=1e-12
         )
 
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_each_layer_runs_its_configs_head_count(self, num_heads):
+        enc = small_encoder(seed=9, num_heads=num_heads)
+        x = np.random.default_rng(9).normal(size=(4, 8))
+        for layer in enc.layers:
+            assert layer.num_heads == num_heads
+            np.testing.assert_allclose(
+                mhsa(Tensor(x), layer).data, reference_mhsa(x, layer, num_heads), atol=1e-12
+            )
+
     def test_attention_rows_are_distributions(self):
         enc = small_encoder(seed=4)
         x = np.random.default_rng(3).normal(size=(7, 8))
-        for att in attention_weights(x, enc.layers[0], enc.cfg.num_heads):
+        atts = attention_weights(x, enc.layers[0])
+        assert atts.shape == (enc.cfg.num_heads, 7, 7)
+        for att in atts:
             np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(att >= 0.0)
 
@@ -136,7 +155,7 @@ class TestLayerForward:
         layer.b1.data[...] = 0.0
         layer.b2.data[...] = 0.0
         x = np.random.default_rng(4).normal(size=(4, 8))
-        out = layer_forward(Tensor(x), layer, enc.cfg.num_heads)
+        out = layer_forward(Tensor(x), layer)
         att = reference_mhsa(x, layer, enc.cfg.num_heads)
         u = reference_layer_norm(att + x, layer.ln_att_g.data, layer.ln_att_b.data)
         expected = reference_layer_norm(u, layer.ln_ffn_g.data, layer.ln_ffn_b.data)
@@ -146,7 +165,7 @@ class TestLayerForward:
         enc = small_encoder(seed=6)
         layer = enc.layers[0]
         x = np.random.default_rng(5).normal(size=(4, 8))
-        out = layer_forward(Tensor(x), layer, enc.cfg.num_heads)
+        out = layer_forward(Tensor(x), layer)
         att = reference_mhsa(x, layer, enc.cfg.num_heads)
         u = reference_layer_norm(att + x, layer.ln_att_g.data, layer.ln_att_b.data)
         f = np.maximum(u @ layer.w1.data + layer.b1.data, 0.0) @ layer.w2.data + layer.b2.data
@@ -154,7 +173,7 @@ class TestLayerForward:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
-def composed_layer_forward(x, layer, num_heads, ffn_adapter=None, mhsa_adapter=None):
+def composed_layer_forward(x, layer, ffn_adapter=None, mhsa_adapter=None):
     """A transformer layer with its adapters spelled out in primitive ops, in
     the order they have always run: a sequential adapter adds its branch of
     the sub-block output onto that output; a parallel FFN adapter's scaled
@@ -167,8 +186,7 @@ def composed_layer_forward(x, layer, num_heads, ffn_adapter=None, mhsa_adapter=N
     q = T.matmul(x, layer.wq, layer.bq)
     k = T.matmul(x, layer.wk, layer.bk)
     v = T.matmul(x, layer.wv, layer.bv)
-    heads, _ = T.attention(q, k, v, num_heads)
-    att = T.matmul(heads, layer.wo, layer.bo)
+    att = T.matmul(T.attention(q, k, v, layer.num_heads), layer.wo, layer.bo)
     if mhsa_adapter is not None:
         att = T.add(att, branch(mhsa_adapter, att))
     u = T.layer_norm(T.add(att, x), layer.ln_att_g, layer.ln_att_b)
@@ -218,7 +236,7 @@ class TestLayerForwardComposition:
             for p in params:
                 p.grad[...] = 0.0
             with Tape() as tape:
-                out = forward(x, layer, enc.cfg.num_heads, ffn_adapter, mhsa_adapter)
+                out = forward(x, layer, ffn_adapter, mhsa_adapter)
                 tape.backward(T.sum_all(T.mul(out, out)))
             return out.data.tobytes(), [p.grad.tobytes() for p in params]
 

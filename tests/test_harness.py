@@ -309,7 +309,8 @@ class TestAdam:
         from svadapt.optim import Adam
         from svadapt.tensor import Param
 
-        frozen = Param(np.array([1.0, -2.0, 3.0]), name="f", trainable=False)
+        frozen = Param(np.array([1.0, -2.0, 3.0]), name="f")
+        frozen.trainable = False
         live = Param(np.array([1.0, -2.0, 3.0]), name="l")
         before = frozen.data.copy()
         opt = Adam([([frozen, live], LrSchedule(1e-2, 1, 10))])

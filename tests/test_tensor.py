@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svadapt import backbone as bb
@@ -77,19 +77,19 @@ class TestMatmul:
 class TestLayerNorm:
     def test_constant_row_normalizes_to_zero(self):
         out = T.layer_norm(
-            Tensor([1.0, 1.0, 1.0]), Tensor(np.ones(3)), Tensor(np.zeros(3))
+            Tensor([[1.0, 1.0, 1.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3))
         )
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_hand_evaluated_row(self):
         # direct evaluation of the normalization formula for [1, 2, 3]
         eps = 1e-5
-        expected = [(v - 2.0) / math.sqrt(2.0 / 3.0 + eps) for v in (1.0, 2.0, 3.0)]
+        expected = [[(v - 2.0) / math.sqrt(2.0 / 3.0 + eps) for v in (1.0, 2.0, 3.0)]]
         out = T.layer_norm(
-            Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=eps
+            Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3))
         )
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        np.testing.assert_allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-4)
+        np.testing.assert_allclose(out.data, [[-1.2247, 0.0, 1.2247]], atol=1e-4)
 
     def test_affine_dominates_with_zero_gamma(self):
         rng = np.random.default_rng(1)
@@ -97,26 +97,25 @@ class TestLayerNorm:
         out = T.layer_norm(x, Tensor(np.zeros(3)), Tensor(np.full(3, 7.0)))
         np.testing.assert_array_equal(out.data, np.full((5, 3), 7.0))
 
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            T.layer_norm(
-                Tensor([1.0, 2.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0
-            )
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)], ids=["scalar", "vector", "rank-3"])
+    def test_rejects_a_non_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"\[T, d\] matrix"):
+            T.layer_norm(Tensor(np.ones(shape)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 1.0))
+    @example(seed=143, log_spread=-3.0)  # a row of variance ~5e-8, far below LN_EPS
     @settings(max_examples=30, deadline=None)
     def test_rows_standardized_before_affine(self, seed, log_spread):
-        # row spreads from ~1e-3 up to ~10; eps must be far below the
-        # smallest row variance for the output variance to sit at 1
+        # row spreads from ~1e-3 up to ~10: each output row has zero mean and
+        # the variance v / (v + LN_EPS), v the input row's biased variance
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=10.0**log_spread, size=(4, 8))
-        out = T.layer_norm(
-            Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)), eps=1e-13
-        )
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
         mu = out.data.mean(axis=1)
         var = out.data.var(axis=1)
+        v = x.var(axis=1)
         assert np.all(np.abs(mu) < 1e-10)
-        assert np.all(np.abs(var - 1.0) < 1e-6)
+        np.testing.assert_allclose(var, v / (v + T.LN_EPS), rtol=1e-12, atol=0.0)
 
 
 class TestSoftmaxCrossEntropy:
@@ -172,7 +171,8 @@ class TestBackward:
             assert np.max(np.abs(p.grad - fd) / denom) < 1e-4
 
     def test_frozen_param_gets_zero_gradient(self):
-        frozen = Param(np.ones((3, 3)), name="frozen", trainable=False)
+        frozen = Param(np.ones((3, 3)), name="frozen")
+        frozen.trainable = False
         live = Param(np.ones((3, 3)), name="live")
         with Tape() as tape:
             out = T.matmul(T.matmul(Tensor(np.ones((2, 3))), frozen), live)
@@ -314,7 +314,7 @@ class TestOpGradientsAgainstFiniteDifferences:
         def f():
             q = T.matmul(x, w)
             k = T.scale(x, 0.5)
-            out, _ = T.attention(q, k, T.relu(x), num_heads=2)
+            out = T.attention(q, k, T.relu(x), num_heads=2)
             labels = [1, 0, 5, 3]
             return T.softmax_cross_entropy(out, labels)
 
@@ -341,10 +341,10 @@ MIXES3 = [m for m in itertools.product([True, False], repeat=3) if any(m)]
 
 
 def _mixed_params(arrays, trainable):
-    return [
-        Param(a, name=f"p{i}", trainable=t)
-        for i, (a, t) in enumerate(zip(arrays, trainable))
-    ]
+    params = [Param(a, name=f"p{i}") for i, a in enumerate(arrays)]
+    for p, t in zip(params, trainable):
+        p.trainable = t
+    return params
 
 
 def _assert_mix_gradients(f, params):
@@ -441,12 +441,18 @@ class TestAttention:
     def test_forward_matches_per_head_loop(self, num_heads):
         rng = np.random.default_rng(30)
         q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
-        out, weights = T.attention(Tensor(q), Tensor(k), Tensor(v), num_heads)
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), num_heads)
         ref_out, ref_weights = attention_oracle(q, k, v, num_heads)
         np.testing.assert_allclose(out.data, ref_out, atol=1e-12)
-        assert weights.shape == (num_heads, 5, 5)
-        for got, want in zip(weights, ref_weights):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        # values that are frame j's indicator in each head's first column
+        # put column j of that head's weights in the output's column
+        dh = 6 // num_heads
+        for j in range(5):
+            ind = np.zeros((5, 6))
+            ind[j, ::dh] = 1.0
+            got = T.attention(Tensor(q), Tensor(k), Tensor(ind), num_heads).data[:, ::dh]
+            for h, want in enumerate(ref_weights):
+                np.testing.assert_allclose(got[:, h], want[:, j], atol=1e-12)
 
     @pytest.mark.parametrize("mix", MIXES3)
     def test_gradients_under_every_trainable_mix(self, mix):
@@ -455,7 +461,7 @@ class TestAttention:
         target = Tensor(rng.normal(size=(4, 6)))
 
         def f():
-            out, _ = T.attention(q, k, v, num_heads=2)
+            out = T.attention(q, k, v, num_heads=2)
             return T.sum_all(T.mul(out, target))
 
         _assert_mix_gradients(f, [q, k, v])
@@ -463,8 +469,8 @@ class TestAttention:
     def test_all_frozen_inputs_record_nothing(self):
         x = Tensor(np.ones((3, 4)))
         with Tape() as tape:
-            out, _ = T.attention(x, x, x, num_heads=2)
-        assert len(tape) == 0 and not out.needs_grad
+            out = T.attention(x, x, x, num_heads=2)
+        assert len(tape) == 0 and out._node is None
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(3, 4\).*\(3, 4\).*\(2, 4\)"):
@@ -747,14 +753,13 @@ def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma + beta
-    reduce_rows = (lambda a: a.sum(axis=0)) if x.ndim == 2 else (lambda a: a)
     dxhat = g * gamma
     dx = inv * (
         dxhat
         - dxhat.sum(axis=-1, keepdims=True) / d
         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
     )
-    return out, [dx, reduce_rows(g * xhat), reduce_rows(g)]
+    return out, [dx, (g * xhat).sum(axis=0), g.sum(axis=0)]
 
 
 def ref_attention(q, k, v, g, num_heads):
@@ -780,7 +785,7 @@ def ref_attention(q, k, v, g, num_heads):
     dq = merge(gz @ kh)
     dk = merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1))
     dv = merge(att.transpose(0, 2, 1) @ gh)
-    return (out, att), [dq, dk, dv]
+    return out, [dq, dk, dv]
 
 
 def ref_relu(x, g):
@@ -878,13 +883,13 @@ class TestOpOutputs:
             T.matmul(m, w), T.matmul(r, w), T.add(m, m), T.mul(v, v), T.scale(m, s),
             T.scale(v, 2.0), T.relu(m), T.softmax(m), T.mean_rows(m),
             T.layer_norm(m, Tensor(np.ones(4)), Tensor(np.zeros(4))),
-            T.attention(m, m, m, 2)[0], T.lincomb(v, [m, m, m, m]), T.concat_rows([r, r]),
+            T.attention(m, m, m, 2), T.lincomb(v, [m, m, m, m]), T.concat_rows([r, r]),
             total, T.softmax_cross_entropy(m, [0, 1, 3]),
             T.scale(total, 2.0), T.add(total, total), T.mul(total, total), T.relu(total),
         ]
         for out in outputs:
             assert type(out.data) is np.ndarray and out.data.dtype == np.float64
-            assert out.grad is None and not out.needs_grad
+            assert out.grad is None and out._node is None
         assert [out.data.shape for out in outputs[-6:]] == [()] * 6
 
 
@@ -901,11 +906,12 @@ class TestSameBitsAsPlainExpressions:
             assert_grads(grads, want_grads, mix)
 
     def test_layer_norm_vector(self):
+        # one feature vector enters as a [1, d] row
         rng = np.random.default_rng(51)
         x, gamma, beta = ln_inputs(rng, 1)
-        loss_of, g = weighted_upstream(rng, 6)
-        out, grads = run_op(T.layer_norm, [x[0], gamma, beta], (True,) * 3, loss_of)
-        want_out, want_grads = ref_layer_norm(x[0], gamma, beta, g)
+        loss_of, g = weighted_upstream(rng, (1, 6))
+        out, grads = run_op(T.layer_norm, [x, gamma, beta], (True,) * 3, loss_of)
+        want_out, want_grads = ref_layer_norm(x, gamma, beta, g)
         assert_same_bits(out.data, want_out)
         assert_grads(grads, want_grads, (True,) * 3)
 
@@ -913,19 +919,13 @@ class TestSameBitsAsPlainExpressions:
     @pytest.mark.parametrize("mix", MIXES3)
     def test_attention(self, num_heads, mix):
         rng = np.random.default_rng(52)
-        holder = {}
-
-        def op(q, k, v):
-            out, holder["att"] = T.attention(q, k, v, num_heads)
-            return out
-
+        op = lambda q, k, v: T.attention(q, k, v, num_heads)
         for t in range(1, 71):
             arrays = [rng.normal(size=(t, 8)) * 2.0 for _ in range(3)]
             loss_of, g = weighted_upstream(rng, (t, 8))
             out, grads = run_op(op, arrays, mix, loss_of)
-            (want_out, want_att), want_grads = ref_attention(*arrays, g, num_heads)
+            want_out, want_grads = ref_attention(*arrays, g, num_heads)
             assert_same_bits(out.data, want_out)
-            assert_same_bits(holder["att"], want_att)
             assert_grads(grads, want_grads, mix)
 
     def test_relu(self):
@@ -985,10 +985,10 @@ class TestSameBitsAsPlainExpressions:
 
         loss_of, g = upstream((t, 8))
         arrays = [rng.normal(size=(t, 8)) for _ in range(3)]
-        two_heads = lambda q, k, v: T.attention(q, k, v, 2)[0]
+        two_heads = lambda q, k, v: T.attention(q, k, v, 2)
         out, grads = run_op(two_heads, arrays, (True,) * 3, loss_of)
         want_out, want_grads = ref_attention(*arrays, g, 2)
-        assert_same_bits(out.data, want_out[0])
+        assert_same_bits(out.data, want_out)
         assert_grads(grads, want_grads, (True,) * 3)
 
         out, grads = run_op(T.relu, arrays[:1], (True,), loss_of)
